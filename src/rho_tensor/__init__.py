@@ -18,8 +18,6 @@ from .charcalc import (
     default_cache,
     dominant_weights_below,
     freudenthal,
-    multiplicity_at,
-    weight_set_contains,
 )
 from .tensor import (
     Decomposition,

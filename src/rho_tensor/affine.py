@@ -20,7 +20,8 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rootdata import AlgebraError, InvariantError, RootSystem, Weight
+from .charcalc import freudenthal_slices
+from .rootdata import AlgebraError, InvariantError, RootSystem, Weight, weyl_orbit
 
 DEFAULT_DEPTH = 6
 
@@ -152,8 +153,6 @@ def affine_freudenthal(rs: RootSystem, lam: AffineWeight, depth: int) -> Truncat
         return hit
 
     rank = rs.rank
-    scale = rs.form_scale
-    h_dual = rs.dual_coxeter
     marks = rs.marks
     lam_fin = lam.finite
     caps = [x.numerator // x.denominator for x in rs.root_coords(lam_fin)]
@@ -180,79 +179,15 @@ def affine_freudenthal(rs: RootSystem, lam: AffineWeight, depth: int) -> Truncat
         rec(0, [])
         return out
 
-    # process all (mu, d) candidates in increasing affine height of lam - mu
+    # all (mu, d) below the highest weight, in increasing affine height of lam - mu
     todo = []
     for d in range(depth + 1):
         for mu, gamma in candidates(d):
             height = d + sum(g + d * a for g, a in zip(gamma, marks))
-            todo.append((height, d, mu, gamma))
-    todo.sort(key=lambda t: (t[0], t[1], t[2]))
-
-    slices: list[dict[Weight, int]] = [dict() for _ in range(depth + 1)]
-    slices[0][lam_fin] = 1
-
-    finite_roots = [
-        (rc, rs.positive_roots_fund[k], rs.sip_wr(rs.positive_roots_fund[k], rc))
-        for k, rc in enumerate(rs.positive_roots)
-    ]
-    all_roots = finite_roots + [
-        (tuple(-x for x in rc), tuple(-x for x in fund), s_aa) for rc, fund, s_aa in finite_roots
-    ]
-
-    lam_rho_fin = tuple(x + 1 for x in lam_fin)
-    top_fin = rs.sip_ww(lam_rho_fin, lam_rho_fin)
-    lvl_scaled = lvl * scale
-
-    def slice_mult(w: Weight, d: int) -> int:
-        return slices[d].get(rs.to_dominant(w)[0], 0)
-
-    for height, d, mu, gamma in todo:
-        if height == 0:
-            continue
-        num = 0
-        # real roots alpha + k*delta, k = 0 (positive alpha only) and k >= 1 (all alpha)
-        for k in range(0, d + 1):
-            roots = finite_roots if k == 0 else all_roots
-            for rc, fund, s_aa in roots:
-                base = rs.sip_wr(mu, rc) + k * lvl_scaled
-                j = 1
-                while k * j <= d or k == 0:
-                    dd = d - k * j
-                    offs_ok = True
-                    for i in range(rank):
-                        if gamma[i] - j * rc[i] + dd * marks[i] < 0:
-                            offs_ok = False
-                            break
-                    if not offs_ok:
-                        break
-                    nu = tuple(mu[i] + j * fund[i] for i in range(rank))
-                    m = slice_mult(nu, dd)
-                    if m:
-                        num += m * (base + j * s_aa)
-                    j += 1
-        # imaginary roots k*delta with multiplicity rank
-        for k in range(1, d + 1):
-            for j in range(1, d // k + 1):
-                m = slice_mult(mu, d - k * j)
-                if m:
-                    num += rank * m * k * lvl_scaled
-        num *= 2
-        if num == 0:
-            continue
-        mu_rho = tuple(x + 1 for x in mu)
-        denom = top_fin - rs.sip_ww(mu_rho, mu_rho) + 2 * d * (lvl + h_dual) * scale
-        if denom <= 0:
-            raise InvariantError(
-                f"affine Freudenthal: nonzero numerator with denominator {denom} <= 0 "
-                f"at finite part {mu}, depth {d}, highest {lam} ({rs.algebra})"
-            )
-        q, r = divmod(num, denom)
-        if r != 0 or q < 0:
-            raise InvariantError(
-                f"affine Freudenthal produced non-multiplicity {num}/{denom} at {mu}, depth {d}"
-            )
-        if q:
-            slices[d][mu] = q
+            if height:
+                todo.append((height, d, mu, gamma))
+    todo.sort()
+    slices = freudenthal_slices(rs, lam_fin, [t[1:] for t in todo], depth, lvl)
 
     char = TruncatedAffineCharacter(str(rs.algebra), lam, depth, tuple(slices))
     with _aff_lock:
@@ -277,26 +212,10 @@ def _expand_slices(rs: RootSystem, char: TruncatedAffineCharacter) -> list[dict[
     for sl in char.slices:
         expanded: dict[Weight, int] = {}
         for w, m in sl.items():
-            for x in _finite_orbit(rs, w):
+            for x in weyl_orbit(rs, w):
                 expanded[x] = m
         full.append(expanded)
     return full
-
-
-def _finite_orbit(rs: RootSystem, w: Weight) -> list[Weight]:
-    seen = {w}
-    frontier = [w]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in range(rs.rank):
-                if v[i] != 0:
-                    img = rs.simple_reflection(v, i)
-                    if img not in seen:
-                        seen.add(img)
-                        nxt.append(img)
-        frontier = nxt
-    return list(seen)
 
 
 @dataclass

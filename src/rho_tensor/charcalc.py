@@ -1,5 +1,7 @@
 """Exact weight multiplicities of finite-type irreducibles via Freudenthal's
-recursion, with an in-memory memo and an optional persistent cache.
+recursion, with an in-memory memo and an optional persistent cache. The
+recursion kernel also computes the delta-truncated affine characters of
+:mod:`rho_tensor.affine`.
 
 Character tables store dominant representatives only; orbit expansion happens
 on demand. Within one run, weights are processed by decreasing dominance
@@ -13,13 +15,15 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
+from operator import add
 from pathlib import Path
-from random import Random
+from typing import Iterable
 
 from .rootdata import (
     AlgebraError,
     InvariantError,
     RootSystem,
+    RootVector,
     Weight,
     floor_root_coords,
 )
@@ -59,14 +63,6 @@ class DominantCharacter:
         return sum(m * len(rs.orbit(mu)) for mu, m in self.mults.items())
 
 
-def weight_set_contains(char: DominantCharacter, rs: RootSystem, beta: Weight) -> bool:
-    return char.contains(rs, beta)
-
-
-def multiplicity_at(char: DominantCharacter, rs: RootSystem, beta: Weight) -> int:
-    return char.multiplicity(rs, beta)
-
-
 def dominant_weights_below(rs: RootSystem, lam: Weight) -> list[Weight]:
     """All dominant mu with lam - mu a non-negative integer combination of
     simple roots, by breadth-first descent subtracting simple roots."""
@@ -96,64 +92,97 @@ def dominant_weights_below(rs: RootSystem, lam: Weight) -> list[Weight]:
     return out
 
 
-def _freudenthal_table(rs: RootSystem, lam: Weight, order_seed: int | None = None) -> dict[Weight, int]:
+def freudenthal_slices(
+    rs: RootSystem,
+    lam: Weight,
+    candidates: Iterable[tuple[int, Weight, RootVector]],
+    depth: int,
+    lvl: int,
+) -> list[dict[Weight, int]]:
+    """Freudenthal's recursion over the root strings of a highest weight.
+
+    ``lam`` is the (classical part of the) highest weight, ``lvl`` its level.
+    Each candidate ``(d, mu, gamma)`` names the dominant weight ``mu - d*delta``
+    with ``lam - mu = sum gamma_i alpha_i``; the highest weight itself is not a
+    candidate. Candidates must come in increasing height ``d + sum(gamma) +
+    d*sum(marks)``, so every multiplicity a candidate references is already
+    known. Returns the multiplicity table of each depth ``0..depth``.
+
+    Real roots ``alpha + k*delta`` have multiplicity one (``k = 0`` for positive
+    ``alpha`` only), imaginary roots ``k*delta`` multiplicity rank. At depth 0
+    only ``k = 0`` enters and the level term of the denominator vanishes, so a
+    finite character is the depth-0 call with level 0.
+    """
     rank = rs.rank
-    rho = rs.rho
-    roots = [
-        (rc, rs.positive_roots_fund[k], rs.sip_wr(rs.positive_roots_fund[k], rc))
-        for k, rc in enumerate(rs.positive_roots)
-    ]
-    # s_rr(alpha, alpha) = sip_wr(alpha_fund, alpha_rc)
+    marks = rs.marks
+    scale = rs.form_scale
+    to_dominant = rs.to_dominant
+    sip_wr = rs.sip_wr
+    sip_ww = rs.sip_ww
+    # a real root alpha + k*delta over the affine simple roots alpha_0..alpha_r
+    # is (k, rc + k*marks); its string through mu - d*delta stays in the
+    # weights below lam while those coordinates fit into (d, gamma + d*marks)
+    pos = [(rc, fund, sip_wr(fund, rc)) for rc, fund in zip(rs.positive_roots, rs.positive_roots_fund)]
+    real = pos + [(tuple(-x for x in rc), tuple(-x for x in fund), s_aa) for rc, fund, s_aa in pos]
+    strings = []
+    for k in range(depth + 1):
+        strings.append([])
+        for rc, fund, s_aa in real if k else pos:
+            coords = (k,) + tuple(r + k * a for r, a in zip(rc, marks))
+            strings[k].append((rc, fund, s_aa, tuple((i, x) for i, x in enumerate(coords) if x > 0)))
     lam_rho = tuple(x + 1 for x in lam)
-    top = rs.sip_ww(lam_rho, lam_rho)
+    top = sip_ww(lam_rho, lam_rho)
+    lvl_scaled = lvl * scale
+    shift_scaled = 2 * (lvl + rs.dual_coxeter) * scale
 
-    weights = dominant_weights_below(rs, lam)
-    offsets = {mu: tuple(int(x) for x in rs.root_coords(tuple(a - b for a, b in zip(lam, mu)))) for mu in weights}
-    layers: dict[int, list[Weight]] = {}
-    for mu in weights:
-        layers.setdefault(sum(offsets[mu]), []).append(mu)
-
-    rng = Random(order_seed) if order_seed is not None else None
-    mults: dict[Weight, int] = {lam: 1}
-    for h in sorted(layers):
-        if h == 0:
-            continue
-        layer = layers[h]
-        if rng is not None:
-            rng.shuffle(layer)
-        for mu in layer:
-            c_mu = offsets[mu]
-            num = 0
-            for rc, fund, s_aa in roots:
-                base = rs.sip_wr(mu, rc)
-                j = 1
-                while True:
-                    ok = True
-                    for i in range(rank):
-                        if c_mu[i] - j * rc[i] < 0:
-                            ok = False
+    slices: list[dict[Weight, int]] = [{} for _ in range(depth + 1)]
+    slices[0][lam] = 1
+    for d, mu, gamma in candidates:
+        room = (d,) + tuple(g + d * a for g, a in zip(gamma, marks))
+        total = sum(room)
+        num = 0
+        for k in range(d + 1):
+            for rc, fund, s_aa, supp in strings[k]:
+                jmax = total  # bounds every room[i] // x
+                for i, x in supp:
+                    q = room[i] // x
+                    if q < jmax:
+                        jmax = q
+                        if not q:
                             break
-                    if not ok:
-                        break
-                    nu = tuple(mu[i] + j * fund[i] for i in range(rank))
-                    m = mults.get(rs.to_dominant(nu)[0], 0)
+                if not jmax:
+                    continue
+                base = sip_wr(mu, rc) + k * lvl_scaled
+                nu = mu
+                for j in range(1, jmax + 1):
+                    nu = tuple(map(add, nu, fund))
+                    m = slices[d - k * j].get(to_dominant(nu)[0], 0)
                     if m:
                         num += m * (base + j * s_aa)
-                    j += 1
-            num *= 2
-            denom = top - rs.sip_ww(tuple(x + 1 for x in mu), tuple(x + 1 for x in mu))
-            if denom <= 0:
-                raise InvariantError(
-                    f"Freudenthal denominator {denom} <= 0 at mu={mu} for highest weight {lam} ({rs.algebra})"
-                )
-            q, r = divmod(num, denom)
-            if r != 0 or q < 0:
-                raise InvariantError(
-                    f"Freudenthal recursion produced non-multiplicity {num}/{denom} at mu={mu}, lam={lam}"
-                )
-            if q:
-                mults[mu] = q
-    return mults
+        for k in range(1, d + 1):
+            for j in range(1, d // k + 1):
+                m = slices[d - k * j].get(mu, 0)
+                if m:
+                    num += rank * m * k * lvl_scaled
+        num *= 2
+        if not num and d:
+            continue  # depth > 0: the candidate box holds non-weights, denominator unchecked
+        mu_rho = tuple(x + 1 for x in mu)
+        denom = top - sip_ww(mu_rho, mu_rho) + d * shift_scaled
+        if denom <= 0:
+            raise InvariantError(
+                f"Freudenthal denominator {denom} <= 0 at mu={mu}, depth {d} "
+                f"for highest weight {lam} ({rs.algebra})"
+            )
+        q, r = divmod(num, denom)
+        if r != 0 or q < 0:
+            raise InvariantError(
+                f"Freudenthal recursion produced non-multiplicity {num}/{denom} "
+                f"at mu={mu}, depth {d}, lam={lam}"
+            )
+        if q:
+            slices[d][mu] = q
+    return slices
 
 
 def freudenthal(rs: RootSystem, lam: Weight, cache: "CharCache | None" = None) -> DominantCharacter:
@@ -174,11 +203,11 @@ def freudenthal(rs: RootSystem, lam: Weight, cache: "CharCache | None" = None) -
         if stored is not None:
             char = DominantCharacter(str(rs.algebra), lam, stored)
     if char is None:
-        if all(x == 0 for x in lam):
-            table = {lam: 1}
-        else:
-            table = _freudenthal_table(rs, lam)
-        char = DominantCharacter(str(rs.algebra), lam, table)
+        candidates = [
+            (0, mu, tuple(int(x) for x in rs.root_coords(tuple(a - b for a, b in zip(lam, mu)))))
+            for mu in dominant_weights_below(rs, lam)[1:]
+        ]
+        char = DominantCharacter(str(rs.algebra), lam, freudenthal_slices(rs, lam, candidates, 0, 0)[0])
         if cache is not None:
             cache.store(rs, lam, char.mults)
     with _memo_lock:
@@ -215,7 +244,7 @@ class CharCache:
         path = self._path(str(rs.algebra), lam)
         if not path.is_file():
             return None
-        lines = path.read_text().splitlines()
+        lines = path.read_text(errors="replace").splitlines()
         expect = f"{_CACHE_FORMAT} {rs.algebra} {','.join(str(c) for c in lam)}"
         if not lines or lines[0] != expect:
             return None
@@ -224,7 +253,14 @@ class CharCache:
             if not line.strip():
                 continue
             coords, _, mult = line.partition(":")
-            table[tuple(int(c) for c in coords.split(","))] = int(mult)
+            try:
+                mu = tuple(int(c) for c in coords.split(","))
+                m = int(mult)
+            except ValueError:
+                return None
+            if len(mu) != rs.rank or min(mu) < 0 or m < 1:
+                return None  # malformed: a miss, recomputed and overwritten
+            table[mu] = m
         if table.get(lam) != 1:
             return None
         return table

@@ -25,7 +25,7 @@ from .harness import (
     support_containment_check,
     verify_conjecture,
 )
-from .rootdata import AlgebraError, AlgebraId, InvariantError, RootSystem, Weight, build_root_system
+from .rootdata import AlgebraError, AlgebraId, InvariantError, RootSystem, Weight, build_root_system, weyl_orbit
 from .tensor import Decomposition, klimyk, saturation_check, schur_compare
 
 EXIT_OK = 0
@@ -209,7 +209,7 @@ def affine_conjecture_report(rs: RootSystem, m: int, n: int, depth: int) -> dict
     predicted = []
     for beta_dom, d in aff.delta_max_weights(char_n):
         beta_aff_dominant = aff.theta_pairing(rs, beta_dom) <= n * h
-        for beta in _orbit(rs, beta_dom):
+        for beta in weyl_orbit(rs, beta_dom):
             lam_fin = tuple(a + b for a, b in zip(mrho_fin, beta))
             if all(x >= 0 for x in lam_fin) and aff.theta_pairing(rs, lam_fin) <= lvl:
                 predicted.append(
@@ -233,12 +233,6 @@ def affine_conjecture_report(rs: RootSystem, m: int, n: int, depth: int) -> dict
         "missing": missing,
         "unexpected": unexpected,
     }
-
-
-def _orbit(rs: RootSystem, w: Weight) -> list[Weight]:
-    from .affine import _finite_orbit
-
-    return sorted(_finite_orbit(rs, w))
 
 
 def _emit_affine_conjecture(rep: dict, fmt: str, out) -> None:
@@ -447,7 +441,7 @@ def _cmd_gko(args, cache, out) -> int:
         char_n = aff.affine_freudenthal(rs, n * rho, args.depth)
         betas = []
         for beta_dom, d in aff.delta_max_weights(char_n):
-            for beta_fin in _orbit(rs, beta_dom):
+            for beta_fin in weyl_orbit(rs, beta_dom):
                 lam_fin = tuple(m + b for b in beta_fin)
                 if all(x >= 0 for x in lam_fin) and aff.theta_pairing(rs, lam_fin) <= (m + n) * h:
                     betas.append(aff.affinize(rs, beta_fin, n * h, -d))

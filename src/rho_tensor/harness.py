@@ -9,8 +9,6 @@ FAILS verdict is a reportable finding rather than an internal error.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .charcalc import CharCache, dominant_weights_below, freudenthal
@@ -21,8 +19,6 @@ HOLDS = "HOLDS"
 FAILS = "FAILS"
 DEPTH_LIMITED = "DEPTH_LIMITED"
 ERROR = "ERROR"
-
-THREADS_ENV_VAR = "RHO_TENSOR_THREADS"
 
 
 @dataclass
@@ -106,19 +102,10 @@ def support_containment_check(
     return SupportContainmentReport(holds=not witnesses, witnesses=witnesses)
 
 
-def _threads_hint() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def scan_all(
     types: list[AlgebraId | str],
     max_sum: int,
     cache: CharCache | None = None,
-    threads: int | None = None,
 ) -> list[ConjectureReport]:
     """verify_conjecture for every listed type and every m >= n >= 0 with
     m + n <= max_sum. Per-case failures are recorded, never raised."""
@@ -131,19 +118,11 @@ def scan_all(
             for n in range(total // 2 + 1):
                 cases.append((aid, total - n, n))
 
-    def run(case) -> ConjectureReport:
-        aid, m, n = case
+    reports = []
+    for aid, m, n in cases:
         try:
-            return verify_conjecture(build_root_system(aid), m, n, cache)
+            reports.append(verify_conjecture(build_root_system(aid), m, n, cache))
         except Exception as exc:  # recorded, not raised
-            return ConjectureReport(str(aid), m, n, [], [], [], ERROR, error=str(exc))
-
-    if threads is None:
-        threads = _threads_hint()
-    if threads > 1 and len(cases) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(run, cases))
-    else:
-        reports = [run(c) for c in cases]
+            reports.append(ConjectureReport(str(aid), m, n, [], [], [], ERROR, error=str(exc)))
     reports.sort(key=lambda r: (r.algebra, r.m + r.n, r.m, r.n))
     return reports

@@ -226,28 +226,13 @@ class RootSystem:
                 cur[j] -= wi * col[j]
             parity = -parity
 
-    def dominant_representative(self, w: Weight) -> Weight:
-        return self.to_dominant(w)[0]
-
     def is_dominant(self, w: Weight) -> bool:
         return all(x >= 0 for x in w)
 
     def orbit(self, w: Weight) -> list[Weight]:
         """The full Weyl orbit of ``w`` (finite type only), no duplicates."""
         self._require_finite()
-        seen = {w}
-        frontier = [w]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for i in range(self.rank):
-                    if v[i] != 0:
-                        img = self.simple_reflection(v, i)
-                        if img not in seen:
-                            seen.add(img)
-                            nxt.append(img)
-            frontier = nxt
-        return sorted(seen)
+        return weyl_orbit(self, w)
 
     # -- order and form ----------------------------------------------------
 
@@ -400,6 +385,24 @@ def parse_weight(text: str, rank: int) -> Weight:
     if len(coords) != rank:
         raise AlgebraError(f"weight {text!r} has {len(coords)} coordinates, expected {rank}")
     return coords
+
+
+def weyl_orbit(rs: RootSystem, w: Weight) -> list[Weight]:
+    """Sorted orbit of the classical weight ``w`` under the finite Weyl group
+    (for an affine ``rs``, the Weyl group of the underlying finite algebra)."""
+    seen = {w}
+    frontier = [w]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i in range(rs.rank):
+                if v[i] != 0:
+                    img = rs.simple_reflection(v, i)
+                    if img not in seen:
+                        seen.add(img)
+                        nxt.append(img)
+        frontier = nxt
+    return sorted(seen)
 
 
 def floor_root_coords(rs: RootSystem, lam: Weight) -> tuple[int, ...]:

@@ -1,5 +1,7 @@
 """Freudenthal character tables, weight-set queries, and the cache."""
 
+from random import Random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,10 +10,8 @@ from rho_tensor.charcalc import (
     clear_memory_cache,
     dominant_weights_below,
     freudenthal,
-    multiplicity_at,
-    weight_set_contains,
+    freudenthal_slices,
 )
-from rho_tensor.charcalc import _freudenthal_table
 from rho_tensor.rootdata import AlgebraError, build_root_system
 
 from oracles import character_by_weyl_formula
@@ -45,7 +45,8 @@ def test_b2_2rho_table_frozen(b2):
 @pytest.mark.parametrize(
     "name,lam",
     [("A1", (4,)), ("A2", (2, 1)), ("B2", (2, 2)), ("B2", (1, 3)), ("G2", (1, 2)),
-     ("A3", (1, 1, 1)), ("B3", (1, 0, 2)), ("C3", (2, 1, 0))],
+     ("A3", (1, 1, 1)), ("B3", (1, 0, 2)), ("C3", (2, 1, 0)),
+     ("D4", (1, 0, 0, 0)), ("D4", (0, 1, 0, 0))],
 )
 def test_against_weyl_formula_oracle(name, lam):
     rs = build_root_system(name)
@@ -87,23 +88,23 @@ def test_dominant_weights_below_examples(a1, b2):
 
 def test_weight_set_queries(a1, b2):
     ch = freudenthal(a1, (2,))
-    assert weight_set_contains(ch, a1, (2,))
-    assert weight_set_contains(ch, a1, (-2,))
-    assert not weight_set_contains(ch, a1, (1,))
-    assert multiplicity_at(ch, a1, (2,)) == 1
-    assert multiplicity_at(ch, a1, (4,)) == 0
+    assert ch.contains(a1, (2,))
+    assert ch.contains(a1, (-2,))
+    assert not ch.contains(a1, (1,))
+    assert ch.multiplicity(a1, (2,)) == 1
+    assert ch.multiplicity(a1, (4,)) == 0
     ch = freudenthal(b2, (2, 2))
     # membership matches brute-force orbit expansion of the dominant table;
     # (-1, 0) is omega_2 - rho in disguise
     expanded = ch.full_weights(b2)
     for w in [(-1, 2), (2, -2), (0, 1), (3, -4), (-2, 0), (-1, 0)]:
-        assert weight_set_contains(ch, b2, w) == (w in expanded)
-        assert multiplicity_at(ch, b2, w) == expanded.get(w, 0)
+        assert ch.contains(b2, w) == (w in expanded)
+        assert ch.multiplicity(b2, w) == expanded.get(w, 0)
 
 
 def test_multiplicity_reflects_into_chamber(a2):
     ch = freudenthal(a2, (1, 1))
-    assert multiplicity_at(ch, a2, (-1, -1)) == 1  # lowest weight of the adjoint
+    assert ch.multiplicity(a2, (-1, -1)) == 1  # lowest weight of the adjoint
 
 
 @settings(max_examples=30, deadline=None)
@@ -118,14 +119,26 @@ def test_weyl_invariance(name, lam, word):
     w = lam
     for i in word:
         w = rs.simple_reflection(w, i)
-    assert multiplicity_at(ch, rs, w) == 1
+    assert ch.multiplicity(rs, w) == 1
 
 
 def test_evaluation_order_independence(b2, g2):
+    # weights of one height layer never reference each other, so any order
+    # within a layer gives the same table
     for rs, lam in [(b2, (2, 2)), (g2, (2, 1))]:
-        reference = _freudenthal_table(rs, lam)
+        reference = freudenthal(rs, lam).mults
+        layers: dict[int, list] = {}
+        for mu in dominant_weights_below(rs, lam)[1:]:
+            gamma = tuple(int(x) for x in rs.root_coords(tuple(a - b for a, b in zip(lam, mu))))
+            layers.setdefault(sum(gamma), []).append((0, mu, gamma))
         for seed in (1, 7, 42):
-            assert _freudenthal_table(rs, lam, order_seed=seed) == reference
+            rng = Random(seed)
+            candidates = []
+            for h in sorted(layers):
+                layer = layers[h][:]
+                rng.shuffle(layer)
+                candidates += layer
+            assert freudenthal_slices(rs, lam, candidates, 0, 0) == [reference]
 
 
 def test_ckm_shift_equivalence(systems):

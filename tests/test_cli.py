@@ -2,10 +2,11 @@
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
-from rho_tensor.charcalc import clear_memory_cache
+from rho_tensor.charcalc import CharCache, clear_memory_cache, freudenthal
 from rho_tensor.cli import (
     EXIT_NEGATIVE,
     EXIT_OK,
@@ -27,6 +28,17 @@ def run(*argv) -> tuple[int, str]:
     out = io.StringIO()
     code = main(list(argv), out=out)
     return code, out.getvalue()
+
+
+# argv (space-joined) -> exit code and stdout, one entry per subcommand and
+# --format; every later change to the CLI or the library must keep them
+GOLDEN_CLI = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_CLI))
+def test_golden_outputs(argv):
+    code, text = run(*argv.split())
+    assert (code, text) == (GOLDEN_CLI[argv]["exit"], GOLDEN_CLI[argv]["stdout"])
 
 
 def test_decompose_table_b2():
@@ -189,6 +201,31 @@ def test_output_identical_cold_and_warm(tmp_path, monkeypatch):
     clear_memory_cache()
     _, nocache = run("--no-cache", "decompose", "B2", "5,5", "2,2")
     assert nocache == cold
+
+
+@pytest.mark.parametrize(
+    "argv,old,new",
+    [
+        (("weights", "B2", "1,1"), b"0,1:2", b"0,1:2.5"),
+        (("decompose", "B2", "2,2", "1,1"), b"0,1:2", b"0,1:2\ngarbage"),
+        (("weights", "B2", "1,1"), b"0,1:2", b"0,1,0:2"),
+        (("weights", "B2", "1,1"), b"0,1:2", b"-1,1:2"),
+        (("weights", "B2", "1,1"), b"0,1:2", b"0,1:0"),
+        (("weights", "B2", "1,1"), b"0,1:2", b"0,1:\xff"),
+    ],
+    ids=["non-integer", "stray-line", "coordinate-count", "negative-coordinate", "zero-multiplicity", "not-utf8"],
+)
+def test_malformed_cache_file_is_recomputed(tmp_path, argv, old, new):
+    # a malformed table is a cache miss: recomputed, served, and rewritten
+    path = tmp_path / "cache" / "B2.1_1.char"
+    clear_memory_cache()
+    _, expected = run("--no-cache", *argv)
+    run(*argv)
+    path.write_bytes(path.read_bytes().replace(old, new))
+    clear_memory_cache()
+    assert run(*argv) == (EXIT_OK, expected)
+    b2 = build_root_system("B2")
+    assert CharCache(tmp_path / "cache").load(b2, (1, 1)) == freudenthal(b2, (1, 1)).mults
 
 
 def test_no_cache_flag_skips_disk(tmp_path, monkeypatch):

@@ -108,11 +108,3 @@ def test_scan_all_records_per_case_errors(monkeypatch):
     monkeypatch.setattr(hn, "verify_conjecture", boom)
     reports = hn.scan_all(["A1"], 1)
     assert all(r.verdict == "ERROR" and r.error == "synthetic failure" for r in reports)
-
-
-def test_scan_all_threaded_matches_serial():
-    serial = scan_all(["A2"], 3, threads=1)
-    threaded = scan_all(["A2"], 3, threads=4)
-    assert [(r.algebra, r.m, r.n, r.verdict, r.missing) for r in serial] == [
-        (r.algebra, r.m, r.n, r.verdict, r.missing) for r in threaded
-    ]
