@@ -207,6 +207,21 @@ def delta_max_weights(char: TruncatedAffineCharacter) -> list[tuple[Weight, int]
     return out
 
 
+def predicted_components(rs: RootSystem, m: int, n: int, depth: int):
+    """Predicted components of V(m rho) (x) V(n rho) within ``depth``: yields
+    ``(lam, beta, beta_dom, d)`` for every finite ``beta`` in the Weyl orbit of
+    a delta-maximal weight ``beta_dom`` of V(n rho) at depth ``d`` such that
+    ``lam = m rho + beta`` is dominant with theta-pairing <= (m+n) h^vee.
+    Order: that of ``delta_max_weights``, each orbit sorted."""
+    lvl = (m + n) * rs.dual_coxeter
+    char_n = affine_freudenthal(rs, n * affine_rho(rs), depth)
+    for beta_dom, d in delta_max_weights(char_n):
+        for beta in weyl_orbit(rs, beta_dom):
+            lam = tuple(m + b for b in beta)
+            if all(x >= 0 for x in lam) and theta_pairing(rs, lam) <= lvl:
+                yield lam, beta, beta_dom, d
+
+
 def _expand_slices(rs: RootSystem, char: TruncatedAffineCharacter) -> list[dict[Weight, int]]:
     full = []
     for sl in char.slices:

@@ -1,6 +1,12 @@
 """Command-line front end: decompositions, conjecture scans, affine truncated
 reports, GKO data, and cache administration.
 
+Every ``--format`` result goes through one renderer: JSON documents carry
+``meta: {kind, version}``; ``decompose``, ``weights``, finite ``conjecture``,
+``scan``, ``naive-scan``, ``affine-decompose`` and ``delta-max`` write CSV,
+while ``schur-compare`` and affine ``conjecture`` print their table for
+``--format csv``.
+
 Exit codes: 0 success / verified; 1 verified-negative (a conjecture case
 fails, dominance fails, or a depth-limited scan has missing weights);
 2 usage or parse error; 3 internal invariant failure.
@@ -14,30 +20,26 @@ import json
 import sys
 
 from . import affine as aff
-from .charcalc import DominantCharacter, default_cache, dominant_weights_below, freudenthal
+from .charcalc import default_cache, dominant_weights_below, freudenthal
 from .harness import (
     DEPTH_LIMITED,
+    ERROR,
     FAILS,
     HOLDS,
-    ConjectureReport,
     naive_condition_scan,
     scan_all,
     support_containment_check,
     verify_conjecture,
 )
-from .rootdata import AlgebraError, AlgebraId, InvariantError, RootSystem, Weight, build_root_system, weyl_orbit
+from .rootdata import (
+    AlgebraError, AlgebraId, InvariantError, RootSystem, Weight, build_root_system, parse_weight,
+)
 from .tensor import Decomposition, klimyk, saturation_check, schur_compare
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
-
-
-def _parse_finite_weight(rs: RootSystem, text: str) -> Weight:
-    from .rootdata import parse_weight
-
-    return parse_weight(text, rs.rank)
 
 
 def _parse_affine_weight(rs: RootSystem, text: str) -> aff.AffineWeight:
@@ -50,8 +52,6 @@ def _parse_affine_weight(rs: RootSystem, text: str) -> aff.AffineWeight:
             shift = int(shift_part[1:])
         except ValueError:
             raise AlgebraError(f"bad delta-shift suffix in {text!r}: expected ':dN'") from None
-    from .rootdata import parse_weight
-
     coords = parse_weight(body, rs.rank + 1)
     return aff.AffineWeight(coords, shift)
 
@@ -60,23 +60,50 @@ def _fmt_weight(w: Weight) -> str:
     return "(" + ",".join(str(c) for c in w) + ")"
 
 
-def _mult_str(m: int) -> str:
-    return str(m)
+def _weight_columns(rank: int) -> list[str]:
+    return [f"w{i + 1}" for i in range(rank)]
 
 
-# -- decomposition serialization --------------------------------------------
+# -- the output layer ---------------------------------------------------------
 
 
-def decomposition_to_json_dict(dec: Decomposition) -> dict:
-    return {
-        "algebra": dec.algebra,
-        "lhs": list(dec.lhs),
-        "rhs": list(dec.rhs),
-        "components": [
-            {"weight": list(nu), "mult": _mult_str(m)} for nu, m in dec.sorted_items()
-        ],
-        "meta": {"kind": "decomposition", "version": 1},
-    }
+def _meta(kind: str) -> dict:
+    return {"kind": kind, "version": 1}
+
+
+def _render(out, fmt: str, kind: str, doc, lines, rows=None) -> None:
+    """Write one result in ``fmt``, building only that form. ``doc()`` is the
+    JSON document (tuples are written as arrays), which gets ``meta`` of
+    ``kind``; ``lines()`` the table lines; ``rows()`` the CSV rows, header
+    first. A result without ``rows`` prints its table for ``--format csv``."""
+    if fmt == "json":
+        json.dump({**doc(), "meta": _meta(kind)}, out, indent=2, sort_keys=True)
+        out.write("\n")
+    elif fmt == "csv" and rows is not None:
+        csv.writer(out).writerows(rows())
+    else:
+        out.writelines(line + "\n" for line in lines())
+
+
+def _render_multiplicities(out, fmt: str, kind: str, rank: int, head: dict, key: str, items, depth=False):
+    """The weight -> multiplicity listing of ``decompose``, ``weights`` and
+    ``affine-decompose``. ``items`` are sorted ``(weight, d, mult)``; the
+    delta-depth ``d`` is shown only when ``depth`` is set. The JSON document
+    is ``head`` with the entries under ``key``."""
+
+    def entry(w, d, m):
+        return {"weight": w, "depth": d, "mult": str(m)} if depth else {"weight": w, "mult": str(m)}
+
+    def lines():
+        for w, d, m in items:
+            yield f"{m} x {_fmt_weight(w)} at delta-depth {d}" if depth else f"{m} x {_fmt_weight(w)}"
+
+    def rows():
+        yield _weight_columns(rank) + (["depth", "mult"] if depth else ["mult"])
+        for w, d, m in items:
+            yield [*w, d, m] if depth else [*w, m]
+
+    _render(out, fmt, kind, lambda: {**head, key: [entry(*t) for t in items]}, lines, rows)
 
 
 def decomposition_from_json_dict(doc: dict) -> Decomposition:
@@ -88,76 +115,23 @@ def decomposition_from_json_dict(doc: dict) -> Decomposition:
     )
 
 
-def _emit_decomposition(dec: Decomposition, fmt: str, out) -> None:
-    if fmt == "json":
-        json.dump(decomposition_to_json_dict(dec), out, indent=2, sort_keys=True)
-        out.write("\n")
-    elif fmt == "csv":
-        writer = csv.writer(out)
-        writer.writerow([f"w{i+1}" for i in range(len(dec.lhs))] + ["mult"])
-        for nu, m in dec.sorted_items():
-            writer.writerow(list(nu) + [m])
-    else:
-        for nu, m in dec.sorted_items():
-            out.write(f"{m} x {_fmt_weight(nu)}\n")
+def _conjecture_lines(rep):
+    yield (
+        f"{rep.algebra}  m={rep.m} n={rep.n}  verdict={rep.verdict}  "
+        f"predicted={len(rep.predicted)} present={len(rep.present)} missing={len(rep.missing)}"
+    )
+    if rep.missing:
+        yield "missing components:"
+        yield from (f"  {_fmt_weight(w)}" for w in rep.missing)
+    if rep.error:
+        yield f"error: {rep.error}"
 
 
-def _emit_character(char: DominantCharacter, fmt: str, out) -> None:
-    items = sorted(char.mults.items())
-    if fmt == "json":
-        doc = {
-            "algebra": char.algebra,
-            "highest": list(char.highest),
-            "weights": [{"weight": list(w), "mult": _mult_str(m)} for w, m in items],
-            "meta": {"kind": "character", "version": 1},
-        }
-        json.dump(doc, out, indent=2, sort_keys=True)
-        out.write("\n")
-    elif fmt == "csv":
-        writer = csv.writer(out)
-        writer.writerow([f"w{i+1}" for i in range(len(char.highest))] + ["mult"])
-        for w, m in items:
-            writer.writerow(list(w) + [m])
-    else:
-        for w, m in items:
-            out.write(f"{m} x {_fmt_weight(w)}\n")
-
-
-def conjecture_report_to_json_dict(rep: ConjectureReport) -> dict:
-    return {
-        "algebra": rep.algebra,
-        "m": rep.m,
-        "n": rep.n,
-        "verdict": rep.verdict,
-        "predicted": [list(w) for w in rep.predicted],
-        "present": [list(w) for w in rep.present],
-        "missing": [list(w) for w in rep.missing],
-        "error": rep.error,
-        "meta": {"kind": "conjecture-report", "version": 1},
-    }
-
-
-def _emit_conjecture(rep: ConjectureReport, fmt: str, out) -> None:
-    if fmt == "json":
-        json.dump(conjecture_report_to_json_dict(rep), out, indent=2, sort_keys=True)
-        out.write("\n")
-    elif fmt == "csv":
-        writer = csv.writer(out)
-        writer.writerow(["weight", "status"])
-        missing = set(rep.missing)
-        for w in rep.predicted:
-            writer.writerow([" ".join(str(c) for c in w), "missing" if w in missing else "present"])
-    else:
-        out.write(
-            f"{rep.algebra}  m={rep.m} n={rep.n}  verdict={rep.verdict}  "
-            f"predicted={len(rep.predicted)} present={len(rep.present)} missing={len(rep.missing)}\n"
-        )
-        if rep.missing:
-            out.write("missing components:\n")
-            for w in rep.missing:
-                out.write(f"  {_fmt_weight(w)}\n")
-        if rep.error:
-            out.write(f"error: {rep.error}\n")
+def _conjecture_rows(rep):
+    yield ["weight", "status"]
+    missing = set(rep.missing)
+    for w in rep.predicted:
+        yield [" ".join(str(c) for c in w), "missing" if w in missing else "present"]
 
 
 # -- command implementations -------------------------------------------------
@@ -166,19 +140,23 @@ def _emit_conjecture(rep: ConjectureReport, fmt: str, out) -> None:
 def _cmd_decompose(args, cache, out) -> int:
     rs = build_root_system(args.algebra)
     rs._require_finite()
-    lam = _parse_finite_weight(rs, args.lhs)
-    mu = _parse_finite_weight(rs, args.rhs)
+    lam = parse_weight(args.lhs, rs.rank)
+    mu = parse_weight(args.rhs, rs.rank)
     dec = klimyk(rs, lam, mu, cache)
-    _emit_decomposition(dec, args.format, out)
+    head = {"algebra": dec.algebra, "lhs": dec.lhs, "rhs": dec.rhs}
+    items = [(nu, None, m) for nu, m in dec.sorted_items()]
+    _render_multiplicities(out, args.format, "decomposition", rs.rank, head, "components", items)
     return EXIT_OK
 
 
 def _cmd_weights(args, cache, out) -> int:
     rs = build_root_system(args.algebra)
     rs._require_finite()
-    lam = _parse_finite_weight(rs, args.weight)
+    lam = parse_weight(args.weight, rs.rank)
     char = freudenthal(rs, lam, cache)
-    _emit_character(char, args.format, out)
+    head = {"algebra": char.algebra, "highest": char.highest}
+    items = [(w, None, m) for w, m in sorted(char.mults.items())]
+    _render_multiplicities(out, args.format, "character", rs.rank, head, "weights", items)
     return EXIT_OK
 
 
@@ -186,42 +164,35 @@ def _cmd_conjecture(args, cache, out) -> int:
     aid = AlgebraId.parse(args.algebra)
     if args.m < args.n or args.n < 0:
         raise AlgebraError(f"conjecture requires m >= n >= 0, got m={args.m}, n={args.n}")
-    if aid.affine:
-        rs = build_root_system(aid)
-        rep = affine_conjecture_report(rs, args.m, args.n, args.depth)
-        _emit_affine_conjecture(rep, args.format, out)
-        bad = rep["missing"] or rep["unexpected"]
-        return EXIT_NEGATIVE if bad else EXIT_OK
     rs = build_root_system(aid)
+    if aid.affine:
+        rep = affine_conjecture_report(rs, args.m, args.n, args.depth)
+        _render(
+            out, args.format, "affine-conjecture-report", lambda: rep, lambda: _affine_conjecture_lines(rep)
+        )
+        return EXIT_NEGATIVE if rep["missing"] or rep["unexpected"] else EXIT_OK
     rep = verify_conjecture(rs, args.m, args.n, cache)
-    _emit_conjecture(rep, args.format, out)
+    # the report's fields are the JSON document
+    _render(
+        out, args.format, "conjecture-report",
+        lambda: vars(rep), lambda: _conjecture_lines(rep), lambda: _conjecture_rows(rep),
+    )
     return EXIT_OK if rep.verdict == HOLDS else EXIT_NEGATIVE
 
 
 def affine_conjecture_report(rs: RootSystem, m: int, n: int, depth: int) -> dict:
     """Depth-qualified affine scan: predicted components come from the
-    delta-maximal weights of V(n rho); presence is checked at shift zero."""
-    h = rs.dual_coxeter
-    rho = aff.affine_rho(rs)
-    char_n = aff.affine_freudenthal(rs, n * rho, depth)
-    mrho_fin = (m,) * rs.rank
-    lvl = (m + n) * h
+    delta-maximal weights of V(n rho); presence is checked at shift zero.
+    The report is also the JSON document of ``conjecture`` on affine types."""
+    nh = n * rs.dual_coxeter
     predicted = []
-    for beta_dom, d in aff.delta_max_weights(char_n):
-        beta_aff_dominant = aff.theta_pairing(rs, beta_dom) <= n * h
-        for beta in weyl_orbit(rs, beta_dom):
-            lam_fin = tuple(a + b for a, b in zip(mrho_fin, beta))
-            if all(x >= 0 for x in lam_fin) and aff.theta_pairing(rs, lam_fin) <= lvl:
-                predicted.append(
-                    (lam_fin, d, beta_aff_dominant and beta == beta_dom)
-                )
-    predicted.sort(key=lambda t: (t[1], t[0]))
+    for lam, beta, beta_dom, d in aff.predicted_components(rs, m, n, depth):
+        dominant = beta == beta_dom and aff.theta_pairing(rs, beta_dom) <= nh
+        predicted.append({"weight": lam, "depth": d, "beta_dominant": dominant})
+    predicted.sort(key=lambda e: (e["depth"], e["weight"]))
+    rho = aff.affine_rho(rs)
     dec = aff.truncated_tensor(rs, m * rho, n * rho, depth)
-    present, missing = [], []
-    for lam_fin, d, dom_beta in predicted:
-        (present if (lam_fin, d) in dec.components else missing).append((lam_fin, d, dom_beta))
-    predicted_keys = {(w, d) for w, d, _ in predicted}
-    unexpected = [wd for wd in dec.delta_max_components() if wd not in predicted_keys]
+    predicted_keys = {(e["weight"], e["depth"]) for e in predicted}
     return {
         "algebra": str(rs.algebra),
         "m": m,
@@ -229,65 +200,50 @@ def affine_conjecture_report(rs: RootSystem, m: int, n: int, depth: int) -> dict
         "depth": depth,
         "verdict": DEPTH_LIMITED,
         "predicted": predicted,
-        "present": present,
-        "missing": missing,
-        "unexpected": unexpected,
+        "present": [e for e in predicted if (e["weight"], e["depth"]) in dec.components],
+        "missing": [e for e in predicted if (e["weight"], e["depth"]) not in dec.components],
+        "unexpected": [
+            {"weight": w, "depth": d} for w, d in dec.delta_max_components() if (w, d) not in predicted_keys
+        ],
     }
 
 
-def _emit_affine_conjecture(rep: dict, fmt: str, out) -> None:
-    if fmt == "json":
-        doc = dict(rep)
-        doc["predicted"] = [
-            {"weight": list(w), "depth": d, "beta_dominant": b} for w, d, b in rep["predicted"]
-        ]
-        doc["present"] = [
-            {"weight": list(w), "depth": d, "beta_dominant": b} for w, d, b in rep["present"]
-        ]
-        doc["missing"] = [
-            {"weight": list(w), "depth": d, "beta_dominant": b} for w, d, b in rep["missing"]
-        ]
-        doc["unexpected"] = [{"weight": list(w), "depth": d} for w, d in rep["unexpected"]]
-        doc["meta"] = {"kind": "affine-conjecture-report", "version": 1}
-        json.dump(doc, out, indent=2, sort_keys=True)
-        out.write("\n")
-    else:
-        out.write(
-            f"{rep['algebra']}  m={rep['m']} n={rep['n']} depth={rep['depth']}  "
-            f"verdict={rep['verdict']}  predicted={len(rep['predicted'])} "
-            f"present={len(rep['present'])} missing={len(rep['missing'])} "
-            f"unexpected={len(rep['unexpected'])}\n"
-        )
-        for w, d, dom_beta in rep["missing"]:
-            note = "beta dominant" if dom_beta else "beta non-dominant"
-            out.write(f"  missing: {_fmt_weight(w)} at depth {d} ({note})\n")
-        for w, d in rep["unexpected"]:
-            out.write(f"  unexpected delta-maximal component: {_fmt_weight(w)} at depth {d}\n")
+def _affine_conjecture_lines(rep: dict):
+    yield (
+        f"{rep['algebra']}  m={rep['m']} n={rep['n']} depth={rep['depth']}  "
+        f"verdict={rep['verdict']}  predicted={len(rep['predicted'])} "
+        f"present={len(rep['present'])} missing={len(rep['missing'])} "
+        f"unexpected={len(rep['unexpected'])}"
+    )
+    for e in rep["missing"]:
+        note = "beta dominant" if e["beta_dominant"] else "beta non-dominant"
+        yield f"  missing: {_fmt_weight(e['weight'])} at depth {e['depth']} ({note})"
+    for e in rep["unexpected"]:
+        yield f"  unexpected delta-maximal component: {_fmt_weight(e['weight'])} at depth {e['depth']}"
 
 
 def _cmd_scan(args, cache, out) -> int:
     if not args.algebras:
         raise AlgebraError("scan requires at least one algebra")
     reports = scan_all(args.algebras, args.max_sum, cache)
-    if args.format == "json":
-        json.dump(
-            {"reports": [conjecture_report_to_json_dict(r) for r in reports],
-             "meta": {"kind": "scan", "version": 1}},
-            out, indent=2, sort_keys=True,
-        )
-        out.write("\n")
-    elif args.format == "csv":
-        writer = csv.writer(out)
-        writer.writerow(["algebra", "m", "n", "verdict", "predicted", "missing"])
+
+    def doc():
+        return {"reports": [{**vars(r), "meta": _meta("conjecture-report")} for r in reports]}
+
+    def lines():
         for r in reports:
-            writer.writerow([r.algebra, r.m, r.n, r.verdict, len(r.predicted), len(r.missing)])
-    else:
-        for r in reports:
-            out.write(
+            yield (
                 f"{r.algebra:>4}  m={r.m} n={r.n}  {r.verdict}"
-                f"  predicted={len(r.predicted)} missing={len(r.missing)}\n"
+                f"  predicted={len(r.predicted)} missing={len(r.missing)}"
             )
-    if any(r.verdict == "ERROR" for r in reports):
+
+    def rows():
+        yield ["algebra", "m", "n", "verdict", "predicted", "missing"]
+        for r in reports:
+            yield [r.algebra, r.m, r.n, r.verdict, len(r.predicted), len(r.missing)]
+
+    _render(out, args.format, "scan", doc, lines, rows)
+    if any(r.verdict == ERROR for r in reports):
         return EXIT_INTERNAL
     return EXIT_NEGATIVE if any(r.verdict == FAILS for r in reports) else EXIT_OK
 
@@ -295,46 +251,40 @@ def _cmd_scan(args, cache, out) -> int:
 def _cmd_naive_scan(args, cache, out) -> int:
     rs = build_root_system(args.algebra)
     missing = naive_condition_scan(rs, args.m, args.n, cache)
-    if args.format == "json":
-        json.dump(
-            {"algebra": str(rs.algebra), "m": args.m, "n": args.n,
-             "absent": [list(w) for w in missing], "meta": {"kind": "naive-scan", "version": 1}},
-            out, indent=2, sort_keys=True,
-        )
-        out.write("\n")
-    elif args.format == "csv":
-        writer = csv.writer(out)
-        writer.writerow([f"w{i+1}" for i in range(rs.rank)])
+
+    def doc():
+        return {"algebra": str(rs.algebra), "m": args.m, "n": args.n, "absent": missing}
+
+    def lines():
+        yield f"{len(missing)} dominant weights below (m+n) rho missing from the product:"
         for w in missing:
-            writer.writerow(list(w))
-    else:
-        out.write(f"{len(missing)} dominant weights below (m+n) rho missing from the product:\n")
-        for w in missing:
-            out.write(f"  {_fmt_weight(w)}\n")
+            yield f"  {_fmt_weight(w)}"
+
+    _render(out, args.format, "naive-scan", doc, lines, lambda: [_weight_columns(rs.rank), *missing])
     return EXIT_OK
 
 
 def _cmd_schur_compare(args, cache, out) -> int:
     rs = build_root_system(args.algebra)
-    a = klimyk(rs, _parse_finite_weight(rs, args.lhs1), _parse_finite_weight(rs, args.rhs1), cache)
-    b = klimyk(rs, _parse_finite_weight(rs, args.lhs2), _parse_finite_weight(rs, args.rhs2), cache)
+    a = klimyk(rs, parse_weight(args.lhs1, rs.rank), parse_weight(args.rhs1, rs.rank), cache)
+    b = klimyk(rs, parse_weight(args.lhs2, rs.rank), parse_weight(args.rhs2, rs.rank), cache)
     rep = schur_compare(a, b)
-    if args.format == "json":
-        json.dump(
-            {"dominates": rep.dominates,
-             "witnesses": [{"weight": list(w), "mult_first": ma, "mult_second": mb}
-                           for w, ma, mb in rep.witnesses],
-             "meta": {"kind": "schur-compare", "version": 1}},
-            out, indent=2, sort_keys=True,
-        )
-        out.write("\n")
-    else:
+
+    def doc():
+        return {
+            "dominates": rep.dominates,
+            "witnesses": [{"weight": w, "mult_first": ma, "mult_second": mb} for w, ma, mb in rep.witnesses],
+        }
+
+    def lines():
         if rep.dominates:
-            out.write("second decomposition dominates the first (multiplicity-wise)\n")
-        else:
-            out.write("dominance FAILS at:\n")
-            for w, ma, mb in rep.witnesses:
-                out.write(f"  {_fmt_weight(w)}: {ma} vs {mb}\n")
+            yield "second decomposition dominates the first (multiplicity-wise)"
+            return
+        yield "dominance FAILS at:"
+        for w, ma, mb in rep.witnesses:
+            yield f"  {_fmt_weight(w)}: {ma} vs {mb}"
+
+    _render(out, args.format, "schur-compare", doc, lines)
     return EXIT_OK if rep.dominates else EXIT_NEGATIVE
 
 
@@ -355,9 +305,9 @@ def _cmd_support_contain(args, cache, out) -> int:
 
 def _cmd_saturate(args, cache, out) -> int:
     rs = build_root_system(args.algebra)
-    lam = _parse_finite_weight(rs, args.lhs)
-    mu = _parse_finite_weight(rs, args.rhs)
-    nu = _parse_finite_weight(rs, args.component)
+    lam = parse_weight(args.lhs, rs.rank)
+    mu = parse_weight(args.rhs, rs.rank)
+    nu = parse_weight(args.component, rs.rank)
     ok = saturation_check(rs, lam, mu, nu, args.d, cache)
     out.write(
         f"V({args.d}*{_fmt_weight(nu)}) {'IS' if ok else 'is NOT'} a component of "
@@ -371,28 +321,16 @@ def _cmd_affine_decompose(args, cache, out) -> int:
     lam = _parse_affine_weight(rs, args.lhs)
     mu = _parse_affine_weight(rs, args.rhs)
     dec = aff.truncated_tensor(rs, lam, mu, args.depth)
-    items = sorted(dec.components.items(), key=lambda t: (t[0][1], t[0][0]))
-    if args.format == "json":
-        doc = {
-            "algebra": str(rs.algebra),
-            "lhs": list(lam.fund), "lhs_shift": lam.delta_shift,
-            "rhs": list(mu.fund), "rhs_shift": mu.delta_shift,
-            "depth": args.depth,
-            "components": [
-                {"weight": list(w), "depth": d, "mult": _mult_str(m)} for (w, d), m in items
-            ],
-            "meta": {"kind": "affine-decomposition", "version": 1},
-        }
-        json.dump(doc, out, indent=2, sort_keys=True)
-        out.write("\n")
-    elif args.format == "csv":
-        writer = csv.writer(out)
-        writer.writerow([f"w{i+1}" for i in range(rs.rank)] + ["depth", "mult"])
-        for (w, d), m in items:
-            writer.writerow(list(w) + [d, m])
-    else:
-        for (w, d), m in items:
-            out.write(f"{m} x {_fmt_weight(w)} at delta-depth {d}\n")
+    head = {
+        "algebra": str(rs.algebra),
+        "lhs": lam.fund, "lhs_shift": lam.delta_shift,
+        "rhs": mu.fund, "rhs_shift": mu.delta_shift,
+        "depth": args.depth,
+    }
+    items = [(w, d, m) for (w, d), m in sorted(dec.components.items(), key=lambda t: (t[0][1], t[0][0]))]
+    _render_multiplicities(
+        out, args.format, "affine-decomposition", rs.rank, head, "components", items, depth=True
+    )
     return EXIT_OK
 
 
@@ -401,23 +339,24 @@ def _cmd_delta_max(args, cache, out) -> int:
     lam = _parse_affine_weight(rs, args.weight)
     char = aff.affine_freudenthal(rs, lam, args.depth)
     entries = aff.delta_max_weights(char)
-    if args.format == "json":
-        doc = {
+
+    def doc():
+        return {
             "algebra": str(rs.algebra),
-            "highest": list(lam.fund), "shift": lam.delta_shift, "depth": args.depth,
-            "delta_maximal": [{"weight": list(w), "depth": d} for w, d in entries],
-            "meta": {"kind": "delta-max", "version": 1},
+            "highest": lam.fund, "shift": lam.delta_shift, "depth": args.depth,
+            "delta_maximal": [{"weight": w, "depth": d} for w, d in entries],
         }
-        json.dump(doc, out, indent=2, sort_keys=True)
-        out.write("\n")
-    elif args.format == "csv":
-        writer = csv.writer(out)
-        writer.writerow([f"w{i+1}" for i in range(rs.rank)] + ["depth"])
+
+    def lines():
         for w, d in entries:
-            writer.writerow(list(w) + [d])
-    else:
+            yield f"{_fmt_weight(w)} at delta-depth {d}"
+
+    def rows():
+        yield _weight_columns(rs.rank) + ["depth"]
         for w, d in entries:
-            out.write(f"{_fmt_weight(w)} at delta-depth {d}\n")
+            yield [*w, d]
+
+    _render(out, args.format, "delta-max", doc, lines, rows)
     return EXIT_OK
 
 
@@ -431,20 +370,16 @@ def _cmd_gko(args, cache, out) -> int:
     h = rs.dual_coxeter
     cc = aff.gko_central_charge(rs, m * h, n * h)
     out.write(f"central charge: {cc}\n")
+    lam = None if args.lam is None else _parse_affine_weight(rs, args.lam)
     if n == 0:
         return EXIT_OK
-    rho = aff.affine_rho(rs)
-    if args.lam is not None:
-        lam = _parse_affine_weight(rs, args.lam)
-        betas = [lam - m * rho]
+    if lam is not None:
+        betas = [lam - m * aff.affine_rho(rs)]
     else:
-        char_n = aff.affine_freudenthal(rs, n * rho, args.depth)
-        betas = []
-        for beta_dom, d in aff.delta_max_weights(char_n):
-            for beta_fin in weyl_orbit(rs, beta_dom):
-                lam_fin = tuple(m + b for b in beta_fin)
-                if all(x >= 0 for x in lam_fin) and aff.theta_pairing(rs, lam_fin) <= (m + n) * h:
-                    betas.append(aff.affinize(rs, beta_fin, n * h, -d))
+        betas = [
+            aff.affinize(rs, beta, n * h, -d)
+            for _, beta, _, d in aff.predicted_components(rs, m, n, args.depth)
+        ]
     failed = False
     for beta in betas:
         rep = aff.gko_positivity_certificate(rs, m, n, beta)
@@ -476,7 +411,7 @@ def _cmd_cache(args, cache, out) -> int:
         raise AlgebraError("cache warm requires an algebra and --up-to bound")
     rs = build_root_system(args.algebra)
     rs._require_finite()
-    bound = _parse_finite_weight(rs, args.up_to)
+    bound = parse_weight(args.up_to, rs.rank)
     count = 0
     for lam in dominant_weights_below(rs, bound):
         freudenthal(rs, lam, cache)

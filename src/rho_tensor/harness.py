@@ -109,6 +109,8 @@ def scan_all(
 ) -> list[ConjectureReport]:
     """verify_conjecture for every listed type and every m >= n >= 0 with
     m + n <= max_sum. Per-case failures are recorded, never raised."""
+    if max_sum < 0:
+        raise AlgebraError(f"max_sum must be non-negative, got {max_sum}")
     cases = []
     for t in types:
         aid = AlgebraId.parse(t) if isinstance(t, str) else t

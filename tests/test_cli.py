@@ -117,6 +117,7 @@ def test_scan_command():
     assert all("HOLDS" in line for line in text.strip().splitlines())
     code, _ = run("scan", "--max-sum", "3")
     assert code == EXIT_USAGE
+    assert run("scan", "A1", "--max-sum", "-1") == (EXIT_USAGE, "")
 
 
 def test_naive_scan_command():
@@ -174,6 +175,10 @@ def test_gko_command():
     code, text = run("gko", "A1~", "2", "1", "--lambda", "3,3")
     assert code == EXIT_OK
     assert "L0 scalar" in text and "/ 96" in text  # 2 * h * (m+1)(n+1)(m+n+1)
+    # --lambda is validated even when n = 0 leaves nothing to certify
+    code, _ = run("gko", "A1~", "1", "0", "--lambda", "zz")
+    assert code == EXIT_USAGE
+    assert run("gko", "A1~", "1", "0", "--lambda", "3,1") == (EXIT_OK, "central charge: 0\n")
 
 
 def test_cache_commands(tmp_path, monkeypatch):
