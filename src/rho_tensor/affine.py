@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .charcalc import freudenthal_slices
-from .rootdata import AlgebraError, InvariantError, RootSystem, Weight, weyl_orbit
+from .rootdata import AlgebraError, InvariantError, RootSystem, Weight, floor_root_coords, weyl_orbit
 
 DEFAULT_DEPTH = 6
 
@@ -100,8 +100,8 @@ def affinize(rs: RootSystem, finite_w: Weight, lvl: int, delta_shift: int = 0) -
 def affine_bilinear(rs: RootSystem, x: AffineWeight, y: AffineWeight) -> Fraction:
     """Normalized invariant form: finite part plus level/delta cross terms."""
     _require_affine(rs)
-    fin = rs.bilinear(x.finite, y.finite)
-    return fin + level(rs, x) * y.delta_shift + level(rs, y) * x.delta_shift
+    cross = level(rs, x) * y.delta_shift + level(rs, y) * x.delta_shift
+    return Fraction(rs.sip_ww(x.finite, y.finite) + rs.form_scale * cross, rs.form_scale)
 
 
 def in_affine_root_lattice(rs: RootSystem, w: AffineWeight) -> bool:
@@ -155,7 +155,7 @@ def affine_freudenthal(rs: RootSystem, lam: AffineWeight, depth: int) -> Truncat
     rank = rs.rank
     marks = rs.marks
     lam_fin = lam.finite
-    caps = [x.numerator // x.denominator for x in rs.root_coords(lam_fin)]
+    caps = floor_root_coords(rs, lam_fin)
 
     # candidate finite dominant parts per depth: gamma over the integer box
     # -d*marks <= gamma <= floor(root coords of lam_fin)

@@ -204,7 +204,7 @@ def freudenthal(rs: RootSystem, lam: Weight, cache: "CharCache | None" = None) -
             char = DominantCharacter(str(rs.algebra), lam, stored)
     if char is None:
         candidates = [
-            (0, mu, tuple(int(x) for x in rs.root_coords(tuple(a - b for a, b in zip(lam, mu)))))
+            (0, mu, floor_root_coords(rs, tuple(a - b for a, b in zip(lam, mu))))
             for mu in dominant_weights_below(rs, lam)[1:]
         ]
         char = DominantCharacter(str(rs.algebra), lam, freudenthal_slices(rs, lam, candidates, 0, 0)[0])

@@ -164,6 +164,8 @@ def _cmd_conjecture(args, cache, out) -> int:
     aid = AlgebraId.parse(args.algebra)
     if args.m < args.n or args.n < 0:
         raise AlgebraError(f"conjecture requires m >= n >= 0, got m={args.m}, n={args.n}")
+    if aid.affine and args.n < 1:
+        raise AlgebraError(f"conjecture on an affine type requires n >= 1, got n={args.n}")
     rs = build_root_system(aid)
     if aid.affine:
         rep = affine_conjecture_report(rs, args.m, args.n, args.depth)
@@ -266,6 +268,7 @@ def _cmd_naive_scan(args, cache, out) -> int:
 
 def _cmd_schur_compare(args, cache, out) -> int:
     rs = build_root_system(args.algebra)
+    rs._require_finite()
     a = klimyk(rs, parse_weight(args.lhs1, rs.rank), parse_weight(args.rhs1, rs.rank), cache)
     b = klimyk(rs, parse_weight(args.lhs2, rs.rank), parse_weight(args.rhs2, rs.rank), cache)
     rep = schur_compare(a, b)
@@ -305,6 +308,7 @@ def _cmd_support_contain(args, cache, out) -> int:
 
 def _cmd_saturate(args, cache, out) -> int:
     rs = build_root_system(args.algebra)
+    rs._require_finite()
     lam = parse_weight(args.lhs, rs.rank)
     mu = parse_weight(args.rhs, rs.rank)
     nu = parse_weight(args.component, rs.rank)
@@ -318,6 +322,7 @@ def _cmd_saturate(args, cache, out) -> int:
 
 def _cmd_affine_decompose(args, cache, out) -> int:
     rs = build_root_system(args.algebra)
+    aff._require_affine(rs)
     lam = _parse_affine_weight(rs, args.lhs)
     mu = _parse_affine_weight(rs, args.rhs)
     dec = aff.truncated_tensor(rs, lam, mu, args.depth)
@@ -336,6 +341,7 @@ def _cmd_affine_decompose(args, cache, out) -> int:
 
 def _cmd_delta_max(args, cache, out) -> int:
     rs = build_root_system(args.algebra)
+    aff._require_affine(rs)
     lam = _parse_affine_weight(rs, args.weight)
     char = aff.affine_freudenthal(rs, lam, args.depth)
     entries = aff.delta_max_weights(char)
@@ -367,13 +373,15 @@ def _cmd_gko(args, cache, out) -> int:
     m, n = args.m, args.n
     if m < n or n < 0:
         raise AlgebraError(f"gko requires m >= n >= 0, got m={m}, n={n}")
-    h = rs.dual_coxeter
-    cc = aff.gko_central_charge(rs, m * h, n * h)
-    out.write(f"central charge: {cc}\n")
+    if args.depth < 0:
+        raise AlgebraError(f"depth must be non-negative, got {args.depth}")
     lam = None if args.lam is None else _parse_affine_weight(rs, args.lam)
+    h = rs.dual_coxeter
+    # every line is built before the first is written, so an error leaves no output
+    lines = [f"central charge: {aff.gko_central_charge(rs, m * h, n * h)}"]
     if n == 0:
-        return EXIT_OK
-    if lam is not None:
+        betas = []
+    elif lam is not None:
         betas = [lam - m * aff.affine_rho(rs)]
     else:
         betas = [
@@ -385,13 +393,14 @@ def _cmd_gko(args, cache, out) -> int:
         rep = aff.gko_positivity_certificate(rs, m, n, beta)
         lam_fin = tuple(m + b for b in beta.finite)
         terms = " + ".join(str(t) for t in rep.certificate_terms)
-        out.write(
+        lines.append(
             f"lambda={_fmt_weight(lam_fin)} shift={beta.delta_shift}: "
-            f"L0 scalar {rep.l0_scalar} = ({terms}) / {rep.denominator}\n"
+            f"L0 scalar {rep.l0_scalar} = ({terms}) / {rep.denominator}"
         )
         if rep.l0_scalar <= 0:
             failed = True
-            out.write("  NON-POSITIVE SCALAR\n")
+            lines.append("  NON-POSITIVE SCALAR")
+    out.writelines(line + "\n" for line in lines)
     return EXIT_NEGATIVE if failed else EXIT_OK
 
 

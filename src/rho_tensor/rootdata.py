@@ -1,10 +1,13 @@
 """Exact root-system data for the simple Lie algebras and their untwisted
 affine extensions.
 
-All arithmetic is exact: Python integers for lattice data, ``Fraction`` for
-invariant-form values. Weights are plain tuples of integers in
-fundamental-weight coordinates; roots are tuples of integers in simple-root
-coordinates. Node numbering follows Bourbaki throughout.
+All arithmetic is exact and in integers. Weights are plain tuples of integers
+in fundamental-weight coordinates; roots are tuples of integers in simple-root
+coordinates. Rational quantities are held as integers over one stored
+denominator: simple-root coordinates and heights of weights are scaled by
+``lattice_index``, invariant-form values by ``form_scale``. ``Fraction`` is
+used only while a datum is built (and for the GKO values of
+:mod:`rho_tensor.affine`). Node numbering follows Bourbaki throughout.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, lcm, prod
+from math import lcm, prod
+from operator import mul
 
 Weight = tuple[int, ...]
 RootVector = tuple[int, ...]
@@ -99,19 +103,24 @@ def _cartan_matrix(family: str, rank: int) -> list[list[int]]:
     return a
 
 
-def _invert_fraction_matrix(a: list[list[int]]) -> list[list[Fraction]]:
+def _invert_fraction_matrix(a: list[list[int]]) -> tuple[list[list[Fraction]], int]:
+    """The inverse and the determinant of an integer matrix."""
     n = len(a)
     m = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    det = Fraction(1)
     for col in range(n):
         piv = next(r for r in range(col, n) if m[r][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
         inv = 1 / m[col][col]
         m[col] = [x * inv for x in m[col]]
         for r in range(n):
             if r != col and m[r][col]:
                 f = m[r][col]
                 m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [row[n:] for row in m]
+    return [row[n:] for row in m], int(det)
 
 
 def _positive_roots(cartan: list[list[int]], rank: int) -> list[RootVector]:
@@ -147,24 +156,29 @@ def _positive_roots(cartan: list[list[int]], rank: int) -> list[RootVector]:
 
 @dataclass(frozen=True)
 class RootSystem:
-    """Immutable Cartan/root/form data for one algebra.
+    """Immutable Cartan/root/form data for one algebra, all of it integers.
 
     ``cartan`` stores A[i][j] = <alpha_j, alpha_i^vee>. ``positive_roots``
     are in simple-root coordinates; ``positive_roots_fund`` are the same
-    roots in fundamental-weight coordinates. ``form_weights`` is the Gram
-    matrix of the fundamental weights under the normalized invariant form
-    (long roots have squared length 2). Safe to share across threads: every
+    roots in fundamental-weight coordinates and ``positive_coroots`` their
+    coroots in simple-coroot coordinates. ``cartan_inverse`` is
+    ``lattice_index * A^-1``, with ``lattice_index = det A`` the index of the
+    root lattice in the weight lattice, so simple-root coordinates and
+    heights come out scaled by ``lattice_index``. The normalized invariant
+    form (long roots have squared length 2) is scaled by ``form_scale``:
+    ``form_ww`` is the Gram matrix of the fundamental weights and ``form_d``
+    holds ``(omega_i|alpha_i) = d_i``. Safe to share across threads: every
     operation is a pure function of its inputs.
     """
 
     algebra: AlgebraId
     cartan: tuple[tuple[int, ...], ...]
-    cartan_inverse: tuple[tuple[Fraction, ...], ...]
-    symmetrizers: tuple[Fraction, ...]
+    lattice_index: int
+    cartan_inverse: tuple[tuple[int, ...], ...]
     positive_roots: tuple[RootVector, ...]
     positive_roots_fund: tuple[Weight, ...]
+    positive_coroots: tuple[RootVector, ...]
     simple_fund: tuple[Weight, ...]
-    form_weights: tuple[tuple[Fraction, ...], ...]
     rho: Weight
     highest_root: RootVector
     marks: tuple[int, ...]
@@ -172,8 +186,8 @@ class RootSystem:
     dual_coxeter: int
     dim_adjoint: int
     form_scale: int
-    _form_ww_scaled: tuple[tuple[int, ...], ...]
-    _d_scaled: tuple[int, ...]
+    form_ww: tuple[tuple[int, ...], ...]
+    form_d: tuple[int, ...]
 
     @property
     def rank(self) -> int:
@@ -181,20 +195,16 @@ class RootSystem:
 
     # -- coordinate conversions -------------------------------------------
 
-    def root_coords(self, v: Weight) -> tuple[Fraction, ...]:
-        """Coordinates of a weight-lattice vector over the simple roots."""
-        inv = self.cartan_inverse
-        n = self.rank
-        return tuple(sum(inv[i][j] * v[j] for j in range(n)) for i in range(n))
+    def root_coords(self, v: Weight) -> tuple[int, ...]:
+        """``lattice_index`` times the simple-root coordinates of a weight."""
+        return tuple(sum(map(mul, row, v)) for row in self.cartan_inverse)
 
     def fund_coords_of_root(self, c: RootVector) -> Weight:
         """Fundamental coordinates of sum_j c_j alpha_j."""
-        a = self.cartan
-        n = self.rank
-        return tuple(sum(a[i][j] * c[j] for j in range(n)) for i in range(n))
+        return tuple(sum(map(mul, row, c)) for row in self.cartan)
 
     def in_root_lattice(self, v: Weight) -> bool:
-        return all(x.denominator == 1 for x in self.root_coords(v))
+        return all(x % self.lattice_index == 0 for x in self.root_coords(v))
 
     # -- Weyl group actions -----------------------------------------------
 
@@ -238,61 +248,40 @@ class RootSystem:
 
     def dominance_le(self, a: Weight, b: Weight) -> bool:
         """True iff b - a is a non-negative integer combination of simple roots."""
+        idx = self.lattice_index
         diff = tuple(y - x for x, y in zip(a, b))
-        return all(c.denominator == 1 and c >= 0 for c in self.root_coords(diff))
+        return all(c >= 0 and c % idx == 0 for c in self.root_coords(diff))
 
-    def bilinear(self, a: Weight, b: Weight) -> Fraction:
-        """Normalized invariant form (a|b) of two weights."""
-        f = self.form_weights
-        n = self.rank
-        return sum(a[i] * sum(f[i][j] * b[j] for j in range(n)) for i in range(n))
+    def pair_coroot(self, w: Weight, cv: RootVector) -> int:
+        """<w, alpha^vee> for a coroot ``cv`` in simple-coroot coordinates."""
+        return sum(map(mul, w, cv))
 
-    def bilinear_weight_root(self, a: Weight, c: RootVector) -> Fraction:
-        """(a | sum_j c_j alpha_j) for a weight ``a`` and root coordinates ``c``."""
-        d = self.symmetrizers
-        return sum(d[j] * c[j] * a[j] for j in range(self.rank))
-
-    def bilinear_root_root(self, b: RootVector, c: RootVector) -> Fraction:
-        d = self.symmetrizers
-        a = self.cartan
-        n = self.rank
-        return sum(d[i] * a[i][j] * b[i] * c[j] for i in range(n) for j in range(n))
-
-    def pair_coroot(self, w: Weight, c: RootVector) -> int:
-        """<w, alpha^vee> for the coroot of the root with coordinates ``c``."""
-        val = 2 * self.bilinear_weight_root(w, c) / self.bilinear_root_root(c, c)
-        if val.denominator != 1:
-            raise InvariantError(f"coroot pairing of {w} against {c} is not integral: {val}")
-        return int(val)
-
-    # scaled-integer variants used by the multiplicity kernels
+    # the invariant form, scaled by form_scale
 
     def sip_ww(self, a: Weight, b: Weight) -> int:
-        f = self._form_ww_scaled
-        n = self.rank
-        return sum(a[i] * sum(f[i][j] * b[j] for j in range(n)) for i in range(n))
+        return sum(x * sum(map(mul, row, b)) for x, row in zip(a, self.form_ww))
 
     def sip_wr(self, a: Weight, c: RootVector) -> int:
-        d = self._d_scaled
+        d = self.form_d
         return sum(d[j] * c[j] * a[j] for j in range(self.rank))
 
     # -- representation-theoretic helpers -----------------------------------
 
     def weyl_dimension(self, lam: Weight) -> int:
-        """dim V(lam) = prod (lam+rho|alpha)/(rho|alpha), exact (finite type)."""
+        """dim V(lam) = prod <lam+rho, alpha^vee> / prod <rho, alpha^vee> (finite type)."""
         self._require_finite()
         if not self.is_dominant(lam):
             raise AlgebraError(f"weyl_dimension requires a dominant weight, got {lam}")
         shifted = tuple(x + 1 for x in lam)
-        num = prod(self.bilinear_weight_root(shifted, c) for c in self.positive_roots)
-        den = prod(self.bilinear_weight_root(self.rho, c) for c in self.positive_roots)
-        val = num / den
-        if val.denominator != 1:
-            raise InvariantError(f"Weyl dimension of {lam} is not integral: {val}")
-        return int(val)
+        num = prod(sum(map(mul, shifted, cv)) for cv in self.positive_coroots)
+        den = prod(map(sum, self.positive_coroots))
+        q, r = divmod(num, den)
+        if r:
+            raise InvariantError(f"Weyl dimension of {lam} is not integral: {num}/{den}")
+        return q
 
-    def height(self, v: Weight) -> Fraction:
-        """Sum of simple-root coordinates of a weight-lattice vector."""
+    def height(self, v: Weight) -> int:
+        """``lattice_index`` times the sum of simple-root coordinates of ``v``."""
         return sum(self.root_coords(v))
 
     def _require_finite(self):
@@ -313,7 +302,7 @@ def build_root_system(algebra: AlgebraId | str) -> RootSystem:
     rank = fin.rank
     cartan = _cartan_matrix(fin.family, rank)
 
-    # symmetrizers: d_i A[i][j] = d_j A[j][i], then rescale so (theta|theta)=2
+    # the symmetrizing d_i: d_i A[i][j] = d_j A[j][i], rescaled so (theta|theta)=2
     d: list[Fraction | None] = [None] * rank
     d[0] = Fraction(1)
     stack = [0]
@@ -333,46 +322,46 @@ def build_root_system(algebra: AlgebraId | str) -> RootSystem:
     theta_sq = sum(d[i] * cartan[i][j] * theta[i] * theta[j] for i in range(rank) for j in range(rank))
     d = [x * 2 / theta_sq for x in d]
 
-    inv = _invert_fraction_matrix(cartan)
+    inv, det = _invert_fraction_matrix(cartan)
     form = [[inv[j][i] * d[j] for j in range(rank)] for i in range(rank)]
-    for i in range(rank):
-        for j in range(rank):
-            if form[i][j] != form[j][i]:
-                raise InvariantError(f"form on weights of {fin} is not symmetric")
+    if any(form[i][j] != form[j][i] for i in range(rank) for j in range(rank)):
+        raise InvariantError(f"form on weights of {fin} is not symmetric")
 
-    marks = theta
-    dual_marks = []
-    for i in range(rank):
-        dm = d[i] * theta[i]
-        if dm.denominator != 1:
-            raise InvariantError(f"dual mark {i} of {fin} is not integral: {dm}")
-        dual_marks.append(int(dm))
-    h_dual = 1 + sum(dual_marks)
+    dual_marks = [d[i] * theta[i] for i in range(rank)]
+    if any(dm.denominator != 1 for dm in dual_marks):
+        raise InvariantError(f"dual marks of {fin} are not integral: {dual_marks}")
 
     scale = lcm(*(x.denominator for row in form for x in row), *(x.denominator for x in d))
-    form_scaled = tuple(tuple(int(x * scale) for x in row) for row in form)
-    d_scaled = tuple(int(x * scale) for x in d)
+    d_int = tuple(int(x * scale) for x in d)
+
+    # coroot of alpha = sum c_j alpha_j: coordinates 2 c_j d_j / (alpha|alpha)
+    posroots_fund = [tuple(sum(map(mul, row, r)) for row in cartan) for r in posroots]
+    coroots = []
+    for r, f in zip(posroots, posroots_fund):
+        norm = sum(map(mul, d_int, map(mul, r, f)))  # form_scale * (alpha|alpha)
+        cv = [divmod(2 * dj * cj, norm) for dj, cj in zip(d_int, r)]
+        if any(rem for _, rem in cv):
+            raise InvariantError(f"coroot of {r} in {fin} is not integral")
+        coroots.append(tuple(q for q, _ in cv))
 
     return RootSystem(
         algebra=algebra,
         cartan=tuple(tuple(row) for row in cartan),
-        cartan_inverse=tuple(tuple(row) for row in inv),
-        symmetrizers=tuple(d),
+        lattice_index=det,
+        cartan_inverse=tuple(tuple(int(x * det) for x in row) for row in inv),
         positive_roots=tuple(posroots),
-        positive_roots_fund=tuple(
-            tuple(sum(cartan[i][j] * r[j] for j in range(rank)) for i in range(rank)) for r in posroots
-        ),
+        positive_roots_fund=tuple(posroots_fund),
+        positive_coroots=tuple(coroots),
         simple_fund=tuple(tuple(cartan[j][i] for j in range(rank)) for i in range(rank)),
-        form_weights=tuple(tuple(row) for row in form),
         rho=(1,) * rank,
         highest_root=theta,
-        marks=tuple(marks),
-        dual_marks=tuple(dual_marks),
-        dual_coxeter=h_dual,
+        marks=tuple(theta),
+        dual_marks=tuple(map(int, dual_marks)),
+        dual_coxeter=1 + int(sum(dual_marks)),
         dim_adjoint=rank + 2 * len(posroots),
         form_scale=scale,
-        _form_ww_scaled=form_scaled,
-        _d_scaled=d_scaled,
+        form_ww=tuple(tuple(int(x * scale) for x in row) for row in form),
+        form_d=d_int,
     )
 
 
@@ -406,4 +395,5 @@ def weyl_orbit(rs: RootSystem, w: Weight) -> list[Weight]:
 
 
 def floor_root_coords(rs: RootSystem, lam: Weight) -> tuple[int, ...]:
-    return tuple(floor(x) for x in rs.root_coords(lam))
+    """Simple-root coordinates of ``lam``, rounded down (exact on the root lattice)."""
+    return tuple(x // rs.lattice_index for x in rs.root_coords(lam))

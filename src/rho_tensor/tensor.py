@@ -216,9 +216,9 @@ def pair_order_violations(
     if tuple(a + b for a, b in zip(lam, mu)) != tuple(a + b for a, b in zip(lam_p, mu_p)):
         raise AlgebraError("pair order requires lam + mu = lam' + mu'")
     bad = []
-    for rc in rs.positive_roots:
-        lo = min(rs.pair_coroot(lam, rc), rs.pair_coroot(mu, rc))
-        hi = min(rs.pair_coroot(lam_p, rc), rs.pair_coroot(mu_p, rc))
+    for rc, cv in zip(rs.positive_roots, rs.positive_coroots):
+        lo = min(rs.pair_coroot(lam, cv), rs.pair_coroot(mu, cv))
+        hi = min(rs.pair_coroot(lam_p, cv), rs.pair_coroot(mu_p, cv))
         if lo > hi:
             bad.append(rc)
     return bad

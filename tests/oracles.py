@@ -10,7 +10,6 @@ genuine two-route check.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product as iproduct
 
 from rho_tensor.affine import AffineWeight, affine_rho, level
@@ -87,7 +86,7 @@ def _signed_affine_orbit(rs: RootSystem, x: AffineWeight, cutoff: int, kmax: int
     """Terms e^{w(x)} with signs, for w in the affine Weyl group, truncated to
     delta-coefficient drops <= cutoff. Requires a simply-laced classical part
     so translations run over the full finite root lattice."""
-    assert all(d == 1 for d in rs.symmetrizers), "affine oracle assumes simply-laced classical part"
+    assert all(d == rs.form_scale for d in rs.form_d), "affine oracle assumes simply-laced classical part"
     lvl = level(rs, x)
     x_fin = x.finite
     rank = rs.rank
@@ -98,11 +97,11 @@ def _signed_affine_orbit(rs: RootSystem, x: AffineWeight, cutoff: int, kmax: int
         y = _apply_word(rs, word, x_fin)
         for ks in iproduct(range(-kmax, kmax + 1), repeat=rank):
             beta_fund = rs.fund_coords_of_root(ks)
-            ip = rs.bilinear_weight_root(y, ks)
-            beta_sq = rs.bilinear_root_root(ks, ks)
-            drop = ip + Fraction(beta_sq, 2) * lvl
-            assert drop.denominator == 1
-            drop = int(drop)
+            # drop = (y|beta) + (beta|beta) lvl / 2, from the form scaled by form_scale
+            ip = rs.sip_wr(y, ks)
+            beta_sq = rs.sip_wr(beta_fund, ks)
+            drop, rem = divmod(2 * ip + beta_sq * lvl, 2 * rs.form_scale)
+            assert rem == 0
             if drop > cutoff:
                 continue
             fin = tuple(a + lvl * b for a, b in zip(y, beta_fund))
@@ -122,7 +121,8 @@ def affine_slices_by_weyl_kac(rs: RootSystem, lam: AffineWeight, depth: int) -> 
     numerator = _signed_affine_orbit(rs, lam_rho, depth, kmax)
     denominator = _signed_affine_orbit(rs, rho, depth, kmax)
 
-    ht_delta = 1 + sum(rs.marks)
+    # heights scaled by the lattice index, like rs.height
+    ht_delta = (1 + sum(rs.marks)) * rs.lattice_index
 
     def offset_height(key: AffKey):
         fin, u = key

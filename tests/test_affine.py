@@ -133,7 +133,9 @@ def test_delta_max_weights(sl2_affine):
     assert len(dominant_entries) >= 3
     for w, d in dominant_entries:
         c0 = d
-        c1 = int(rs.root_coords(tuple(a - b for a, b in zip((n,), w)))[0]) + d
+        c1, rem = divmod(rs.root_coords(tuple(a - b for a, b in zip((n,), w)))[0], rs.lattice_index)
+        assert rem == 0
+        c1 += d
         assert c0 == 0 or c1 == 0, (w, d)
 
 

@@ -76,7 +76,7 @@ def test_dominant_weights_below_examples(a1, b2):
     assert len(below) == len(set(below))
     # rank-2 lattice-point cross-check: mu dominant with lam - mu in the
     # non-negative root lattice box
-    caps = [int(x) for x in b2.root_coords((7, 7))]
+    caps = [x // b2.lattice_index for x in b2.root_coords((7, 7))]  # floor of (21/2, 14)
     expected = set()
     for c1 in range(caps[0] + 1):
         for c2 in range(caps[1] + 1):
@@ -129,7 +129,10 @@ def test_evaluation_order_independence(b2, g2):
         reference = freudenthal(rs, lam).mults
         layers: dict[int, list] = {}
         for mu in dominant_weights_below(rs, lam)[1:]:
-            gamma = tuple(int(x) for x in rs.root_coords(tuple(a - b for a, b in zip(lam, mu))))
+            diff = tuple(a - b for a, b in zip(lam, mu))
+            coords = [divmod(x, rs.lattice_index) for x in rs.root_coords(diff)]
+            assert all(rem == 0 for _, rem in coords)
+            gamma = tuple(q for q, _ in coords)
             layers.setdefault(sum(gamma), []).append((0, mu, gamma))
         for seed in (1, 7, 42):
             rng = Random(seed)

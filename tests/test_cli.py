@@ -106,9 +106,15 @@ def test_conjecture_affine_sl3_reports_beta_dominance():
     assert flags == {True, False}
 
 
-def test_conjecture_usage_error():
+def test_conjecture_usage_error(capsys):
     code, _ = run("conjecture", "A1", "1", "2")
     assert code == EXIT_USAGE
+    # n = 0 is a usage error on affine types only, caught before any computation
+    capsys.readouterr()
+    assert run("conjecture", "A1~", "1", "0") == (EXIT_USAGE, "")
+    assert "conjecture on an affine type requires n >= 1" in capsys.readouterr().err
+    code, text = run("conjecture", "A1", "3", "0")
+    assert code == EXIT_OK and "predicted=1" in text
 
 
 def test_scan_command():
@@ -179,6 +185,24 @@ def test_gko_command():
     code, _ = run("gko", "A1~", "1", "0", "--lambda", "zz")
     assert code == EXIT_USAGE
     assert run("gko", "A1~", "1", "0", "--lambda", "3,1") == (EXIT_OK, "central charge: 0\n")
+    # a usage error leaves stdout empty
+    assert run("gko", "A1~", "1", "1", "--depth", "-1") == (EXIT_USAGE, "")
+    assert run("gko", "A1~", "2", "1", "--lambda", "zz") == (EXIT_USAGE, "")
+    assert run("gko", "A1~", "2", "1", "--lambda", "4,2") == (EXIT_USAGE, "")  # not a weight of V(rho)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("schur-compare", "A1~", "1,1", "1,1", "1,1", "1,1"), "operation requires a finite-type algebra"),
+        (("saturate", "A1~", "1", "1", "1", "1"), "operation requires a finite-type algebra"),
+        (("delta-max", "A1", "1"), "requires an untwisted affine algebra"),
+        (("affine-decompose", "A1", "1", "1"), "requires an untwisted affine algebra"),
+    ],
+)
+def test_algebra_type_checked_before_weights(capsys, argv, message):
+    assert run(*argv) == (EXIT_USAGE, "")
+    assert message in capsys.readouterr().err
 
 
 def test_cache_commands(tmp_path, monkeypatch):

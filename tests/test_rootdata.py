@@ -1,5 +1,6 @@
 """Root datum construction, Weyl group primitives, dominance, and the form."""
 
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,11 @@ DUAL_COXETER = {
     "A1": 2, "A2": 3, "A3": 4, "B2": 3, "B3": 5, "C3": 4, "D4": 6,
     "G2": 4, "F4": 9, "E6": 12, "E7": 18, "E8": 30,
 }
+
+
+def root_norm(rs, c):
+    """form_scale * (c|c) for the root with simple-root coordinates ``c``."""
+    return rs.sip_wr(rs.fund_coords_of_root(c), c)
 
 
 def test_algebra_id_parsing():
@@ -54,12 +60,12 @@ def test_a1_and_b2_cartan_data(a1, b2):
     assert b2.cartan == ((2, -1), (-2, 2))
 
 
-@pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "F4", "D4"])
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "F4", "D4", "E6", "E7", "E8"])
 def test_normalization_and_symmetrizability(name):
     rs = build_root_system(name)
     theta = rs.highest_root
-    assert rs.bilinear_root_root(theta, theta) == 2
-    a, d = rs.cartan, rs.symmetrizers
+    assert root_norm(rs, theta) == 2 * rs.form_scale
+    a, d = rs.cartan, rs.form_d
     for i in range(rs.rank):
         assert a[i][i] == 2
         for j in range(rs.rank):
@@ -68,7 +74,7 @@ def test_normalization_and_symmetrizability(name):
             assert d[i] * a[i][j] == d[j] * a[j][i]
 
 
-@pytest.mark.parametrize("name", ["A2", "B2", "B3", "C3", "G2", "D4", "F4"])
+@pytest.mark.parametrize("name", ["A2", "B2", "B3", "C3", "G2", "D4", "F4", "E6", "E7", "E8"])
 def test_sum_of_positive_roots_is_twice_rho(name):
     rs = build_root_system(name)
     total = tuple(sum(col) for col in zip(*rs.positive_roots_fund))
@@ -76,25 +82,48 @@ def test_sum_of_positive_roots_is_twice_rho(name):
 
 
 def test_form_identities(b2, g2):
-    # (alpha_i | alpha_i) = 2 d_i and (omega_i | alpha_j) = delta_ij d_j
+    # (alpha_i | alpha_i) = 2 d_i and (omega_i | alpha_j) = delta_ij d_j, all
+    # scaled by form_scale
     for rs in (b2, g2):
         for i in range(rs.rank):
             e_i = tuple(int(k == i) for k in range(rs.rank))
-            assert rs.bilinear_root_root(e_i, e_i) == 2 * rs.symmetrizers[i]
+            assert root_norm(rs, e_i) == 2 * rs.form_d[i]
             for j in range(rs.rank):
                 e_j = tuple(int(k == j) for k in range(rs.rank))
                 omega_i = tuple(int(k == i) for k in range(rs.rank))
-                expect = rs.symmetrizers[j] if i == j else 0
-                assert rs.bilinear_weight_root(omega_i, e_j) == expect
+                expect = rs.form_d[j] if i == j else 0
+                assert rs.sip_wr(omega_i, e_j) == expect
 
 
 def test_bilinear_form_values(a1, g2):
-    assert a1.bilinear((1,), (1,)) == Fraction(1, 2)
-    assert a1.bilinear((0,), (5,)) == 0
+    assert 2 * a1.sip_ww((1,), (1,)) == a1.form_scale  # (omega|omega) = 1/2
+    assert a1.sip_ww((0,), (5,)) == 0
     # strange-formula cross-check: (rho|rho) = h_dual * dim / 12
-    for name in ["A1", "A2", "B2", "B3", "C3", "G2", "F4"]:
+    for name in ["A1", "A2", "B2", "B3", "C3", "G2", "F4", "D4", "E6", "E7", "E8"]:
         rs = build_root_system(name)
-        assert rs.bilinear(rs.rho, rs.rho) == Fraction(rs.dual_coxeter * rs.dim_adjoint, 12)
+        assert 12 * rs.sip_ww(rs.rho, rs.rho) == rs.dual_coxeter * rs.dim_adjoint * rs.form_scale
+
+
+@pytest.mark.parametrize("name", sorted(POSROOT_COUNTS))
+def test_weyl_dimension_identities(name):
+    rs = build_root_system(name)
+    assert rs.weyl_dimension(rs.fund_coords_of_root(rs.highest_root)) == rs.dim_adjoint
+    assert rs.weyl_dimension(rs.rho) == 2 ** len(rs.positive_roots)
+
+
+def test_root_data_holds_no_fractions():
+    def leaves(x):
+        if isinstance(x, tuple):
+            for y in x:
+                yield from leaves(y)
+        else:
+            yield x
+
+    for name in sorted(POSROOT_COUNTS) + ["A1~", "A2~", "B2~", "G2~"]:
+        rs = build_root_system(name)
+        for f in fields(rs):
+            value = getattr(rs, f.name)
+            assert not any(isinstance(x, Fraction) for x in leaves(value)), (name, f.name)
 
 
 def test_to_dominant_basic(a1, b2):
@@ -187,8 +216,12 @@ def test_affine_flag_restrictions():
 
 
 def test_pair_coroot_integrality(g2):
-    for rc in g2.positive_roots:
+    # <w, alpha^vee> = 2 (w|alpha) / (alpha|alpha), an integer on weights
+    for rc, cv in zip(g2.positive_roots, g2.positive_coroots):
         for w in [(1, 0), (0, 1), (3, 2)]:
-            assert isinstance(g2.pair_coroot(w, rc), int)
+            pairing = g2.pair_coroot(w, cv)
+            assert isinstance(pairing, int)
+            assert pairing * root_norm(g2, rc) == 2 * g2.sip_wr(w, rc)
     # <rho, theta^vee> = h_dual - 1
-    assert g2.pair_coroot(g2.rho, g2.highest_root) == g2.dual_coxeter - 1
+    theta_vee = g2.positive_coroots[g2.positive_roots.index(g2.highest_root)]
+    assert g2.pair_coroot(g2.rho, theta_vee) == g2.dual_coxeter - 1
