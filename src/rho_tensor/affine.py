@@ -20,8 +20,8 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charcalc import freudenthal_slices
-from .rootdata import AlgebraError, InvariantError, RootSystem, Weight, floor_root_coords, weyl_orbit
+from .charcalc import dominant_descent, freudenthal_slices
+from .rootdata import AlgebraError, InvariantError, RootSystem, RootVector, Weight, weyl_orbit
 
 DEFAULT_DEPTH = 6
 
@@ -136,6 +136,30 @@ class TruncatedAffineCharacter:
         return None
 
 
+def affine_candidates(rs: RootSystem, lam_fin: Weight, depth: int) -> list[tuple[int, Weight, RootVector]]:
+    """The ``(d, mu, gamma)`` below ``lam_fin`` down to ``depth``, in increasing
+    affine height ``d + sum(gamma) + d*sum(marks)`` (the highest weight left out):
+    dominant ``mu`` with ``gamma = lam_fin - mu`` in simple roots and
+    ``gamma >= -d*marks``.
+
+    These are the dominant weights below ``lam_fin + depth*theta``, found by one
+    positive-root descent (Stembridge 1998, see :func:`dominant_descent`). With
+    ``g = gamma + depth*marks``, ``mu`` is a candidate at every depth ``d`` with
+    ``depth - min_i g_i // marks_i <= d <= depth``.
+    """
+    marks = rs.marks
+    top = tuple(a + depth * t for a, t in zip(lam_fin, rs.fund_coords_of_root(rs.highest_root)))
+    todo = []
+    for mu, g in dominant_descent(rs, top).items():
+        gamma = tuple(x - depth * a for x, a in zip(g, marks))
+        for d in range(max(0, depth - min(x // a for x, a in zip(g, marks))), depth + 1):
+            height = d + sum(x + d * a for x, a in zip(gamma, marks))
+            if height:
+                todo.append((height, d, mu, gamma))
+    todo.sort()
+    return [t[1:] for t in todo]
+
+
 def affine_freudenthal(rs: RootSystem, lam: AffineWeight, depth: int) -> TruncatedAffineCharacter:
     """Delta-depth-truncated character of the affine irreducible V(lam)."""
     _require_affine(rs)
@@ -152,43 +176,7 @@ def affine_freudenthal(rs: RootSystem, lam: AffineWeight, depth: int) -> Truncat
     if hit is not None:
         return hit
 
-    rank = rs.rank
-    marks = rs.marks
-    lam_fin = lam.finite
-    caps = floor_root_coords(rs, lam_fin)
-
-    # candidate finite dominant parts per depth: gamma over the integer box
-    # -d*marks <= gamma <= floor(root coords of lam_fin)
-    def candidates(d: int):
-        lo = [-d * a for a in marks]
-        hi = caps
-        out = []
-
-        def rec(i, acc):
-            if i == rank:
-                gamma = tuple(acc)
-                mu = tuple(
-                    lam_fin[k] - sum(rs.cartan[k][j] * gamma[j] for j in range(rank)) for k in range(rank)
-                )
-                if all(x >= 0 for x in mu):
-                    out.append((mu, gamma))
-                return
-            for v in range(lo[i], hi[i] + 1):
-                rec(i + 1, acc + [v])
-
-        rec(0, [])
-        return out
-
-    # all (mu, d) below the highest weight, in increasing affine height of lam - mu
-    todo = []
-    for d in range(depth + 1):
-        for mu, gamma in candidates(d):
-            height = d + sum(g + d * a for g, a in zip(gamma, marks))
-            if height:
-                todo.append((height, d, mu, gamma))
-    todo.sort()
-    slices = freudenthal_slices(rs, lam_fin, [t[1:] for t in todo], depth, lvl)
-
+    slices = freudenthal_slices(rs, lam.finite, affine_candidates(rs, lam.finite, depth), depth, lvl)
     char = TruncatedAffineCharacter(str(rs.algebra), lam, depth, tuple(slices))
     with _aff_lock:
         _aff_memo[key] = char

@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from operator import add
+from operator import add, sub
 from pathlib import Path
 from typing import Iterable
 
@@ -63,33 +63,38 @@ class DominantCharacter:
         return sum(m * len(rs.orbit(mu)) for mu, m in self.mults.items())
 
 
+def dominant_descent(rs: RootSystem, top: Weight) -> dict[Weight, RootVector]:
+    """``{mu: simple-root coordinates of top - mu}`` over the dominant weights
+    ``mu <= top`` of a dominant ``top``, by breadth-first descent subtracting
+    positive roots and keeping only dominant results. This reaches every one:
+    in the dominance order on dominant weights each cover differs by a positive
+    root (Stembridge, *The partial order of dominant weights*, Adv. Math. 1998).
+    """
+    steps = list(zip(rs.positive_roots_fund, rs.positive_roots))
+    seen = {top: (0,) * rs.rank}
+    frontier = [top]
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            g = seen[mu]
+            for fund, rc in steps:
+                nu = tuple(map(sub, mu, fund))
+                if min(nu) >= 0 and nu not in seen:
+                    seen[nu] = tuple(map(add, g, rc))
+                    nxt.append(nu)
+        frontier = nxt
+    return seen
+
+
 def dominant_weights_below(rs: RootSystem, lam: Weight) -> list[Weight]:
     """All dominant mu with lam - mu a non-negative integer combination of
-    simple roots, by breadth-first descent subtracting simple roots."""
+    simple roots, by increasing height of lam - mu (the positive-root descent
+    of :func:`dominant_descent`)."""
     rs._require_finite()
     if not rs.is_dominant(lam):
         raise AlgebraError(f"dominant_weights_below requires a dominant weight, got {lam}")
-    caps = floor_root_coords(rs, lam)
-    rank = rs.rank
-    zero = (0,) * rank
-    seen = {zero}
-    frontier = [zero]
-    out = [lam]
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for i in range(rank):
-                if c[i] < caps[i]:
-                    cc = c[:i] + (c[i] + 1,) + c[i + 1 :]
-                    if cc not in seen:
-                        seen.add(cc)
-                        nxt.append(cc)
-                        mu = tuple(a - b for a, b in zip(lam, rs.fund_coords_of_root(cc)))
-                        if all(x >= 0 for x in mu):
-                            out.append(mu)
-        frontier = nxt
-    out.sort(key=lambda mu: (rs.height(tuple(a - b for a, b in zip(lam, mu))), mu))
-    return out
+    below = dominant_descent(rs, lam)
+    return sorted(below, key=lambda mu: (sum(below[mu]), mu))
 
 
 def freudenthal_slices(

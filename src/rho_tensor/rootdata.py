@@ -161,14 +161,16 @@ class RootSystem:
     ``cartan`` stores A[i][j] = <alpha_j, alpha_i^vee>. ``positive_roots``
     are in simple-root coordinates; ``positive_roots_fund`` are the same
     roots in fundamental-weight coordinates and ``positive_coroots`` their
-    coroots in simple-coroot coordinates. ``cartan_inverse`` is
-    ``lattice_index * A^-1``, with ``lattice_index = det A`` the index of the
-    root lattice in the weight lattice, so simple-root coordinates and
-    heights come out scaled by ``lattice_index``. The normalized invariant
-    form (long roots have squared length 2) is scaled by ``form_scale``:
-    ``form_ww`` is the Gram matrix of the fundamental weights and ``form_d``
-    holds ``(omega_i|alpha_i) = d_i``. Safe to share across threads: every
-    operation is a pure function of its inputs.
+    coroots in simple-coroot coordinates; ``weyl_denominator`` is
+    ``prod <rho, alpha^vee>``, the denominator of the Weyl dimension formula.
+    ``cartan_inverse`` is ``lattice_index * A^-1``, with ``lattice_index =
+    det A`` the index of the root lattice in the weight lattice, so
+    simple-root coordinates and heights come out scaled by ``lattice_index``.
+    The normalized invariant form (long roots have squared length 2) is
+    scaled by ``form_scale``: ``form_ww`` is the Gram matrix of the
+    fundamental weights and ``form_d`` holds ``(omega_i|alpha_i) = d_i``.
+    Safe to share across threads: every operation is a pure function of its
+    inputs.
     """
 
     algebra: AlgebraId
@@ -178,6 +180,7 @@ class RootSystem:
     positive_roots: tuple[RootVector, ...]
     positive_roots_fund: tuple[Weight, ...]
     positive_coroots: tuple[RootVector, ...]
+    weyl_denominator: int
     simple_fund: tuple[Weight, ...]
     rho: Weight
     highest_root: RootVector
@@ -274,10 +277,9 @@ class RootSystem:
             raise AlgebraError(f"weyl_dimension requires a dominant weight, got {lam}")
         shifted = tuple(x + 1 for x in lam)
         num = prod(sum(map(mul, shifted, cv)) for cv in self.positive_coroots)
-        den = prod(map(sum, self.positive_coroots))
-        q, r = divmod(num, den)
+        q, r = divmod(num, self.weyl_denominator)
         if r:
-            raise InvariantError(f"Weyl dimension of {lam} is not integral: {num}/{den}")
+            raise InvariantError(f"Weyl dimension of {lam} is not integral: {num}/{self.weyl_denominator}")
         return q
 
     def height(self, v: Weight) -> int:
@@ -352,6 +354,7 @@ def build_root_system(algebra: AlgebraId | str) -> RootSystem:
         positive_roots=tuple(posroots),
         positive_roots_fund=tuple(posroots_fund),
         positive_coroots=tuple(coroots),
+        weyl_denominator=prod(map(sum, coroots)),
         simple_fund=tuple(tuple(cartan[j][i] for j in range(rank)) for i in range(rank)),
         rho=(1,) * rank,
         highest_root=theta,

@@ -5,15 +5,19 @@ oracle expands the Weyl character formula numerator and denominator as
 signed formal weight sums and divides; the affine oracle does the same with
 the truncated affine Weyl group (classical reflections composed with root
 lattice translations), so agreement with the Freudenthal-based tables is a
-genuine two-route check.
+genuine two-route check. The product oracle counts the weights of V(rho)
+as subset sums of positive roots, and the box walks enumerate dominant weights
+and affine Freudenthal candidates over whole simple-root coordinate boxes
+instead of descending by positive roots.
 """
 
 from __future__ import annotations
 
 from itertools import product as iproduct
+from operator import sub
 
 from rho_tensor.affine import AffineWeight, affine_rho, level
-from rho_tensor.rootdata import RootSystem, Weight
+from rho_tensor.rootdata import RootSystem, RootVector, Weight, floor_root_coords
 
 
 def _signed_orbit(rs: RootSystem, w: Weight) -> dict[Weight, int]:
@@ -51,6 +55,50 @@ def character_by_weyl_formula(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
                 residue.pop(key, None)
     assert all(m > 0 for m in quotient.values()), "oracle produced non-positive multiplicities"
     return quotient
+
+
+def rho_character_by_product(rs: RootSystem) -> dict[Weight, int]:
+    """Full weight-multiplicity map of V(rho) from ch V(rho) = e^rho
+    prod_{a>0} (1 + e^{-a}): the multiplicity of rho - sum(S) counts the sets S
+    of positive roots with that sum."""
+    mults = {rs.rho: 1}
+    for fund in rs.positive_roots_fund:
+        nxt = dict(mults)
+        for w, m in mults.items():
+            key = tuple(map(sub, w, fund))
+            nxt[key] = nxt.get(key, 0) + m
+        mults = nxt
+    return mults
+
+
+# -- root-coordinate box walks ----------------------------------------------
+
+
+def dominant_weights_by_box(rs: RootSystem, lam: Weight) -> list[Weight]:
+    """Dominant mu <= lam by walking every simple-root coordinate vector
+    0 <= c <= floor(root coordinates of lam), by increasing height of c."""
+    caps = floor_root_coords(rs, lam)
+    found = []
+    for c in iproduct(*(range(x + 1) for x in caps)):
+        mu = tuple(map(sub, lam, rs.fund_coords_of_root(c)))
+        if min(mu) >= 0:
+            found.append((sum(c), mu))
+    return [mu for _, mu in sorted(found)]
+
+
+def affine_candidates_by_box(rs: RootSystem, lam_fin: Weight, depth: int) -> list[tuple[int, Weight, RootVector]]:
+    """The affine Freudenthal candidates ``(d, mu, gamma)`` by walking, for each
+    depth d, every gamma with -d*marks <= gamma <= floor(root coordinates of
+    lam_fin), by increasing affine height (the highest weight left out)."""
+    caps = floor_root_coords(rs, lam_fin)
+    found = []
+    for d in range(depth + 1):
+        for gamma in iproduct(*(range(-d * a, c + 1) for a, c in zip(rs.marks, caps))):
+            mu = tuple(map(sub, lam_fin, rs.fund_coords_of_root(gamma)))
+            height = d + sum(g + d * a for g, a in zip(gamma, rs.marks))
+            if min(mu) >= 0 and height:
+                found.append((height, d, mu, gamma))
+    return [t[1:] for t in sorted(found)]
 
 
 # -- affine: truncated Weyl-Kac numerator/denominator ------------------------

@@ -205,3 +205,24 @@ def test_criterion_9_affine_sl3_dominant_delta_max(sl3_affine):
                 assert (lam_fin, d) in dec.components, (m, n, beta_dom, d)
                 checked += 1
             assert checked > 0
+
+
+def test_criterion_10_exceptional_conjecture_scans():
+    with criterion(10, "sweep D4 m+n <= 4 and F4 m+n <= 3: support = predicted, all HOLDS"):
+        for name, max_sum in [("D4", 4), ("F4", 3)]:
+            reports = scan_all([name], max_sum)
+            assert len(reports) == sum(total // 2 + 1 for total in range(max_sum + 1))
+            failures = [(r.algebra, r.m, r.n, r.verdict) for r in reports if r.verdict != HOLDS]
+            assert not failures, f"conjecture FAILS (reportable finding): {failures}"
+
+
+def test_criterion_11_exceptional_rho_tables():
+    with criterion(11, "E6 V(rho) over its 226 dominant weights, zero weight 13,697,920; E7 rho has 1,464"):
+        e6 = build_root_system("E6")
+        below = dominant_weights_below(e6, e6.rho)
+        assert len(below) == 226
+        char = freudenthal(e6, e6.rho)
+        assert sorted(char.mults) == sorted(below)
+        assert char.mults[(0,) * 6] == 13_697_920
+        e7 = build_root_system("E7")
+        assert len(dominant_weights_below(e7, e7.rho)) == 1464

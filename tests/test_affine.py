@@ -10,6 +10,7 @@ from rho_tensor.affine import (
     UNBROKEN,
     AffineWeight,
     affine_bilinear,
+    affine_candidates,
     affine_delta,
     affine_freudenthal,
     affine_rho,
@@ -29,7 +30,7 @@ from rho_tensor.affine import (
 from rho_tensor.charcalc import freudenthal
 from rho_tensor.rootdata import AlgebraError, InvariantError, build_root_system
 
-from oracles import affine_slices_by_weyl_kac
+from oracles import affine_candidates_by_box, affine_slices_by_weyl_kac
 
 # frozen from the truncated Weyl-Kac oracle (re-derived live below)
 SL2_RHO_SLICES = [
@@ -99,6 +100,17 @@ def test_against_weyl_kac_oracle(name, fund, depth):
     expected = affine_slices_by_weyl_kac(rs, lam, depth)
     got = _expand_slices(rs, affine_freudenthal(rs, lam, depth))
     assert got == expected
+
+
+@pytest.mark.parametrize(
+    "name,lam_fin,depth",
+    [("A1~", (1,), 20), ("A1~", (4,), 20), ("A2~", (1, 1), 4), ("A2~", (2, 0), 4),
+     ("B2~", (1, 1), 4), ("G2~", (1, 1), 4), ("A3~", (1, 1, 1), 3), ("A3~", (0, 1, 0), 4),
+     ("C3~", (1, 1, 1), 3), ("C3~", (1, 0, 1), 4)],
+)
+def test_candidates_match_box_walk(name, lam_fin, depth):
+    rs = build_root_system(name)
+    assert affine_candidates(rs, lam_fin, depth) == affine_candidates_by_box(rs, lam_fin, depth)
 
 
 def test_affine_freudenthal_rejects_bad_input(sl2_affine):

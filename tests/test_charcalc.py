@@ -14,7 +14,7 @@ from rho_tensor.charcalc import (
 )
 from rho_tensor.rootdata import AlgebraError, build_root_system
 
-from oracles import character_by_weyl_formula
+from oracles import character_by_weyl_formula, dominant_weights_by_box, rho_character_by_product
 
 # frozen from the Weyl-character-formula oracle (see test below re-deriving it)
 B2_2RHO_TABLE = {
@@ -67,6 +67,25 @@ def test_every_dominant_weight_below_appears(b2, g2):
         char = freudenthal(rs, lam)
         assert sorted(char.mults) == sorted(dominant_weights_below(rs, lam))
         assert char.mults[lam] == 1
+
+
+@pytest.mark.parametrize(
+    "name,lam",
+    [("A1", (7,)), ("A2", (3, 2)), ("A3", (2, 1, 2)), ("B2", (3, 4)), ("B3", (2, 1, 2)),
+     ("C3", (2, 2, 1)), ("G2", (3, 2)), ("D4", (2, 2, 2, 2)), ("F4", (1, 1, 1, 1)),
+     ("E6", (1, 0, 1, 0, 0, 0)), ("E6", (0, 1, 1, 0, 0, 0)), ("E6", (0, 2, 0, 0, 0, 0)),
+     ("E6", (1, 0, 0, 1, 0, 0))],
+)
+def test_descent_matches_box_walk(name, lam):
+    rs = build_root_system(name)
+    assert dominant_weights_below(rs, lam) == dominant_weights_by_box(rs, lam)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "D4", "F4"])
+def test_rho_character_against_product_formula(name):
+    rs = build_root_system(name)
+    oracle = rho_character_by_product(rs)
+    assert freudenthal(rs, rs.rho).mults == {w: m for w, m in oracle.items() if rs.is_dominant(w)}
 
 
 def test_dominant_weights_below_examples(a1, b2):

@@ -1,12 +1,13 @@
 """Root datum construction, Weyl group primitives, dominance, and the form."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rho_tensor.rootdata import AlgebraError, AlgebraId, build_root_system
+from rho_tensor.rootdata import AlgebraError, AlgebraId, InvariantError, build_root_system
 
 # classical positive-root counts and dual Coxeter numbers, kept as test data
 POSROOT_COUNTS = {
@@ -109,6 +110,14 @@ def test_weyl_dimension_identities(name):
     rs = build_root_system(name)
     assert rs.weyl_dimension(rs.fund_coords_of_root(rs.highest_root)) == rs.dim_adjoint
     assert rs.weyl_dimension(rs.rho) == 2 ** len(rs.positive_roots)
+    assert rs.weyl_denominator == prod(rs.pair_coroot(rs.rho, cv) for cv in rs.positive_coroots)
+
+
+def test_weyl_dimension_checks_integrality(b2):
+    # dim V(rho) = 2^4 * den / den; a denominator 7 times too large leaves a remainder
+    broken = replace(b2, weyl_denominator=7 * b2.weyl_denominator)
+    with pytest.raises(InvariantError, match="not integral"):
+        broken.weyl_dimension(b2.rho)
 
 
 def test_root_data_holds_no_fractions():
@@ -124,6 +133,7 @@ def test_root_data_holds_no_fractions():
         for f in fields(rs):
             value = getattr(rs, f.name)
             assert not any(isinstance(x, Fraction) for x in leaves(value)), (name, f.name)
+        assert type(rs.weyl_denominator) is int
 
 
 def test_to_dominant_basic(a1, b2):
