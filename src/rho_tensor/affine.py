@@ -4,9 +4,13 @@ Affine weights carry r+1 fundamental coordinates over omega_0..omega_r plus
 an integer delta shift. Characters of positive-level irreducibles are
 computed slice-by-slice down to an explicit delta-depth by the Kac-Moody
 Freudenthal recursion (real roots alpha + k delta with multiplicity one,
-imaginary roots k delta with multiplicity rank). Truncated tensor products
-are decomposed by peeling highest weights depth by depth. Everything is
-depth-qualified: no claim is made beyond the truncation.
+imaginary roots k delta with multiplicity rank). One table is memoised per
+highest weight, the deepest computed so far; shallower requests are served
+from its prefix. Truncated tensor products are decomposed by peeling highest
+weights depth by depth on dominant finite weights only: every slice of a
+character is invariant under the finite Weyl group, so the dominant part of a
+product determines it. Everything is depth-qualified: no claim is made beyond
+the truncation.
 
 The normalized invariant form follows the standard affine conventions:
 (delta|delta) = 0, (delta|Lambda) = level(Lambda), and on classical parts it
@@ -19,13 +23,14 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .charcalc import dominant_descent, freudenthal_slices
 from .rootdata import AlgebraError, InvariantError, RootSystem, RootVector, Weight, weyl_orbit
 
 DEFAULT_DEPTH = 6
 
-_aff_memo: dict[tuple[str, tuple[int, ...], int, int], "TruncatedAffineCharacter"] = {}
+_aff_memo: dict[tuple[str, tuple[int, ...], int], "TruncatedAffineCharacter"] = {}
 _aff_lock = threading.Lock()
 
 
@@ -114,7 +119,10 @@ class TruncatedAffineCharacter:
 
     ``slices[d]`` maps finite dominant representatives to the multiplicity of
     ``highest - (finite offset) - d*delta``; slice 0 is the character of the
-    finite irreducible with the same classical part.
+    finite irreducible with the same classical part. ``slices[d]`` does not
+    depend on ``depth``, so the table to a smaller depth is a prefix of this
+    one. The slice dicts are shared with the memo of :func:`affine_freudenthal`
+    and must be treated as read-only.
     """
 
     algebra: str
@@ -161,7 +169,13 @@ def affine_candidates(rs: RootSystem, lam_fin: Weight, depth: int) -> list[tuple
 
 
 def affine_freudenthal(rs: RootSystem, lam: AffineWeight, depth: int) -> TruncatedAffineCharacter:
-    """Delta-depth-truncated character of the affine irreducible V(lam)."""
+    """Delta-depth-truncated character of the affine irreducible V(lam).
+
+    One table per highest weight is memoised: the deepest computed so far. A
+    shallower request gets a view of the requested depth whose slices are a
+    prefix of that table. This is exact because the Freudenthal candidates and
+    multiplicities at depth ``d`` do not depend on the truncation depth.
+    """
     _require_affine(rs)
     if depth < 0:
         raise AlgebraError(f"depth must be non-negative, got {depth}")
@@ -170,16 +184,18 @@ def affine_freudenthal(rs: RootSystem, lam: AffineWeight, depth: int) -> Truncat
     lvl = level(rs, lam)
     if lvl <= 0:
         raise AlgebraError(f"affine_freudenthal requires positive level, got level {lvl}")
-    key = (str(rs.algebra), lam.fund, lam.delta_shift, depth)
+    key = (str(rs.algebra), lam.fund, lam.delta_shift)
     with _aff_lock:
         hit = _aff_memo.get(key)
-    if hit is not None:
-        return hit
+    if hit is not None and hit.depth >= depth:
+        if hit.depth == depth:
+            return hit
+        return TruncatedAffineCharacter(hit.algebra, lam, depth, hit.slices[: depth + 1])
 
     slices = freudenthal_slices(rs, lam.finite, affine_candidates(rs, lam.finite, depth), depth, lvl)
     char = TruncatedAffineCharacter(str(rs.algebra), lam, depth, tuple(slices))
     with _aff_lock:
-        _aff_memo[key] = char
+        _aff_memo[key] = char  # deeper than any table held before
     return char
 
 
@@ -244,39 +260,49 @@ def truncated_tensor(
     rs: RootSystem, lam: AffineWeight, mu: AffineWeight, depth: int
 ) -> TruncatedDecomposition:
     """Decompose the product of two positive-level affine irreducibles up to
-    ``depth`` by slice convolution and highest-weight extraction.
+    ``depth`` by slice convolution and highest-weight extraction, on dominant
+    finite weights only.
+
+    Both factors are orbit-expanded, but the convolution keeps only the sums
+    that are dominant finite weights, and each component subtracts its own
+    dominant slices. This is exact because every slice of a character, and so
+    every slice of the residual (a difference of characters), is invariant
+    under the finite Weyl group: it vanishes iff it vanishes on dominant
+    weights, so checking the leftovers on dominant keys only is equivalent to
+    checking all of them.
 
     Extraction walks depths in increasing order and, within a depth, finite
     parts in decreasing height, so every candidate sees the contributions of
     all previously peeled components. Positive residual at a non-dominant
-    affine weight or any negative residual is an internal failure.
+    affine weight, any negative residual, or a nonzero residual left after
+    extraction is an internal failure.
     """
     _require_affine(rs)
+    if not (lam.is_dominant() and mu.is_dominant()):
+        raise AlgebraError(f"truncated_tensor requires dominant weights, got {lam}, {mu}")
     lvl_l, lvl_m = level(rs, lam), level(rs, mu)
     if lvl_l <= 0 or lvl_m <= 0:
         raise AlgebraError(f"truncated_tensor requires positive levels, got {lvl_l}, {lvl_m}")
     if depth < 0:
         raise AlgebraError(f"depth must be non-negative, got {depth}")
     lvl = lvl_l + lvl_m
-    ch_l = affine_freudenthal(rs, lam, depth)
-    ch_m = affine_freudenthal(rs, mu, depth)
-    full_l = _expand_slices(rs, ch_l)
-    full_m = _expand_slices(rs, ch_m)
+    full_l = _expand_slices(rs, affine_freudenthal(rs, lam, depth))
+    full_m = _expand_slices(rs, affine_freudenthal(rs, mu, depth))
 
     residual: list[dict[Weight, int]] = [dict() for _ in range(depth + 1)]
     for d1 in range(depth + 1):
         for d2 in range(depth + 1 - d1):
             target = residual[d1 + d2]
+            terms = full_m[d2].items()
             for w1, m1 in full_l[d1].items():
-                for w2, m2 in full_m[d2].items():
-                    key = tuple(a + b for a, b in zip(w1, w2))
-                    target[key] = target.get(key, 0) + m1 * m2
+                for w2, m2 in terms:
+                    key = tuple(map(add, w1, w2))
+                    if min(key) >= 0:
+                        target[key] = target.get(key, 0) + m1 * m2
 
     components: dict[tuple[Weight, int], int] = {}
     for d in range(depth + 1):
-        layer = [w for w in residual[d] if rs.is_dominant(w)]
-        layer.sort(key=lambda w: (-rs.height(w), w))
-        for w in layer:
+        for w in sorted(residual[d], key=lambda w: (-rs.height(w), w)):
             c = residual[d].get(w, 0)
             if c == 0:
                 continue
@@ -291,10 +317,8 @@ def truncated_tensor(
                     f"level {lvl}) in {lam} (x) {mu} over {rs.algebra}"
                 )
             comp_char = affine_freudenthal(rs, affinize(rs, w, lvl), depth - d)
-            comp_full = _expand_slices(rs, comp_char)
-            for e in range(depth - d + 1):
-                target = residual[d + e]
-                for x, mx in comp_full[e].items():
+            for target, sl in zip(residual[d:], comp_char.slices):
+                for x, mx in sl.items():
                     acc = target.get(x, 0) - c * mx
                     if acc:
                         target[x] = acc

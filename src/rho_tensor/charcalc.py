@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from operator import add, sub
+from operator import add, mul, sub
 from pathlib import Path
 from typing import Iterable
 
@@ -122,19 +122,25 @@ def freudenthal_slices(
     marks = rs.marks
     scale = rs.form_scale
     to_dominant = rs.to_dominant
-    sip_wr = rs.sip_wr
     sip_ww = rs.sip_ww
+    # (mu|alpha) is one dot product of mu with form_d * rc
+    pos = []
+    for rc, fund in zip(rs.positive_roots, rs.positive_roots_fund):
+        form_rc = tuple(map(mul, rs.form_d, rc))
+        pos.append((rc, fund, form_rc, sum(map(mul, fund, form_rc))))
+    real = pos + [
+        (tuple(-x for x in rc), tuple(-x for x in fund), tuple(-x for x in form_rc), s_aa)
+        for rc, fund, form_rc, s_aa in pos
+    ]
     # a real root alpha + k*delta over the affine simple roots alpha_0..alpha_r
     # is (k, rc + k*marks); its string through mu - d*delta stays in the
     # weights below lam while those coordinates fit into (d, gamma + d*marks)
-    pos = [(rc, fund, sip_wr(fund, rc)) for rc, fund in zip(rs.positive_roots, rs.positive_roots_fund)]
-    real = pos + [(tuple(-x for x in rc), tuple(-x for x in fund), s_aa) for rc, fund, s_aa in pos]
     strings = []
     for k in range(depth + 1):
         strings.append([])
-        for rc, fund, s_aa in real if k else pos:
+        for rc, fund, form_rc, s_aa in real if k else pos:
             coords = (k,) + tuple(r + k * a for r, a in zip(rc, marks))
-            strings[k].append((rc, fund, s_aa, tuple((i, x) for i, x in enumerate(coords) if x > 0)))
+            strings[k].append((fund, form_rc, s_aa, tuple((i, x) for i, x in enumerate(coords) if x > 0)))
     lam_rho = tuple(x + 1 for x in lam)
     top = sip_ww(lam_rho, lam_rho)
     lvl_scaled = lvl * scale
@@ -142,12 +148,15 @@ def freudenthal_slices(
 
     slices: list[dict[Weight, int]] = [{} for _ in range(depth + 1)]
     slices[0][lam] = 1
+    # one reflection per distinct weight; a dominant weight maps to itself, so
+    # the same dict also makes equal dominant forms one object
+    dominant_of: dict[Weight, Weight] = {}
     for d, mu, gamma in candidates:
         room = (d,) + tuple(g + d * a for g, a in zip(gamma, marks))
         total = sum(room)
         num = 0
         for k in range(d + 1):
-            for rc, fund, s_aa, supp in strings[k]:
+            for fund, form_rc, s_aa, supp in strings[k]:
                 jmax = total  # bounds every room[i] // x
                 for i, x in supp:
                     q = room[i] // x
@@ -157,11 +166,15 @@ def freudenthal_slices(
                             break
                 if not jmax:
                     continue
-                base = sip_wr(mu, rc) + k * lvl_scaled
+                base = sum(map(mul, mu, form_rc)) + k * lvl_scaled
                 nu = mu
                 for j in range(1, jmax + 1):
                     nu = tuple(map(add, nu, fund))
-                    m = slices[d - k * j].get(to_dominant(nu)[0], 0)
+                    dom = dominant_of.get(nu)
+                    if dom is None:
+                        dom = to_dominant(nu)[0]
+                        dom = dominant_of[nu] = dominant_of.setdefault(dom, dom)
+                    m = slices[d - k * j].get(dom, 0)
                     if m:
                         num += m * (base + j * s_aa)
         for k in range(1, d + 1):

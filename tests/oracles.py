@@ -8,7 +8,9 @@ lattice translations), so agreement with the Freudenthal-based tables is a
 genuine two-route check. The product oracle counts the weights of V(rho)
 as subset sums of positive roots, and the box walks enumerate dominant weights
 and affine Freudenthal candidates over whole simple-root coordinate boxes
-instead of descending by positive roots.
+instead of descending by positive roots. The full-weight peel decomposes a
+truncated affine product over every finite weight, where the production peel
+keeps dominant weights only.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from __future__ import annotations
 from itertools import product as iproduct
 from operator import sub
 
-from rho_tensor.affine import AffineWeight, affine_rho, level
-from rho_tensor.rootdata import RootSystem, RootVector, Weight, floor_root_coords
+from rho_tensor.affine import AffineWeight, affine_freudenthal, affine_rho, affinize, level, theta_pairing
+from rho_tensor.rootdata import RootSystem, RootVector, Weight, floor_root_coords, weyl_orbit
 
 
 def _signed_orbit(rs: RootSystem, w: Weight) -> dict[Weight, int]:
@@ -99,6 +101,55 @@ def affine_candidates_by_box(rs: RootSystem, lam_fin: Weight, depth: int) -> lis
             if min(mu) >= 0 and height:
                 found.append((height, d, mu, gamma))
     return [t[1:] for t in sorted(found)]
+
+
+# -- affine: the full-weight convolve-and-peel --------------------------------
+
+
+def truncated_tensor_by_full_peel(
+    rs: RootSystem, lam: AffineWeight, mu: AffineWeight, depth: int
+) -> dict[tuple[Weight, int], int]:
+    """Components ``{(finite dominant part, depth): mult}`` of the truncated
+    product V(lam) (x) V(mu): convolve the orbit-expanded slices of both
+    factors over all finite weights, then peel highest weights depth by depth,
+    each component subtracting its orbit-expanded slices."""
+
+    def expand(char) -> list[dict[Weight, int]]:
+        return [{x: m for w, m in sl.items() for x in weyl_orbit(rs, w)} for sl in char.slices]
+
+    lvl = level(rs, lam) + level(rs, mu)
+    full_l = expand(affine_freudenthal(rs, lam, depth))
+    full_m = expand(affine_freudenthal(rs, mu, depth))
+    residual: list[dict[Weight, int]] = [dict() for _ in range(depth + 1)]
+    for d1 in range(depth + 1):
+        for d2 in range(depth + 1 - d1):
+            target = residual[d1 + d2]
+            for w1, m1 in full_l[d1].items():
+                for w2, m2 in full_m[d2].items():
+                    key = tuple(a + b for a, b in zip(w1, w2))
+                    target[key] = target.get(key, 0) + m1 * m2
+
+    components: dict[tuple[Weight, int], int] = {}
+    for d in range(depth + 1):
+        layer = sorted((w for w in residual[d] if rs.is_dominant(w)), key=lambda w: (-rs.height(w), w))
+        for w in layer:
+            c = residual[d].get(w, 0)
+            if c == 0:
+                continue
+            assert c > 0, f"negative residual {c} at {w}, depth {d}"
+            assert theta_pairing(rs, w) <= lvl, f"residual {c} at affine-nondominant {w}, depth {d}"
+            comp = expand(affine_freudenthal(rs, affinize(rs, w, lvl), depth - d))
+            for e, sl in enumerate(comp):
+                target = residual[d + e]
+                for x, mx in sl.items():
+                    acc = target.get(x, 0) - c * mx
+                    if acc:
+                        target[x] = acc
+                    else:
+                        target.pop(x, None)
+            components[(w, d)] = c
+    assert not any(residual), "extraction left a nonzero residual"
+    return components
 
 
 # -- affine: truncated Weyl-Kac numerator/denominator ------------------------

@@ -1,6 +1,7 @@
 """Truncated affine characters, delta-maximal structure, truncated tensor
 decomposition, and the GKO coset scalars."""
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -25,12 +26,13 @@ from rho_tensor.affine import (
     level,
     sl2_delta_max_rule,
     truncated_tensor,
+    _aff_memo,
     _expand_slices,
 )
 from rho_tensor.charcalc import freudenthal
 from rho_tensor.rootdata import AlgebraError, InvariantError, build_root_system
 
-from oracles import affine_candidates_by_box, affine_slices_by_weyl_kac
+from oracles import affine_candidates_by_box, affine_slices_by_weyl_kac, truncated_tensor_by_full_peel
 
 # frozen from the truncated Weyl-Kac oracle (re-derived live below)
 SL2_RHO_SLICES = [
@@ -113,6 +115,50 @@ def test_candidates_match_box_walk(name, lam_fin, depth):
     assert affine_candidates(rs, lam_fin, depth) == affine_candidates_by_box(rs, lam_fin, depth)
 
 
+@pytest.mark.parametrize("name,fund", [("A1~", (1, 1)), ("A1~", (2, 2)), ("A2~", (1, 1, 1)), ("B2~", (1, 1, 1))])
+def test_memo_serves_shallow_requests_from_deep_tables(name, fund):
+    rs = build_root_system(name)
+    lam = AffineWeight(fund)
+    fresh = {}
+    for depth in (1, 4):
+        _aff_memo.clear()
+        fresh[depth] = affine_freudenthal(rs, lam, depth).slices
+    for order in ((4, 1), (1, 4)):
+        _aff_memo.clear()
+        for depth in order:
+            char = affine_freudenthal(rs, lam, depth)
+            assert char.depth == depth and char.highest == lam
+            assert char.slices == fresh[depth]
+        # one table per highest weight: the deepest, whatever the order of the requests
+        assert [c.depth for c in _aff_memo.values()] == [4]
+
+
+def test_truncated_tensor_leaves_the_memo_unchanged(sl3_affine):
+    rs = sl3_affine
+    rho = affine_rho(rs)
+    _aff_memo.clear()
+    truncated_tensor(rs, 2 * rho, rho, 3)
+    before = copy.deepcopy(_aff_memo)
+    # the same product again peels from the memoised slices, and a shallower
+    # one from prefixes of them
+    truncated_tensor(rs, 2 * rho, rho, 3)
+    truncated_tensor(rs, rho, 2 * rho, 2)
+    assert {k: (c.depth, c.slices) for k, c in _aff_memo.items()} == {
+        k: (c.depth, c.slices) for k, c in before.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "name,m,n,depth",
+    [("A1~", 2, 1, 8), ("A1~", 3, 2, 4), ("A2~", 2, 1, 3), ("B2~", 1, 1, 3), ("G2~", 1, 1, 2), ("A3~", 1, 1, 2)],
+)
+def test_truncated_tensor_matches_full_peel(name, m, n, depth):
+    rs = build_root_system(name)
+    rho = affine_rho(rs)
+    dec = truncated_tensor(rs, m * rho, n * rho, depth)
+    assert dec.components == truncated_tensor_by_full_peel(rs, m * rho, n * rho, depth)
+
+
 def test_affine_freudenthal_rejects_bad_input(sl2_affine):
     zero = AffineWeight((0, 0))
     with pytest.raises(AlgebraError):
@@ -189,6 +235,9 @@ def test_truncated_tensor_input_validation(sl2_affine):
         truncated_tensor(sl2_affine, AffineWeight((0, 0)), rho, 2)
     with pytest.raises(AlgebraError):
         truncated_tensor(sl2_affine, rho, rho, -1)
+    # level 2 and 0: the cause named is the non-dominant factor, not the level
+    with pytest.raises(AlgebraError, match="dominant"):
+        truncated_tensor(sl2_affine, rho, AffineWeight((1, -1)), 2)
 
 
 def test_sl2_delta_max_rule(sl2_affine):

@@ -276,3 +276,11 @@ def test_usage_errors():
     assert code == EXIT_USAGE
     code, _ = run("nonsense")
     assert code == EXIT_USAGE
+
+
+def test_affine_decompose_names_a_non_dominant_factor(capsys):
+    # (1,-1) has level 0 too, but the cause reported is that it is not dominant
+    code, text = run("affine-decompose", "A1~", "1,1", "1,-1")
+    assert (code, text) == (EXIT_USAGE, "")
+    err = capsys.readouterr().err
+    assert "requires dominant weights" in err and "level" not in err
