@@ -4,13 +4,14 @@ Affine weights carry r+1 fundamental coordinates over omega_0..omega_r plus
 an integer delta shift. Characters of positive-level irreducibles are
 computed slice-by-slice down to an explicit delta-depth by the Kac-Moody
 Freudenthal recursion (real roots alpha + k delta with multiplicity one,
-imaginary roots k delta with multiplicity rank). One table is memoised per
-highest weight, the deepest computed so far; shallower requests are served
-from its prefix. Truncated tensor products are decomposed by peeling highest
-weights depth by depth on dominant finite weights only: every slice of a
-character is invariant under the finite Weyl group, so the dominant part of a
-product determines it. Everything is depth-qualified: no claim is made beyond
-the truncation.
+imaginary roots k delta with multiplicity rank). The tables live in the memo
+of :mod:`rho_tensor.charcalc`, keyed without the delta shift: one per classical
+highest weight, the deepest computed so far, and views of it serve shallower
+or shifted requests. Truncated tensor products are decomposed by peeling
+highest weights depth by depth on dominant finite weights only: every slice of
+a character is invariant under the finite Weyl group, so the dominant part of
+a product determines it. Everything is depth-qualified: no claim is made
+beyond the truncation.
 
 The normalized invariant form follows the standard affine conventions:
 (delta|delta) = 0, (delta|Lambda) = level(Lambda), and on classical parts it
@@ -20,18 +21,14 @@ of the Goddard-Kent-Olive coset construction come out as exact rationals.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-from .charcalc import dominant_descent, freudenthal_slices
+from .charcalc import _memo, _memo_lock, dominant_descent, expand_orbits, freudenthal_slices
 from .rootdata import AlgebraError, InvariantError, RootSystem, RootVector, Weight, weyl_orbit
 
 DEFAULT_DEPTH = 6
-
-_aff_memo: dict[tuple[str, tuple[int, ...], int], "TruncatedAffineCharacter"] = {}
-_aff_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -121,8 +118,8 @@ class TruncatedAffineCharacter:
     ``highest - (finite offset) - d*delta``; slice 0 is the character of the
     finite irreducible with the same classical part. ``slices[d]`` does not
     depend on ``depth``, so the table to a smaller depth is a prefix of this
-    one. The slice dicts are shared with the memo of :func:`affine_freudenthal`
-    and must be treated as read-only.
+    one. The slice dicts are shared with the table memo (see
+    :func:`affine_freudenthal`) and must be treated as read-only.
     """
 
     algebra: str
@@ -171,10 +168,12 @@ def affine_candidates(rs: RootSystem, lam_fin: Weight, depth: int) -> list[tuple
 def affine_freudenthal(rs: RootSystem, lam: AffineWeight, depth: int) -> TruncatedAffineCharacter:
     """Delta-depth-truncated character of the affine irreducible V(lam).
 
-    One table per highest weight is memoised: the deepest computed so far. A
-    shallower request gets a view of the requested depth whose slices are a
-    prefix of that table. This is exact because the Freudenthal candidates and
-    multiplicities at depth ``d`` do not depend on the truncation depth.
+    The memo of :mod:`rho_tensor.charcalc` holds the deepest table computed
+    so far per ``(algebra, lam.fund)``; the key has no delta shift, which
+    :func:`freudenthal_slices` never reads. Another depth or shift gets a view
+    of its own ``highest`` and ``depth`` whose slices are a prefix of that
+    table: the candidates and multiplicities at depth ``d`` do not depend on
+    the truncation depth.
     """
     _require_affine(rs)
     if depth < 0:
@@ -184,18 +183,18 @@ def affine_freudenthal(rs: RootSystem, lam: AffineWeight, depth: int) -> Truncat
     lvl = level(rs, lam)
     if lvl <= 0:
         raise AlgebraError(f"affine_freudenthal requires positive level, got level {lvl}")
-    key = (str(rs.algebra), lam.fund, lam.delta_shift)
-    with _aff_lock:
-        hit = _aff_memo.get(key)
+    key = (str(rs.algebra), lam.fund)
+    with _memo_lock:
+        hit = _memo.get(key)
     if hit is not None and hit.depth >= depth:
-        if hit.depth == depth:
+        if hit.depth == depth and hit.highest == lam:
             return hit
         return TruncatedAffineCharacter(hit.algebra, lam, depth, hit.slices[: depth + 1])
 
     slices = freudenthal_slices(rs, lam.finite, affine_candidates(rs, lam.finite, depth), depth, lvl)
     char = TruncatedAffineCharacter(str(rs.algebra), lam, depth, tuple(slices))
-    with _aff_lock:
-        _aff_memo[key] = char  # deeper than any table held before
+    with _memo_lock:
+        _memo[key] = char  # deeper than any table held before
     return char
 
 
@@ -224,17 +223,6 @@ def predicted_components(rs: RootSystem, m: int, n: int, depth: int):
             lam = tuple(m + b for b in beta)
             if all(x >= 0 for x in lam) and theta_pairing(rs, lam) <= lvl:
                 yield lam, beta, beta_dom, d
-
-
-def _expand_slices(rs: RootSystem, char: TruncatedAffineCharacter) -> list[dict[Weight, int]]:
-    full = []
-    for sl in char.slices:
-        expanded: dict[Weight, int] = {}
-        for w, m in sl.items():
-            for x in weyl_orbit(rs, w):
-                expanded[x] = m
-        full.append(expanded)
-    return full
 
 
 @dataclass
@@ -286,8 +274,8 @@ def truncated_tensor(
     if depth < 0:
         raise AlgebraError(f"depth must be non-negative, got {depth}")
     lvl = lvl_l + lvl_m
-    full_l = _expand_slices(rs, affine_freudenthal(rs, lam, depth))
-    full_m = _expand_slices(rs, affine_freudenthal(rs, mu, depth))
+    full_l = [expand_orbits(rs, sl) for sl in affine_freudenthal(rs, lam, depth).slices]
+    full_m = [expand_orbits(rs, sl) for sl in affine_freudenthal(rs, mu, depth).slices]
 
     residual: list[dict[Weight, int]] = [dict() for _ in range(depth + 1)]
     for d1 in range(depth + 1):

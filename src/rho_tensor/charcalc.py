@@ -1,7 +1,7 @@
 """Exact weight multiplicities of finite-type irreducibles via Freudenthal's
 recursion, with an in-memory memo and an optional persistent cache. The
 recursion kernel also computes the delta-truncated affine characters of
-:mod:`rho_tensor.affine`.
+:mod:`rho_tensor.affine`, and the memo holds those tables too.
 
 Character tables store dominant representatives only; orbit expansion happens
 on demand. Within one run, weights are processed by decreasing dominance
@@ -26,12 +26,14 @@ from .rootdata import (
     RootVector,
     Weight,
     floor_root_coords,
+    weyl_orbit,
 )
 
 CACHE_ENV_VAR = "RHO_TENSOR_CACHE"
 _CACHE_FORMAT = "rho-tensor-char v1"
 
-_memo: dict[tuple[str, Weight], "DominantCharacter"] = {}
+# finite tables keyed by (algebra, lam), affine ones by (algebra, fund)
+_memo: dict[tuple[str, Weight], object] = {}
 _memo_lock = threading.Lock()
 
 
@@ -53,14 +55,20 @@ class DominantCharacter:
 
     def full_weights(self, rs: RootSystem) -> dict[Weight, int]:
         """Orbit-expand the dominant table to all weights."""
-        out: dict[Weight, int] = {}
-        for mu, m in self.mults.items():
-            for w in rs.orbit(mu):
-                out[w] = m
-        return out
+        return expand_orbits(rs, self.mults)
 
     def dimension(self, rs: RootSystem) -> int:
         return sum(m * len(rs.orbit(mu)) for mu, m in self.mults.items())
+
+
+def expand_orbits(rs: RootSystem, table: dict[Weight, int]) -> dict[Weight, int]:
+    """Orbit-expand a table of dominant weights to all weights, each Weyl
+    orbit (of the finite Weyl group) carrying its representative's value."""
+    out: dict[Weight, int] = {}
+    for mu, m in table.items():
+        for w in weyl_orbit(rs, mu):
+            out[w] = m
+    return out
 
 
 def dominant_descent(rs: RootSystem, top: Weight) -> dict[Weight, RootVector]:
@@ -239,6 +247,7 @@ def freudenthal(rs: RootSystem, lam: Weight, cache: "CharCache | None" = None) -
 
 
 def clear_memory_cache() -> None:
+    """Drop every memoised table, finite and affine."""
     with _memo_lock:
         _memo.clear()
 
@@ -248,22 +257,22 @@ class CharCache:
 
     One plain-text file per (algebra, highest weight) with a versioned
     header and sorted ``c1,...,cr:mult`` lines; writes are atomic so
-    concurrent readers never observe a partial table.
+    concurrent readers never observe a partial table. The write lock is per
+    instance: concurrent writers are kept apart by the temporary file named by
+    process and thread id, moved into place by ``os.replace``. No disk cache
+    is ``cache=None``, not an instance.
     """
 
-    def __init__(self, root: str | Path | None = None, enabled: bool = True):
+    def __init__(self, root: str | Path | None = None):
         if root is None:
             root = os.environ.get(CACHE_ENV_VAR) or Path.home() / ".cache" / "rho-tensor"
         self.root = Path(root)
-        self.enabled = enabled
         self._write_lock = threading.Lock()
 
     def _path(self, algebra: str, lam: Weight) -> Path:
         return self.root / f"{algebra}.{'_'.join(str(c) for c in lam)}.char"
 
     def load(self, rs: RootSystem, lam: Weight) -> dict[Weight, int] | None:
-        if not self.enabled:
-            return None
         path = self._path(str(rs.algebra), lam)
         if not path.is_file():
             return None
@@ -289,8 +298,6 @@ class CharCache:
         return table
 
     def store(self, rs: RootSystem, lam: Weight, table: dict[Weight, int]) -> None:
-        if not self.enabled:
-            return
         path = self._path(str(rs.algebra), lam)
         body = [f"{_CACHE_FORMAT} {rs.algebra} {','.join(str(c) for c in lam)}"]
         for mu in sorted(table):
@@ -303,7 +310,7 @@ class CharCache:
 
     def ensure(self, rs: RootSystem, lam: Weight, table: dict[Weight, int]) -> None:
         """Persist the table if it is not on disk yet (memo-hit path)."""
-        if self.enabled and not self._path(str(rs.algebra), lam).is_file():
+        if not self._path(str(rs.algebra), lam).is_file():
             self.store(rs, lam, table)
 
     def stat(self) -> list[tuple[str, int]]:
@@ -320,5 +327,5 @@ class CharCache:
         return removed
 
 
-def default_cache(enabled: bool = True) -> CharCache:
-    return CharCache(None, enabled)
+def default_cache() -> CharCache:
+    return CharCache()

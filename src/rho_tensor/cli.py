@@ -379,10 +379,10 @@ def _cmd_gko(args, cache, out) -> int:
     h = rs.dual_coxeter
     # every line is built before the first is written, so an error leaves no output
     lines = [f"central charge: {aff.gko_central_charge(rs, m * h, n * h)}"]
-    if n == 0:
-        betas = []
-    elif lam is not None:
+    if lam is not None:
         betas = [lam - m * aff.affine_rho(rs)]
+    elif n == 0:
+        betas = []
     else:
         betas = [
             aff.affinize(rs, beta, n * h, -d)
@@ -405,6 +405,8 @@ def _cmd_gko(args, cache, out) -> int:
 
 
 def _cmd_cache(args, cache, out) -> int:
+    if args.action in ("stat", "clear"):
+        cache = cache or default_cache()  # under --no-cache too: they act on the files on disk
     if args.action == "stat":
         entries = cache.stat()
         out.write(f"{len(entries)} cached character tables in {cache.root}\n")
@@ -536,7 +538,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    cache = default_cache(enabled=not args.no_cache)
+    cache = None if args.no_cache else default_cache()
     try:
         return args.func(args, cache, out)
     except AlgebraError as exc:

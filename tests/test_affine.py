@@ -26,10 +26,8 @@ from rho_tensor.affine import (
     level,
     sl2_delta_max_rule,
     truncated_tensor,
-    _aff_memo,
-    _expand_slices,
 )
-from rho_tensor.charcalc import freudenthal
+from rho_tensor.charcalc import _memo, clear_memory_cache, expand_orbits, freudenthal
 from rho_tensor.rootdata import AlgebraError, InvariantError, build_root_system
 
 from oracles import affine_candidates_by_box, affine_slices_by_weyl_kac, truncated_tensor_by_full_peel
@@ -100,7 +98,7 @@ def test_against_weyl_kac_oracle(name, fund, depth):
     rs = build_root_system(name)
     lam = AffineWeight(fund)
     expected = affine_slices_by_weyl_kac(rs, lam, depth)
-    got = _expand_slices(rs, affine_freudenthal(rs, lam, depth))
+    got = [expand_orbits(rs, sl) for sl in affine_freudenthal(rs, lam, depth).slices]
     assert got == expected
 
 
@@ -121,29 +119,49 @@ def test_memo_serves_shallow_requests_from_deep_tables(name, fund):
     lam = AffineWeight(fund)
     fresh = {}
     for depth in (1, 4):
-        _aff_memo.clear()
+        clear_memory_cache()
         fresh[depth] = affine_freudenthal(rs, lam, depth).slices
     for order in ((4, 1), (1, 4)):
-        _aff_memo.clear()
+        clear_memory_cache()
         for depth in order:
             char = affine_freudenthal(rs, lam, depth)
             assert char.depth == depth and char.highest == lam
             assert char.slices == fresh[depth]
         # one table per highest weight: the deepest, whatever the order of the requests
-        assert [c.depth for c in _aff_memo.values()] == [4]
+        assert [c.depth for c in _memo.values()] == [4]
+
+
+def test_clear_memory_cache_drops_affine_tables(sl2_affine):
+    rho = affine_rho(sl2_affine)
+    char = affine_freudenthal(sl2_affine, rho, 3)
+    assert affine_freudenthal(sl2_affine, rho, 3) is char
+    clear_memory_cache()
+    assert not _memo
+    assert affine_freudenthal(sl2_affine, rho, 3) is not char
+
+
+def test_delta_shifted_highest_weight_shares_its_table(sl3_affine):
+    rs = sl3_affine
+    lam = AffineWeight((2, 1, 0))
+    clear_memory_cache()
+    char = affine_freudenthal(rs, lam, 3)
+    shifted = affine_freudenthal(rs, lam.shifted(2), 3)
+    assert len(_memo) == 1
+    assert shifted.highest == lam.shifted(2) and shifted.depth == 3
+    assert shifted.slices == char.slices
 
 
 def test_truncated_tensor_leaves_the_memo_unchanged(sl3_affine):
     rs = sl3_affine
     rho = affine_rho(rs)
-    _aff_memo.clear()
+    clear_memory_cache()
     truncated_tensor(rs, 2 * rho, rho, 3)
-    before = copy.deepcopy(_aff_memo)
+    before = copy.deepcopy(_memo)
     # the same product again peels from the memoised slices, and a shallower
     # one from prefixes of them
     truncated_tensor(rs, 2 * rho, rho, 3)
     truncated_tensor(rs, rho, 2 * rho, 2)
-    assert {k: (c.depth, c.slices) for k, c in _aff_memo.items()} == {
+    assert {k: (c.depth, c.slices) for k, c in _memo.items()} == {
         k: (c.depth, c.slices) for k, c in before.items()
     }
 

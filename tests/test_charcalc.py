@@ -1,5 +1,6 @@
 """Freudenthal character tables, weight-set queries, and the cache."""
 
+import threading
 from random import Random
 
 import pytest
@@ -201,12 +202,29 @@ def test_cache_round_trip(tmp_path, b2):
     clear_memory_cache()
 
 
-def test_cache_disabled_writes_nothing(tmp_path, b2):
-    cache = CharCache(tmp_path, enabled=False)
-    clear_memory_cache()
-    freudenthal(b2, (1, 1), cache)
-    assert cache.stat() == []
-    clear_memory_cache()
+def test_concurrent_writers_with_their_own_cache_objects(tmp_path, b2):
+    # the write lock is per instance: only the per-thread temporary file name
+    # keeps one writer from moving another's temporary file away mid-write
+    table = freudenthal(b2, (2, 2)).mults
+    errors = []
+
+    def write():
+        cache = CharCache(tmp_path)
+        try:
+            for _ in range(300):
+                cache.store(b2, (2, 2), table)
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=write) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert [p.name for p in tmp_path.iterdir()] == ["B2.2_2.char"]
+    assert CharCache(tmp_path).load(b2, (2, 2)) == table
 
 
 def test_cache_rejects_corrupt_file(tmp_path, b2):

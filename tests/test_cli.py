@@ -172,7 +172,7 @@ def test_delta_max_command():
     assert "(0) at delta-depth 0" in text and "(4) at delta-depth 1" in text
 
 
-def test_gko_command():
+def test_gko_command(capsys):
     code, text = run("gko", "A1~", "1", "1")
     assert code == EXIT_OK
     assert text.startswith("central charge: 1")
@@ -184,7 +184,10 @@ def test_gko_command():
     # --lambda is validated even when n = 0 leaves nothing to certify
     code, _ = run("gko", "A1~", "1", "0", "--lambda", "zz")
     assert code == EXIT_USAGE
-    assert run("gko", "A1~", "1", "0", "--lambda", "3,1") == (EXIT_OK, "central charge: 0\n")
+    # ... and a valid one is not dropped: the certificate needs n >= 1
+    capsys.readouterr()
+    assert run("gko", "A1~", "1", "0", "--lambda", "3,1") == (EXIT_USAGE, "")
+    assert "n=0" in capsys.readouterr().err
     # a usage error leaves stdout empty
     assert run("gko", "A1~", "1", "1", "--depth", "-1") == (EXIT_USAGE, "")
     assert run("gko", "A1~", "2", "1", "--lambda", "zz") == (EXIT_USAGE, "")
@@ -214,8 +217,14 @@ def test_cache_commands(tmp_path, monkeypatch):
     assert code == EXIT_OK and "warmed 11" in text
     code, text = run("cache", "stat")
     assert code == EXIT_OK and text.startswith("11 cached")
+    # --no-cache means no cache for the command; stat and clear still read the directory
+    assert run("--no-cache", "cache", "stat") == (code, text)
+    code, text = run("--no-cache", "cache", "warm", "B2", "--up-to", "4,4")
+    assert code == EXIT_OK and "warmed 22" in text  # and stores none of them
+    code, text = run("--no-cache", "cache", "clear")
+    assert code == EXIT_OK and text.startswith("removed 11 ")
     code, text = run("cache", "clear")
-    assert code == EXIT_OK
+    assert code == EXIT_OK and text.startswith("removed 0 ")
     code, text = run("cache", "stat")
     assert text.startswith("0 cached")
 
