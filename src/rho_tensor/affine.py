@@ -219,7 +219,7 @@ def predicted_components(rs: RootSystem, m: int, n: int, depth: int):
     lvl = (m + n) * rs.dual_coxeter
     char_n = affine_freudenthal(rs, n * affine_rho(rs), depth)
     for beta_dom, d in delta_max_weights(char_n):
-        for beta in weyl_orbit(rs, beta_dom):
+        for beta in sorted(weyl_orbit(rs, beta_dom)):
             lam = tuple(m + b for b in beta)
             if all(x >= 0 for x in lam) and theta_pairing(rs, lam) <= lvl:
                 yield lam, beta, beta_dom, d

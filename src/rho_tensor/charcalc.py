@@ -259,8 +259,10 @@ class CharCache:
     header and sorted ``c1,...,cr:mult`` lines; writes are atomic so
     concurrent readers never observe a partial table. The write lock is per
     instance: concurrent writers are kept apart by the temporary file named by
-    process and thread id, moved into place by ``os.replace``. No disk cache
-    is ``cache=None``, not an instance.
+    process and thread id, moved into place by ``os.replace``. ``load``
+    treats a file as a miss unless it parses and its multiplicities times
+    orbit sizes sum to the Weyl dimension of the highest weight. No disk
+    cache is ``cache=None``, not an instance.
     """
 
     def __init__(self, root: str | Path | None = None):
@@ -295,6 +297,16 @@ class CharCache:
             table[mu] = m
         if table.get(lam) != 1:
             return None
+        # |W mu| depends only on which coordinates of mu are zero
+        sizes: dict[Weight, int] = {}
+        dim = 0
+        for mu, m in table.items():
+            pattern = tuple(int(x > 0) for x in mu)
+            if pattern not in sizes:
+                sizes[pattern] = len(weyl_orbit(rs, pattern))
+            dim += m * sizes[pattern]
+        if dim != rs.weyl_dimension(lam):
+            return None  # parses, but is not the character of V(lam)
         return table
 
     def store(self, rs: RootSystem, lam: Weight, table: dict[Weight, int]) -> None:

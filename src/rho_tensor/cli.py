@@ -418,6 +418,8 @@ def _cmd_cache(args, cache, out) -> int:
         out.write(f"removed {removed} cached character tables from {cache.root}\n")
         return EXIT_OK
     # warm
+    if cache is None:
+        raise AlgebraError("cache warm stores tables in the disk cache, which --no-cache turns off")
     if not args.algebra or not args.up_to:
         raise AlgebraError("cache warm requires an algebra and --up-to bound")
     rs = build_root_system(args.algebra)
@@ -541,7 +543,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
     cache = None if args.no_cache else default_cache()
     try:
         return args.func(args, cache, out)
-    except AlgebraError as exc:
+    except (AlgebraError, OSError) as exc:  # OSError: an unusable cache directory
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InvariantError as exc:

@@ -380,21 +380,25 @@ def parse_weight(text: str, rank: int) -> Weight:
 
 
 def weyl_orbit(rs: RootSystem, w: Weight) -> list[Weight]:
-    """Sorted orbit of the classical weight ``w`` under the finite Weyl group
-    (for an affine ``rs``, the Weyl group of the underlying finite algebra)."""
-    seen = {w}
-    frontier = [w]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in range(rs.rank):
-                if v[i] != 0:
-                    img = rs.simple_reflection(v, i)
-                    if img not in seen:
-                        seen.add(img)
-                        nxt.append(img)
-        frontier = nxt
-    return sorted(seen)
+    """The orbit of the classical weight ``w`` under the finite Weyl group
+    (for an affine ``rs``, the Weyl group of the underlying finite algebra),
+    each element once, in no specified order.
+
+    The walk is the tree that :meth:`RootSystem.to_dominant` climbs: the
+    parent of a non-dominant ``v`` is ``s_j v`` for its first negative
+    coordinate ``j``. Starting at the dominant representative, the children
+    of ``u`` are the ``s_i u`` with ``u_i > 0`` whose first negative
+    coordinate is ``i`` (Snow, *Weyl group orbits*, ACM TOMS 1990).
+    """
+    cols = rs.simple_fund
+    orbit = [rs.to_dominant(w)[0]]
+    for u in orbit:  # the list grows while it is read: each child is visited in turn
+        for i, ui in enumerate(u):
+            if ui > 0:
+                col = cols[i]
+                if all(u[j] - ui * col[j] >= 0 for j in range(i)):
+                    orbit.append(tuple([a - ui * c for a, c in zip(u, col)]))
+    return orbit
 
 
 def floor_root_coords(rs: RootSystem, lam: Weight) -> tuple[int, ...]:

@@ -1,15 +1,17 @@
 """Exact tensor product decomposition of finite-type irreducibles.
 
 The production path is the Klimyk algorithm: iterate over the weights of the
-smaller factor, reflect ``lam + nu + rho`` to the dominant chamber tracking
-the sign, and accumulate. ``oracle_decompose`` is an independent check that
-multiplies full characters as formal weight sums and peels highest weights;
-the two must agree everywhere.
+smaller factor, reflect ``lam + nu + rho`` to the dominant chamber with
+``RootSystem.to_dominant`` tracking the sign, and accumulate; a weight on a
+wall has sign 0 and drops out. ``oracle_decompose`` is an independent check
+that multiplies full characters as formal weight sums and peels highest
+weights; the two must agree everywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 
 from .charcalc import CharCache, freudenthal
 from .rootdata import AlgebraError, InvariantError, RootSystem, RootVector, Weight
@@ -52,34 +54,12 @@ def _check_decomposition(rs: RootSystem, dec: Decomposition) -> None:
         )
 
 
-def _reflect_regular(rs: RootSystem, w: list[int]) -> tuple[Weight, int] | None:
-    """Reflect to the dominant chamber; None as soon as a wall is certain."""
-    rank = rs.rank
-    cols = rs.simple_fund
-    parity = 1
-    while True:
-        neg = -1
-        for i in range(rank):
-            wi = w[i]
-            if wi == 0:
-                return None
-            if wi < 0:
-                neg = i
-                break
-        if neg < 0:
-            if 0 in w:
-                return None
-            return tuple(w), parity
-        wi = w[neg]
-        col = cols[neg]
-        for j in range(rank):
-            w[j] -= wi * col[j]
-        parity = -parity
-
-
 def klimyk(rs: RootSystem, lam: Weight, mu: Weight, cache: CharCache | None = None) -> Decomposition:
     """Decompose V(lam) (x) V(mu) by signed reflection over the weights of
-    the smaller-dimensional factor (ties toward ``mu``)."""
+    the smaller-dimensional factor (ties toward ``mu``): with ``dom, sign =
+    to_dominant(big + rho + nu)``, each weight ``nu`` adds ``sign`` times its
+    multiplicity at ``dom - rho``; weights on a wall have sign 0 and drop
+    out."""
     rs._require_finite()
     for w in (lam, mu):
         if not rs.is_dominant(w):
@@ -89,16 +69,14 @@ def klimyk(rs: RootSystem, lam: Weight, mu: Weight, cache: CharCache | None = No
     else:
         big, small = lam, mu
     char = freudenthal(rs, small, cache)
-    rank = rs.rank
+    to_dominant = rs.to_dominant
     shifted = tuple(x + 1 for x in big)  # big + rho
     components: dict[Weight, int] = {}
     for wt, m in char.mults.items():
         for nu in rs.orbit(wt):
-            xi = [shifted[i] + nu[i] for i in range(rank)]
-            hit = _reflect_regular(rs, xi)
-            if hit is None:
-                continue
-            dom, sign = hit
+            dom, sign = to_dominant(tuple(map(add, shifted, nu)))
+            if not sign:
+                continue  # big + rho + nu lies on a wall
             key = tuple(x - 1 for x in dom)
             acc = components.get(key, 0) + m * sign
             if acc:

@@ -10,7 +10,9 @@ as subset sums of positive roots, and the box walks enumerate dominant weights
 and affine Freudenthal candidates over whole simple-root coordinate boxes
 instead of descending by positive roots. The full-weight peel decomposes a
 truncated affine product over every finite weight, where the production peel
-keeps dominant weights only.
+keeps dominant weights only. The orbit oracle walks a Weyl orbit breadth-first
+with a seen-set, where the production walk climbs the tree of
+``to_dominant``.
 """
 
 from __future__ import annotations
@@ -71,6 +73,27 @@ def rho_character_by_product(rs: RootSystem) -> dict[Weight, int]:
             nxt[key] = nxt.get(key, 0) + m
         mults = nxt
     return mults
+
+
+# -- Weyl orbits by breadth-first search ----------------------------------------
+
+
+def orbit_by_bfs(rs: RootSystem, w: Weight) -> dict[Weight, int]:
+    """``{v: number of simple reflections from w to v}`` over the Weyl orbit
+    of ``w``, by breadth-first search over ``simple_reflection``."""
+    depth = {w: 0}
+    frontier = [w]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i in range(rs.rank):
+                if v[i] != 0:
+                    img = rs.simple_reflection(v, i)
+                    if img not in depth:
+                        depth[img] = depth[v] + 1
+                        nxt.append(img)
+        frontier = nxt
+    return depth
 
 
 # -- root-coordinate box walks ----------------------------------------------

@@ -219,14 +219,24 @@ def test_cache_commands(tmp_path, monkeypatch):
     assert code == EXIT_OK and text.startswith("11 cached")
     # --no-cache means no cache for the command; stat and clear still read the directory
     assert run("--no-cache", "cache", "stat") == (code, text)
-    code, text = run("--no-cache", "cache", "warm", "B2", "--up-to", "4,4")
-    assert code == EXIT_OK and "warmed 22" in text  # and stores none of them
+    # warm stores tables: with no cache it is a usage error, before any work
+    assert run("--no-cache", "cache", "warm", "B2", "--up-to", "4,4") == (EXIT_USAGE, "")
     code, text = run("--no-cache", "cache", "clear")
     assert code == EXIT_OK and text.startswith("removed 11 ")
     code, text = run("cache", "clear")
     assert code == EXIT_OK and text.startswith("removed 0 ")
     code, text = run("cache", "stat")
     assert text.startswith("0 cached")
+
+
+def test_unusable_cache_directory_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    not_a_dir = tmp_path / "a-file"
+    not_a_dir.write_text("")
+    monkeypatch.setenv("RHO_TENSOR_CACHE", str(not_a_dir))
+    clear_memory_cache()
+    assert run("weights", "B2", "1,1") == (EXIT_USAGE, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(not_a_dir) in err
 
 
 def test_output_identical_cold_and_warm(tmp_path, monkeypatch):
@@ -250,8 +260,17 @@ def test_output_identical_cold_and_warm(tmp_path, monkeypatch):
         (("weights", "B2", "1,1"), b"0,1:2", b"-1,1:2"),
         (("weights", "B2", "1,1"), b"0,1:2", b"0,1:0"),
         (("weights", "B2", "1,1"), b"0,1:2", b"0,1:\xff"),
+        (("weights", "B2", "1,1"), b"0,1:2", b"0,1:3"),
     ],
-    ids=["non-integer", "stray-line", "coordinate-count", "negative-coordinate", "zero-multiplicity", "not-utf8"],
+    ids=[
+        "non-integer",
+        "stray-line",
+        "coordinate-count",
+        "negative-coordinate",
+        "zero-multiplicity",
+        "not-utf8",
+        "wrong-multiplicity",
+    ],
 )
 def test_malformed_cache_file_is_recomputed(tmp_path, argv, old, new):
     # a malformed table is a cache miss: recomputed, served, and rewritten

@@ -7,7 +7,8 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rho_tensor.rootdata import AlgebraError, AlgebraId, InvariantError, build_root_system
+from oracles import orbit_by_bfs
+from rho_tensor.rootdata import AlgebraError, AlgebraId, InvariantError, build_root_system, weyl_orbit
 
 # classical positive-root counts and dual Coxeter numbers, kept as test data
 POSROOT_COUNTS = {
@@ -148,23 +149,34 @@ def test_to_dominant_sign_against_orbit_walk(b2, g2):
     # independent sign: parity of the BFS distance from the dominant chamber
     for rs in (b2, g2):
         for w0 in [(1, 1), (2, 1), (1, 0), (0, 2)]:
-            depth = {w0: 0}
-            frontier = [w0]
-            while frontier:
-                nxt = []
-                for v in frontier:
-                    for i in range(rs.rank):
-                        if v[i] != 0:
-                            img = rs.simple_reflection(v, i)
-                            if img not in depth:
-                                depth[img] = depth[v] + 1
-                                nxt.append(img)
-                frontier = nxt
             on_wall = 0 in w0
-            for v, k in depth.items():
+            for v, k in orbit_by_bfs(rs, w0).items():
                 dom, sign = rs.to_dominant(v)
                 assert dom == w0
                 assert sign == (0 if on_wall else (-1) ** k)
+
+
+def _orbit_cases():
+    """Every fundamental weight (only some of E7 and E8), rho up to rank 5,
+    and the non-dominant s_r(w_r) per type, as (algebra, weight, id)."""
+    some = {"E7": (1, 6, 7), "E8": (1, 8)}
+    for name in ("A1", "A4", "B3", "C4", "D4", "D5", "G2", "F4", "E6", "E7", "E8"):
+        rs = build_root_system(name)
+        r = rs.rank
+        omega = {i: tuple(int(i == j + 1) for j in range(r)) for i in range(1, r + 1)}
+        for i in some.get(name, omega):
+            yield pytest.param(name, omega[i], id=f"{name}-w{i}")
+        if r <= 5:
+            yield pytest.param(name, rs.rho, id=f"{name}-rho")
+        yield pytest.param(name, rs.simple_reflection(omega[r], r - 1), id=f"{name}-s{r}w{r}")
+
+
+@pytest.mark.parametrize("name,w", _orbit_cases())
+def test_weyl_orbit_against_bfs(name, w):
+    rs = build_root_system(name)
+    orbit = weyl_orbit(rs, w)
+    assert len(orbit) == len(set(orbit))
+    assert set(orbit) == set(orbit_by_bfs(rs, w))
 
 
 def test_orbit_sizes(b2, g2):
