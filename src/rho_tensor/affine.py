@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 
 from .charcalc import _memo, _memo_lock, dominant_descent, expand_orbits, freudenthal_slices
 from .rootdata import AlgebraError, InvariantError, RootSystem, RootVector, Weight, weyl_orbit
@@ -39,16 +39,10 @@ class AffineWeight:
     delta_shift: int = 0
 
     def __add__(self, other: "AffineWeight") -> "AffineWeight":
-        return AffineWeight(
-            tuple(a + b for a, b in zip(self.fund, other.fund)),
-            self.delta_shift + other.delta_shift,
-        )
+        return AffineWeight(tuple(map(add, self.fund, other.fund)), self.delta_shift + other.delta_shift)
 
     def __sub__(self, other: "AffineWeight") -> "AffineWeight":
-        return AffineWeight(
-            tuple(a - b for a, b in zip(self.fund, other.fund)),
-            self.delta_shift - other.delta_shift,
-        )
+        return AffineWeight(tuple(map(sub, self.fund, other.fund)), self.delta_shift - other.delta_shift)
 
     def __mul__(self, k: int) -> "AffineWeight":
         return AffineWeight(tuple(k * a for a in self.fund), k * self.delta_shift)
@@ -337,9 +331,7 @@ def sl2_delta_max_rule(
         raise AlgebraError(f"lam must be dominant, got {lam}")
     h_dual = rs.dual_coxeter
     if level(rs, lam) != (m + n) * h_dual:
-        raise AlgebraError(
-            f"lam must have level {(m + n) * h_dual}, got {level(rs, lam)}"
-        )
+        raise AlgebraError(f"lam must have level {(m + n) * h_dual}, got {level(rs, lam)}")
     rho_m = affine_rho(rs, m)
     rho_n = affine_rho(rs, n)
     if not rs.in_root_lattice(tuple(a - b for a, b in zip(lam.finite, (rho_m + rho_n).finite))):

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import os
 import threading
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import add, mul, sub
 from pathlib import Path
@@ -27,6 +29,7 @@ from .rootdata import (
     Weight,
     floor_root_coords,
     weyl_orbit,
+    weyl_orbit_size,
 )
 
 CACHE_ENV_VAR = "RHO_TENSOR_CACHE"
@@ -58,7 +61,11 @@ class DominantCharacter:
         return expand_orbits(rs, self.mults)
 
     def dimension(self, rs: RootSystem) -> int:
-        return sum(m * len(rs.orbit(mu)) for mu, m in self.mults.items())
+        """``sum mult * |W mu|``, one orbit size per zero pattern of ``mu``."""
+        by_pattern: Counter[Weight] = Counter()
+        for mu, m in self.mults.items():
+            by_pattern[tuple(int(x > 0) for x in mu)] += m
+        return sum(m * weyl_orbit_size(rs, p) for p, m in by_pattern.items())
 
 
 def expand_orbits(rs: RootSystem, table: dict[Weight, int]) -> dict[Weight, int]:
@@ -228,19 +235,16 @@ def freudenthal(rs: RootSystem, lam: Weight, cache: "CharCache | None" = None) -
         if cache is not None:
             cache.ensure(rs, lam, hit.mults)
         return hit
-    char = None
-    if cache is not None:
-        stored = cache.load(rs, lam)
-        if stored is not None:
-            char = DominantCharacter(str(rs.algebra), lam, stored)
-    if char is None:
+    mults = None if cache is None else cache.load(rs, lam)
+    if mults is None:
         candidates = [
             (0, mu, floor_root_coords(rs, tuple(a - b for a, b in zip(lam, mu))))
             for mu in dominant_weights_below(rs, lam)[1:]
         ]
-        char = DominantCharacter(str(rs.algebra), lam, freudenthal_slices(rs, lam, candidates, 0, 0)[0])
+        mults = freudenthal_slices(rs, lam, candidates, 0, 0)[0]
         if cache is not None:
-            cache.store(rs, lam, char.mults)
+            cache.store(rs, lam, mults)
+    char = DominantCharacter(str(rs.algebra), lam, mults)
     with _memo_lock:
         _memo[key] = char
     return char
@@ -274,11 +278,19 @@ class CharCache:
     def _path(self, algebra: str, lam: Weight) -> Path:
         return self.root / f"{algebra}.{'_'.join(str(c) for c in lam)}.char"
 
+    @contextmanager
+    def _disk(self):  # a failed read or write: the cache directory is unusable
+        try:
+            yield
+        except OSError as exc:
+            raise AlgebraError(f"cache directory {self.root} is unusable: {exc}") from exc
+
     def load(self, rs: RootSystem, lam: Weight) -> dict[Weight, int] | None:
         path = self._path(str(rs.algebra), lam)
-        if not path.is_file():
-            return None
-        lines = path.read_text(errors="replace").splitlines()
+        with self._disk():
+            if not path.is_file():
+                return None
+            lines = path.read_text(errors="replace").splitlines()
         expect = f"{_CACHE_FORMAT} {rs.algebra} {','.join(str(c) for c in lam)}"
         if not lines or lines[0] != expect:
             return None
@@ -297,15 +309,7 @@ class CharCache:
             table[mu] = m
         if table.get(lam) != 1:
             return None
-        # |W mu| depends only on which coordinates of mu are zero
-        sizes: dict[Weight, int] = {}
-        dim = 0
-        for mu, m in table.items():
-            pattern = tuple(int(x > 0) for x in mu)
-            if pattern not in sizes:
-                sizes[pattern] = len(weyl_orbit(rs, pattern))
-            dim += m * sizes[pattern]
-        if dim != rs.weyl_dimension(lam):
+        if DominantCharacter(str(rs.algebra), lam, table).dimension(rs) != rs.weyl_dimension(lam):
             return None  # parses, but is not the character of V(lam)
         return table
 
@@ -314,7 +318,7 @@ class CharCache:
         body = [f"{_CACHE_FORMAT} {rs.algebra} {','.join(str(c) for c in lam)}"]
         for mu in sorted(table):
             body.append(f"{','.join(str(c) for c in mu)}:{table[mu]}")
-        with self._write_lock:
+        with self._write_lock, self._disk():
             self.root.mkdir(parents=True, exist_ok=True)
             tmp = path.with_suffix(f".tmp{os.getpid()}.{threading.get_ident()}")
             tmp.write_text("\n".join(body) + "\n")

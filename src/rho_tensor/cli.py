@@ -543,7 +543,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
     cache = None if args.no_cache else default_cache()
     try:
         return args.func(args, cache, out)
-    except (AlgebraError, OSError) as exc:  # OSError: an unusable cache directory
+    except AlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InvariantError as exc:

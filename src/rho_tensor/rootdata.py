@@ -381,14 +381,11 @@ def parse_weight(text: str, rank: int) -> Weight:
 
 def weyl_orbit(rs: RootSystem, w: Weight) -> list[Weight]:
     """The orbit of the classical weight ``w`` under the finite Weyl group
-    (for an affine ``rs``, the Weyl group of the underlying finite algebra),
-    each element once, in no specified order.
-
-    The walk is the tree that :meth:`RootSystem.to_dominant` climbs: the
-    parent of a non-dominant ``v`` is ``s_j v`` for its first negative
-    coordinate ``j``. Starting at the dominant representative, the children
-    of ``u`` are the ``s_i u`` with ``u_i > 0`` whose first negative
-    coordinate is ``i`` (Snow, *Weyl group orbits*, ACM TOMS 1990).
+    (of the underlying finite algebra for an affine ``rs``), each element once,
+    in no specified order: the tree that :meth:`RootSystem.to_dominant` climbs,
+    walked down from the dominant representative. The children of ``u`` are
+    the ``s_i u`` with ``u_i > 0`` whose first negative coordinate is ``i``
+    (Snow, *Weyl group orbits*, ACM TOMS 1990).
     """
     cols = rs.simple_fund
     orbit = [rs.to_dominant(w)[0]]
@@ -399,6 +396,19 @@ def weyl_orbit(rs: RootSystem, w: Weight) -> list[Weight]:
                 if all(u[j] - ui * col[j] >= 0 for j in range(i)):
                     orbit.append(tuple([a - ui * c for a, c in zip(u, col)]))
     return orbit
+
+
+def weyl_orbit_size(rs: RootSystem, w: Weight) -> int:
+    """``len(weyl_orbit(rs, w))`` without building the orbit: ``|W| / |W_J|``
+    for the stabiliser ``W_J`` of the dominant ``u``, the product of ``(ht a +
+    1) / ht a`` over the positive roots with ``<u, a^vee> > 0`` (Kostant;
+    Macdonald, *The Poincaré series of a Coxeter group*, 1972)."""
+    u = rs.to_dominant(w)[0]
+    hts = [sum(r) for r, cv in zip(rs.positive_roots, rs.positive_coroots) if sum(map(mul, u, cv)) > 0]
+    q, rem = divmod(prod(h + 1 for h in hts), prod(hts))
+    if rem:
+        raise InvariantError(f"orbit size of {w} from root heights {hts} is not integral")
+    return q
 
 
 def floor_root_coords(rs: RootSystem, lam: Weight) -> tuple[int, ...]:

@@ -1,11 +1,10 @@
 """Exact tensor product decomposition of finite-type irreducibles.
 
 The production path is the Klimyk algorithm: iterate over the weights of the
-smaller factor, reflect ``lam + nu + rho`` to the dominant chamber with
-``RootSystem.to_dominant`` tracking the sign, and accumulate; a weight on a
-wall has sign 0 and drops out. ``oracle_decompose`` is an independent check
-that multiplies full characters as formal weight sums and peels highest
-weights; the two must agree everywhere.
+smaller factor, reflect ``lam + nu + rho`` to the dominant chamber tracking
+the sign (0 on a wall, which drops out), and accumulate. ``oracle_decompose``
+is an independent check that multiplies full characters as formal weight sums
+and peels highest weights; the two must agree everywhere.
 """
 
 from __future__ import annotations
@@ -56,10 +55,8 @@ def _check_decomposition(rs: RootSystem, dec: Decomposition) -> None:
 
 def klimyk(rs: RootSystem, lam: Weight, mu: Weight, cache: CharCache | None = None) -> Decomposition:
     """Decompose V(lam) (x) V(mu) by signed reflection over the weights of
-    the smaller-dimensional factor (ties toward ``mu``): with ``dom, sign =
-    to_dominant(big + rho + nu)``, each weight ``nu`` adds ``sign`` times its
-    multiplicity at ``dom - rho``; weights on a wall have sign 0 and drop
-    out."""
+    the smaller-dimensional factor (ties toward ``mu``); a weight ``nu`` with
+    ``big + rho + nu`` on a wall has sign 0 in ``to_dominant`` and drops out."""
     rs._require_finite()
     for w in (lam, mu):
         if not rs.is_dominant(w):

@@ -1,6 +1,7 @@
 """Freudenthal character tables, weight-set queries, and the cache."""
 
 import threading
+import time
 from random import Random
 
 import pytest
@@ -225,6 +226,29 @@ def test_concurrent_writers_with_their_own_cache_objects(tmp_path, b2):
     assert errors == []
     assert [p.name for p in tmp_path.iterdir()] == ["B2.2_2.char"]
     assert CharCache(tmp_path).load(b2, (2, 2)) == table
+
+
+@pytest.mark.parametrize("name", ["E7", "E8"])
+def test_cache_load_of_a_regular_weight_builds_no_orbit(tmp_path, monkeypatch, name):
+    # the dimension check on load counts |W mu| from root heights: E8 rho has
+    # 696,729,600 orbit elements, which no load may walk
+    def no_walk(*_):
+        raise AssertionError("CharCache.load walked a Weyl orbit")
+
+    monkeypatch.setattr("rho_tensor.charcalc.weyl_orbit", no_walk)
+    monkeypatch.setattr("rho_tensor.rootdata.weyl_orbit", no_walk)
+    rs = build_root_system(name)
+    zero = (0,) * rs.rank
+    order = {"E7": 2903040, "E8": 696729600}[name]
+    # not the character of V(rho), but a table whose dimension adds up
+    table = {rs.rho: 1, zero: rs.weyl_dimension(rs.rho) - order}
+    cache = CharCache(tmp_path)
+    cache.store(rs, rs.rho, table)
+    start = time.perf_counter()
+    assert cache.load(rs, rs.rho) == table
+    cache.store(rs, rs.rho, {**table, zero: table[zero] + 1})
+    assert cache.load(rs, rs.rho) is None
+    assert time.perf_counter() - start < 2.0
 
 
 def test_cache_rejects_corrupt_file(tmp_path, b2):

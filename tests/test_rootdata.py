@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import orbit_by_bfs
-from rho_tensor.rootdata import AlgebraError, AlgebraId, InvariantError, build_root_system, weyl_orbit
+from rho_tensor.rootdata import (
+    AlgebraError,
+    AlgebraId,
+    InvariantError,
+    build_root_system,
+    weyl_orbit,
+    weyl_orbit_size,
+)
 
 # classical positive-root counts and dual Coxeter numbers, kept as test data
 POSROOT_COUNTS = {
@@ -177,6 +184,18 @@ def test_weyl_orbit_against_bfs(name, w):
     orbit = weyl_orbit(rs, w)
     assert len(orbit) == len(set(orbit))
     assert set(orbit) == set(orbit_by_bfs(rs, w))
+    assert weyl_orbit_size(rs, w) == len(orbit)
+
+
+WEYL_ORDERS = {"A4": 120, "B3": 48, "G2": 12, "F4": 1152, "E6": 51840, "E7": 2903040, "E8": 696729600}
+
+
+@pytest.mark.parametrize("name,order", WEYL_ORDERS.items())
+def test_regular_orbit_size_is_the_weyl_group_order(name, order):
+    # the whole Weyl group, counted from root heights with no orbit built
+    rs = build_root_system(name)
+    assert weyl_orbit_size(rs, rs.rho) == order
+    assert weyl_orbit_size(rs, tuple(-x for x in rs.rho)) == order
 
 
 def test_orbit_sizes(b2, g2):
