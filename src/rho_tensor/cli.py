@@ -368,8 +368,7 @@ def _cmd_delta_max(args, cache, out) -> int:
 
 def _cmd_gko(args, cache, out) -> int:
     rs = build_root_system(args.algebra)
-    if not rs.algebra.affine:
-        raise AlgebraError(f"gko requires an affine algebra, got {rs.algebra}")
+    aff._require_affine(rs)
     m, n = args.m, args.n
     if m < n or n < 0:
         raise AlgebraError(f"gko requires m >= n >= 0, got m={m}, n={n}")

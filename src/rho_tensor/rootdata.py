@@ -5,17 +5,16 @@ All arithmetic is exact and in integers. Weights are plain tuples of integers
 in fundamental-weight coordinates; roots are tuples of integers in simple-root
 coordinates. Rational quantities are held as integers over one stored
 denominator: simple-root coordinates and heights of weights are scaled by
-``lattice_index``, invariant-form values by ``form_scale``. ``Fraction`` is
-used only while a datum is built (and for the GKO values of
-:mod:`rho_tensor.affine`). Node numbering follows Bourbaki throughout.
+``lattice_index``, invariant-form values by ``form_scale``; a datum is built
+in these integers by fraction-free elimination, with no ``Fraction``. Node
+numbering follows Bourbaki throughout.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 
 Weight = tuple[int, ...]
@@ -103,24 +102,23 @@ def _cartan_matrix(family: str, rank: int) -> list[list[int]]:
     return a
 
 
-def _invert_fraction_matrix(a: list[list[int]]) -> tuple[list[list[Fraction]], int]:
-    """The inverse and the determinant of an integer matrix."""
+def _adjugate_and_determinant(a: list[list[int]]) -> tuple[list[list[int]], int]:
+    """``det A * A^-1`` and ``det A`` by Gauss-Jordan on ``[A | I]`` without
+    pivoting (the leading minors of a finite-type Cartan matrix are positive).
+    Every entry stays a minor, so each division by the last pivot is exact
+    (Bareiss, *Sylvester's identity and multistep integer-preserving Gaussian
+    elimination*, Math. Comp. 1968)."""
     n = len(a)
-    m = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next(r for r in range(col, n) if m[r][col] != 0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [row[n:] for row in m], int(det)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    prev = 1
+    for k in range(n):
+        pivot, row_k = m[k][k], m[k]
+        for i in range(n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(pivot * x - f * y) // prev for x, y in zip(m[i], row_k)]
+        prev = pivot
+    return [row[n:] for row in m], prev
 
 
 def _positive_roots(cartan: list[list[int]], rank: int) -> list[RootVector]:
@@ -304,15 +302,15 @@ def build_root_system(algebra: AlgebraId | str) -> RootSystem:
     rank = fin.rank
     cartan = _cartan_matrix(fin.family, rank)
 
-    # the symmetrizing d_i: d_i A[i][j] = d_j A[j][i], rescaled so (theta|theta)=2
-    d: list[Fraction | None] = [None] * rank
-    d[0] = Fraction(1)
+    # the symmetrizing d_i A[i][j] = d_j A[j][i], exact from d_0 = 6: each ratio is
+    # 1, 2, 3, 1/2 or 1/3 and a diagram has at most one multiple bond
+    d: list[int | None] = [6] + [None] * (rank - 1)
     stack = [0]
     while stack:
         i = stack.pop()
         for j in range(rank):
             if i != j and cartan[i][j] != 0 and d[j] is None:
-                d[j] = d[i] * Fraction(cartan[i][j], cartan[j][i])
+                d[j] = d[i] * cartan[i][j] // cartan[j][i]
                 stack.append(j)
     if any(x is None for x in d):
         raise InvariantError(f"Dynkin diagram of {fin} is not connected")
@@ -322,19 +320,21 @@ def build_root_system(algebra: AlgebraId | str) -> RootSystem:
     if any(r[i] > theta[i] for r in posroots for i in range(rank)):
         raise InvariantError(f"highest root of {fin} is not dominance-maximal")
     theta_sq = sum(d[i] * cartan[i][j] * theta[i] * theta[j] for i in range(rank) for j in range(rank))
-    d = [x * 2 / theta_sq for x in d]
 
-    inv, det = _invert_fraction_matrix(cartan)
-    form = [[inv[j][i] * d[j] for j in range(rank)] for i in range(rank)]
-    if any(form[i][j] != form[j][i] for i in range(rank) for j in range(rank)):
+    # (omega_i|omega_j) = (A^-1)[j][i] * 2 d_j / theta_sq, over one denominator
+    adj, det = _adjugate_and_determinant(cartan)
+    den = det * theta_sq
+    num = [[2 * adj[j][i] * d[j] for j in range(rank)] for i in range(rank)]
+    if any(num[i][j] != num[j][i] for i in range(rank) for j in range(rank)):
         raise InvariantError(f"form on weights of {fin} is not symmetric")
 
-    dual_marks = [d[i] * theta[i] for i in range(rank)]
-    if any(dm.denominator != 1 for dm in dual_marks):
-        raise InvariantError(f"dual marks of {fin} are not integral: {dual_marks}")
+    dual_marks, rems = zip(*(divmod(2 * x * t, theta_sq) for x, t in zip(d, theta)))
+    if any(rems):
+        raise InvariantError(f"dual marks of {fin} are not integral: remainders {rems} mod {theta_sq}")
 
-    scale = lcm(*(x.denominator for row in form for x in row), *(x.denominator for x in d))
-    d_int = tuple(int(x * scale) for x in d)
+    # d_i = sum_j A[j][i] (omega_i|omega_j), so the form's denominators cover d's
+    scale = lcm(*(den // gcd(x, den) for row in num for x in row))
+    d_int = tuple(2 * x * scale // theta_sq for x in d)
 
     # coroot of alpha = sum c_j alpha_j: coordinates 2 c_j d_j / (alpha|alpha)
     posroots_fund = [tuple(sum(map(mul, row, r)) for row in cartan) for r in posroots]
@@ -350,7 +350,7 @@ def build_root_system(algebra: AlgebraId | str) -> RootSystem:
         algebra=algebra,
         cartan=tuple(tuple(row) for row in cartan),
         lattice_index=det,
-        cartan_inverse=tuple(tuple(int(x * det) for x in row) for row in inv),
+        cartan_inverse=tuple(map(tuple, adj)),
         positive_roots=tuple(posroots),
         positive_roots_fund=tuple(posroots_fund),
         positive_coroots=tuple(coroots),
@@ -359,11 +359,11 @@ def build_root_system(algebra: AlgebraId | str) -> RootSystem:
         rho=(1,) * rank,
         highest_root=theta,
         marks=tuple(theta),
-        dual_marks=tuple(map(int, dual_marks)),
-        dual_coxeter=1 + int(sum(dual_marks)),
+        dual_marks=dual_marks,
+        dual_coxeter=1 + sum(dual_marks),
         dim_adjoint=rank + 2 * len(posroots),
         form_scale=scale,
-        form_ww=tuple(tuple(int(x * scale) for x in row) for row in form),
+        form_ww=tuple(tuple(x * scale // den for x in row) for row in num),
         form_d=d_int,
     )
 

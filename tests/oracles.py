@@ -12,16 +12,29 @@ instead of descending by positive roots. The full-weight peel decomposes a
 truncated affine product over every finite weight, where the production peel
 keeps dominant weights only. The orbit oracle walks a Weyl orbit breadth-first
 with a seen-set, where the production walk climbs the tree of
-``to_dominant``.
+``to_dominant``. The root-datum oracle builds the symmetrizer, the inverse
+Cartan matrix and the form in ``Fraction`` arithmetic, where the production
+build stays in integers throughout.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product as iproduct
-from operator import sub
+from math import lcm, prod
+from operator import mul, sub
 
 from rho_tensor.affine import AffineWeight, affine_freudenthal, affine_rho, affinize, level, theta_pairing
-from rho_tensor.rootdata import RootSystem, RootVector, Weight, floor_root_coords, weyl_orbit
+from rho_tensor.rootdata import (
+    AlgebraId,
+    RootSystem,
+    RootVector,
+    Weight,
+    _cartan_matrix,
+    _positive_roots,
+    floor_root_coords,
+    weyl_orbit,
+)
 
 
 def _signed_orbit(rs: RootSystem, w: Weight) -> dict[Weight, int]:
@@ -73,6 +86,100 @@ def rho_character_by_product(rs: RootSystem) -> dict[Weight, int]:
             nxt[key] = nxt.get(key, 0) + m
         mults = nxt
     return mults
+
+
+# -- the root datum in Fraction arithmetic ------------------------------------
+
+
+def _invert_fraction_matrix(a: list[list[int]]) -> tuple[list[list[Fraction]], int]:
+    """The inverse and the determinant of an integer matrix, by Gauss-Jordan
+    elimination over the rationals with row swaps."""
+    n = len(a)
+    m = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next(r for r in range(col, n) if m[r][col] != 0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        m[col] = [x * inv for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return [row[n:] for row in m], int(det)
+
+
+def root_datum_by_fractions(algebra: AlgebraId | str) -> RootSystem:
+    """The root datum of ``algebra`` with every rational quantity computed as
+    a ``Fraction`` first: the symmetrizer from d_0 = 1, the inverse Cartan
+    matrix over the rationals, the form and the dual marks as fractions, and
+    ``form_scale`` as the lcm of the denominators of the form and of d. Only
+    the Cartan matrix and the positive roots are shared with the production
+    build."""
+    if isinstance(algebra, str):
+        algebra = AlgebraId.parse(algebra)
+    fin = algebra.finite()
+    rank = fin.rank
+    cartan = _cartan_matrix(fin.family, rank)
+
+    # the symmetrizing d_i: d_i A[i][j] = d_j A[j][i], rescaled so (theta|theta)=2
+    d: list[Fraction | None] = [None] * rank
+    d[0] = Fraction(1)
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in range(rank):
+            if i != j and cartan[i][j] != 0 and d[j] is None:
+                d[j] = d[i] * Fraction(cartan[i][j], cartan[j][i])
+                stack.append(j)
+    assert all(x is not None for x in d), f"Dynkin diagram of {fin} is not connected"
+
+    posroots = _positive_roots(cartan, rank)
+    theta = max(posroots, key=lambda r: (sum(r), r))
+    theta_sq = sum(d[i] * cartan[i][j] * theta[i] * theta[j] for i in range(rank) for j in range(rank))
+    d = [x * 2 / theta_sq for x in d]
+
+    inv, det = _invert_fraction_matrix(cartan)
+    form = [[inv[j][i] * d[j] for j in range(rank)] for i in range(rank)]
+    assert all(form[i][j] == form[j][i] for i in range(rank) for j in range(rank))
+    dual_marks = [d[i] * theta[i] for i in range(rank)]
+    assert all(dm.denominator == 1 for dm in dual_marks)
+
+    scale = lcm(*(x.denominator for row in form for x in row), *(x.denominator for x in d))
+    d_int = tuple(int(x * scale) for x in d)
+
+    # coroot of alpha = sum c_j alpha_j: coordinates 2 c_j d_j / (alpha|alpha)
+    posroots_fund = [tuple(sum(map(mul, row, r)) for row in cartan) for r in posroots]
+    coroots = []
+    for r in posroots:
+        norm = sum(d[i] * cartan[i][j] * r[i] * r[j] for i in range(rank) for j in range(rank))
+        cv = [2 * dj * cj / norm for dj, cj in zip(d, r)]
+        assert all(x.denominator == 1 for x in cv)
+        coroots.append(tuple(map(int, cv)))
+
+    return RootSystem(
+        algebra=algebra,
+        cartan=tuple(tuple(row) for row in cartan),
+        lattice_index=det,
+        cartan_inverse=tuple(tuple(int(x * det) for x in row) for row in inv),
+        positive_roots=tuple(posroots),
+        positive_roots_fund=tuple(posroots_fund),
+        positive_coroots=tuple(coroots),
+        weyl_denominator=prod(map(sum, coroots)),
+        simple_fund=tuple(tuple(cartan[j][i] for j in range(rank)) for i in range(rank)),
+        rho=(1,) * rank,
+        highest_root=theta,
+        marks=tuple(theta),
+        dual_marks=tuple(map(int, dual_marks)),
+        dual_coxeter=1 + int(sum(dual_marks)),
+        dim_adjoint=rank + 2 * len(posroots),
+        form_scale=scale,
+        form_ww=tuple(tuple(int(x * scale) for x in row) for row in form),
+        form_d=d_int,
+    )
 
 
 # -- Weyl orbits by breadth-first search ----------------------------------------
@@ -206,9 +313,10 @@ def _apply_word(rs: RootSystem, word: list[int], w: Weight) -> Weight:
 
 def _signed_affine_orbit(rs: RootSystem, x: AffineWeight, cutoff: int, kmax: int) -> dict[AffKey, int]:
     """Terms e^{w(x)} with signs, for w in the affine Weyl group, truncated to
-    delta-coefficient drops <= cutoff. Requires a simply-laced classical part
-    so translations run over the full finite root lattice."""
-    assert all(d == rs.form_scale for d in rs.form_d), "affine oracle assumes simply-laced classical part"
+    delta-coefficient drops <= cutoff. Translations run over the coroot
+    lattice nu(Q^vee), spanned by alpha_i^vee = alpha_i / d_i: in simple-root
+    coordinates, coordinate i steps by 1/d_i = form_scale / form_d[i]."""
+    steps = [rs.form_scale // x for x in rs.form_d]
     lvl = level(rs, x)
     x_fin = x.finite
     rank = rs.rank
@@ -218,10 +326,11 @@ def _signed_affine_orbit(rs: RootSystem, x: AffineWeight, cutoff: int, kmax: int
         sign = -1 if len(word) % 2 else 1
         y = _apply_word(rs, word, x_fin)
         for ks in iproduct(range(-kmax, kmax + 1), repeat=rank):
-            beta_fund = rs.fund_coords_of_root(ks)
+            beta = tuple(map(mul, ks, steps))
+            beta_fund = rs.fund_coords_of_root(beta)
             # drop = (y|beta) + (beta|beta) lvl / 2, from the form scaled by form_scale
-            ip = rs.sip_wr(y, ks)
-            beta_sq = rs.sip_wr(beta_fund, ks)
+            ip = rs.sip_wr(y, beta)
+            beta_sq = rs.sip_wr(beta_fund, beta)
             drop, rem = divmod(2 * ip + beta_sq * lvl, 2 * rs.form_scale)
             assert rem == 0
             if drop > cutoff:

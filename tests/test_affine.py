@@ -92,6 +92,12 @@ def test_sl2_rho_slices_frozen(sl2_affine):
         ("A2~", (1, 1, 1), 3),
         ("A2~", (2, 2, 2), 3),
         ("A2~", (1, 2, 0), 2),
+        ("B2~", (1, 1, 1), 3),
+        ("B2~", (2, 0, 1), 3),
+        ("B2~", (0, 1, 0), 3),
+        ("G2~", (1, 1, 1), 2),
+        ("G2~", (2, 0, 1), 2),
+        ("G2~", (0, 1, 0), 3),
     ],
 )
 def test_against_weyl_kac_oracle(name, fund, depth):

@@ -8,13 +8,14 @@ import pytest
 
 from rho_tensor.charcalc import CharCache, clear_memory_cache, freudenthal
 from rho_tensor.cli import (
+    EXIT_INTERNAL,
     EXIT_NEGATIVE,
     EXIT_OK,
     EXIT_USAGE,
     decomposition_from_json_dict,
     main,
 )
-from rho_tensor.rootdata import build_root_system
+from rho_tensor.rootdata import InvariantError, build_root_system
 from rho_tensor.tensor import klimyk
 
 
@@ -201,11 +202,38 @@ def test_gko_command(capsys):
         (("saturate", "A1~", "1", "1", "1", "1"), "operation requires a finite-type algebra"),
         (("delta-max", "A1", "1"), "requires an untwisted affine algebra"),
         (("affine-decompose", "A1", "1", "1"), "requires an untwisted affine algebra"),
+        (("gko", "A1", "1", "1", "--lambda", "1"), "requires an untwisted affine algebra"),
     ],
 )
 def test_algebra_type_checked_before_weights(capsys, argv, message):
     assert run(*argv) == (EXIT_USAGE, "")
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("weight", ["1,1:x1", "1,1:dx", "1,1:d"])
+def test_bad_delta_shift_suffix_is_a_usage_error(capsys, weight):
+    assert run("delta-max", "A1~", weight) == (EXIT_USAGE, "")
+    assert "bad delta-shift suffix" in capsys.readouterr().err
+
+
+def test_invariant_failure_is_exit_3(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise InvariantError("x")
+
+    monkeypatch.setattr("rho_tensor.cli.klimyk", broken)
+    assert run("decompose", "B2", "1,1", "1,1") == (EXIT_INTERNAL, "")
+    assert capsys.readouterr().err == "internal invariant failure: x\n"
+
+
+def test_scan_case_error_is_exit_3(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("x")
+
+    monkeypatch.setattr("rho_tensor.harness.verify_conjecture", broken)
+    code, text = run("scan", "A1", "--max-sum", "1")
+    lines = text.splitlines()
+    assert code == EXIT_INTERNAL
+    assert len(lines) == 2 and all("ERROR" in line for line in lines)
 
 
 def test_cache_commands(tmp_path, monkeypatch):

@@ -7,7 +7,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import orbit_by_bfs
+from oracles import orbit_by_bfs, root_datum_by_fractions
 from rho_tensor.rootdata import (
     AlgebraError,
     AlgebraId,
@@ -142,6 +142,38 @@ def test_root_data_holds_no_fractions():
             value = getattr(rs, f.name)
             assert not any(isinstance(x, Fraction) for x in leaves(value)), (name, f.name)
         assert type(rs.weyl_denominator) is int
+
+
+DATUM_NAMES = (
+    [f"A{n}" for n in range(1, 9)] + [f"{f}{n}" for f in "BC" for n in range(2, 9)]
+    + [f"D{n}" for n in range(3, 9)] + ["E6", "E7", "E8", "F4", "G2"]
+    + ["A1~", "A2~", "B2~", "G2~", "A3~", "C3~"]
+)
+
+
+@pytest.mark.parametrize("name", DATUM_NAMES)
+def test_root_datum_against_fraction_build(name):
+    rs, expected = build_root_system(name), root_datum_by_fractions(name)
+    assert len(fields(rs)) == 18
+    for f in fields(rs):
+        assert getattr(rs, f.name) == getattr(expected, f.name), f.name
+
+
+# the index of the root lattice in the weight lattice
+def _root_lattice_index(family, rank):
+    return {"A": rank + 1, "B": 2, "C": 2, "D": 4, "E": 9 - rank, "F": 1, "G": 1}[family]
+
+
+@pytest.mark.parametrize("name", [n for n in DATUM_NAMES if not n.endswith("~")])
+def test_cartan_inverse_is_the_adjugate(name):
+    rs = build_root_system(name)
+    idx = rs.lattice_index
+    assert idx == _root_lattice_index(rs.algebra.family, rs.rank)
+    a, adj = rs.cartan, rs.cartan_inverse
+    n = rs.rank
+    for i in range(n):
+        for j in range(n):
+            assert sum(a[i][k] * adj[k][j] for k in range(n)) == (idx if i == j else 0)
 
 
 def test_to_dominant_basic(a1, b2):

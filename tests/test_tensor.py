@@ -139,17 +139,29 @@ def test_pair_order(b2, g2):
         pair_order_le(b2, (1, 0), (0, 1), (1, 1), (1, 1))
 
 
-def test_klimyk_beyond_rank_three():
-    # exercise the D/E/F constructions end to end on small products
-    cases = [
+@pytest.mark.parametrize(
+    "name,lam,mu",
+    [
         ("D4", (1, 0, 0, 0), (0, 0, 1, 0)),
+        ("D4", (0, 1, 0, 0), (1, 0, 0, 0)),
+        ("D4", (1, 0, 0, 1), (0, 0, 1, 0)),
+        ("D4", (0, 1, 0, 0), (0, 1, 0, 0)),
+        ("D4", (1, 1, 0, 0), (0, 0, 0, 1)),
         ("F4", (0, 0, 0, 1), (0, 0, 0, 1)),
+        ("F4", (1, 0, 0, 0), (0, 0, 0, 1)),
+        ("F4", (0, 0, 1, 0), (0, 0, 0, 1)),
+        ("F4", (1, 0, 0, 0), (1, 0, 0, 0)),
         ("E6", (1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1)),
-    ]
-    for name, lam, mu in cases:
-        rs = build_root_system(name)
-        dec = klimyk(rs, lam, mu)
-        assert dec.components == oracle_decompose(rs, lam, mu).components
+        ("E6", (0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0)),
+    ],
+)
+def test_klimyk_against_oracle_beyond_rank_three(name, lam, mu):
+    # the D/E/F constructions end to end, against character multiplication
+    rs = build_root_system(name)
+    assert klimyk(rs, lam, mu).components == oracle_decompose(rs, lam, mu).components
+
+
+def test_klimyk_beyond_rank_three():
     # the 26-dimensional F4 module squares to the classical five summands
     f4 = build_root_system("F4")
     dec = klimyk(f4, (0, 0, 0, 1), (0, 0, 0, 1))
