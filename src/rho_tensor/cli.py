@@ -32,7 +32,8 @@ from .harness import (
     verify_conjecture,
 )
 from .rootdata import (
-    AlgebraError, AlgebraId, InvariantError, RootSystem, Weight, build_root_system, parse_weight,
+    AlgebraError, AlgebraId, InvariantError, RootSystem, Weight, build_root_system, parse_integer,
+    parse_weight,
 )
 from .tensor import Decomposition, klimyk, saturation_check, schur_compare
 
@@ -49,7 +50,7 @@ def _parse_affine_weight(rs: RootSystem, text: str) -> aff.AffineWeight:
         if not shift_part.startswith("d"):
             raise AlgebraError(f"bad delta-shift suffix in {text!r}: expected ':dN'")
         try:
-            shift = int(shift_part[1:])
+            shift = parse_integer(shift_part[1:])
         except ValueError:
             raise AlgebraError(f"bad delta-shift suffix in {text!r}: expected ':dN'") from None
     coords = parse_weight(body, rs.rank + 1)
@@ -245,7 +246,10 @@ def _cmd_scan(args, cache, out) -> int:
             yield [r.algebra, r.m, r.n, r.verdict, len(r.predicted), len(r.missing)]
 
     _render(out, args.format, "scan", doc, lines, rows)
-    if any(r.verdict == ERROR for r in reports):
+    errors = [r for r in reports if r.verdict == ERROR]
+    for r in errors:
+        print(f"error: {r.algebra} m={r.m} n={r.n}: {r.error}", file=sys.stderr)
+    if errors:
         return EXIT_INTERNAL
     return EXIT_NEGATIVE if any(r.verdict == FAILS for r in reports) else EXIT_OK
 

@@ -31,6 +31,7 @@ _RANK_LIMITS = {
 }
 
 _NAME_RE = re.compile(r"^([A-Ga-g])(\d+)(~?)$")
+_INTEGER_RE = re.compile(r"-?[0-9]+")
 
 
 class AlgebraError(ValueError):
@@ -368,10 +369,18 @@ def build_root_system(algebra: AlgebraId | str) -> RootSystem:
     )
 
 
+def parse_integer(text: str) -> int:
+    """``int(text)`` for a plain ASCII integer ``-?[0-9]+`` only; anything
+    else (``+1``, ``1_0``, `` 1``, non-ASCII digits) raises ``ValueError``."""
+    if not _INTEGER_RE.fullmatch(text):
+        raise ValueError(f"not a plain integer: {text!r}")
+    return int(text)
+
+
 def parse_weight(text: str, rank: int) -> Weight:
     """Parse "5,5" into a weight tuple, validating the coordinate count."""
     try:
-        coords = tuple(int(part) for part in text.split(","))
+        coords = tuple(parse_integer(part) for part in text.split(","))
     except ValueError:
         raise AlgebraError(f"cannot parse weight {text!r}: expected comma-separated integers") from None
     if len(coords) != rank:

@@ -1,8 +1,11 @@
 """Exact tensor product decomposition of finite-type irreducibles.
 
-The production path is the Klimyk algorithm: iterate over the weights of the
-smaller factor, reflect ``lam + nu + rho`` to the dominant chamber tracking
-the sign (0 on a wall, which drops out), and accumulate. ``oracle_decompose``
+The production path is the Klimyk algorithm: iterate over the weights ``nu``
+of the smaller factor, reflect ``big + nu + rho`` to the dominant chamber
+tracking the sign (0 on a wall, which drops out), and accumulate. A term with
+``big + nu`` already dominant needs no reflection. Those terms make up the
+translated set ``{big + nu} & P+``, which must contain every component: each
+component of V(lam) (x) V(mu) is lam plus a weight of V(mu). ``oracle_decompose``
 is an independent check that multiplies full characters as formal weight sums
 and peels highest weights; the two must agree everywhere.
 """
@@ -18,12 +21,18 @@ from .rootdata import AlgebraError, InvariantError, RootSystem, RootVector, Weig
 
 @dataclass
 class Decomposition:
-    """Outer multiplicities of the components of V(lhs) (x) V(rhs)."""
+    """Outer multiplicities of the components of V(lhs) (x) V(rhs).
+
+    ``translated`` is ``{big + nu : nu a weight of small} & P+`` for the two
+    factors as :func:`klimyk` orders them, and holds the support. It is empty
+    where no Klimyk pass made the decomposition (the oracle, a JSON document).
+    """
 
     algebra: str
     lhs: Weight
     rhs: Weight
     components: dict[Weight, int]
+    translated: frozenset[Weight] = frozenset()
 
     def multiplicity(self, nu: Weight) -> int:
         return self.components.get(nu, 0)
@@ -55,8 +64,11 @@ def _check_decomposition(rs: RootSystem, dec: Decomposition) -> None:
 
 def klimyk(rs: RootSystem, lam: Weight, mu: Weight, cache: CharCache | None = None) -> Decomposition:
     """Decompose V(lam) (x) V(mu) by signed reflection over the weights of
-    the smaller-dimensional factor (ties toward ``mu``); a weight ``nu`` with
-    ``big + rho + nu`` on a wall has sign 0 in ``to_dominant`` and drops out."""
+    the smaller-dimensional factor ``small`` (ties toward ``mu``), the other
+    factor being ``big``. A weight ``nu`` with ``big + rho + nu`` on a wall
+    has sign 0 in ``to_dominant`` and drops out; one with ``big + nu``
+    dominant adds with sign +1 as it stands and joins ``translated``, which
+    must hold the support."""
     rs._require_finite()
     for w in (lam, mu):
         if not rs.is_dominant(w):
@@ -69,23 +81,37 @@ def klimyk(rs: RootSystem, lam: Weight, mu: Weight, cache: CharCache | None = No
     to_dominant = rs.to_dominant
     shifted = tuple(x + 1 for x in big)  # big + rho
     components: dict[Weight, int] = {}
+    translated: set[Weight] = set()
     for wt, m in char.mults.items():
         for nu in rs.orbit(wt):
-            dom, sign = to_dominant(tuple(map(add, shifted, nu)))
-            if not sign:
-                continue  # big + rho + nu lies on a wall
-            key = tuple(x - 1 for x in dom)
-            acc = components.get(key, 0) + m * sign
+            y = tuple(map(add, shifted, nu))
+            if min(y) > 0:  # big + nu is dominant: no reflection, sign +1
+                key = tuple(map(add, big, nu))
+                translated.add(key)
+                acc = components.get(key, 0) + m
+            else:
+                dom, sign = to_dominant(y)
+                if not sign:
+                    continue  # big + rho + nu lies on a wall
+                key = tuple(x - 1 for x in dom)
+                acc = components.get(key, 0) + m * sign
             if acc:
                 components[key] = acc
             else:
                 components.pop(key, None)
+    # before the sign check, so that a misplaced term is named whatever its sign
+    extra = components.keys() - translated
+    if extra:
+        raise InvariantError(
+            f"{rs.algebra} {lam} (x) {mu}: decomposition support exceeds the translated weight set: "
+            f"{sorted(extra)}"
+        )
     if any(m < 0 for m in components.values()):
         raise InvariantError(
             f"Klimyk accumulation went negative for {lam} (x) {mu}: "
             f"{ {k: v for k, v in components.items() if v < 0} }"
         )
-    dec = Decomposition(str(rs.algebra), lam, mu, components)
+    dec = Decomposition(str(rs.algebra), lam, mu, components, frozenset(translated))
     _check_decomposition(rs, dec)
     return dec
 

@@ -14,7 +14,9 @@ keeps dominant weights only. The orbit oracle walks a Weyl orbit breadth-first
 with a seen-set, where the production walk climbs the tree of
 ``to_dominant``. The root-datum oracle builds the symmetrizer, the inverse
 Cartan matrix and the form in ``Fraction`` arithmetic, where the production
-build stays in integers throughout.
+build stays in integers throughout. The descent oracle for the conjecture's
+predicted set tests every dominant weight below (m+n) rho for membership,
+where the production set is read off the unreflected Klimyk terms.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from math import lcm, prod
 from operator import mul, sub
 
 from rho_tensor.affine import AffineWeight, affine_freudenthal, affine_rho, affinize, level, theta_pairing
+from rho_tensor.charcalc import dominant_weights_below, freudenthal
 from rho_tensor.rootdata import (
     AlgebraId,
     RootSystem,
@@ -201,6 +204,22 @@ def orbit_by_bfs(rs: RootSystem, w: Weight) -> dict[Weight, int]:
                         nxt.append(img)
         frontier = nxt
     return depth
+
+
+# -- the conjecture's predicted set by descent ----------------------------------
+
+
+def predicted_weights_by_descent(rs: RootSystem, m: int, n: int) -> list[Weight]:
+    """All dominant lam <= (m+n) rho whose translate lam - m rho is a weight
+    of V(n rho), in lexicographic order: a positive-root descent below
+    (m+n) rho, then one membership test per dominant weight."""
+    char_n = freudenthal(rs, (n,) * rs.rank)
+    mrho = (m,) * rs.rank
+    return sorted(
+        lam
+        for lam in dominant_weights_below(rs, (m + n,) * rs.rank)
+        if char_n.contains(rs, tuple(a - b for a, b in zip(lam, mrho)))
+    )
 
 
 # -- root-coordinate box walks ----------------------------------------------

@@ -85,7 +85,7 @@ def test_criterion_4_conjecture_sweep():
         reports = scan_all(RANK_LE_3, 6)
         assert len(reports) == len(RANK_LE_3) * 16
         failures = [(r.algebra, r.m, r.n, r.verdict) for r in reports if r.verdict != HOLDS]
-        # support <= predicted is asserted unconditionally inside verify_conjecture;
+        # support <= predicted is asserted unconditionally inside klimyk;
         # equality is the conjecture under test, so report any non-HOLDS loudly.
         assert not failures, f"conjecture FAILS (reportable finding): {failures}"
         for r in reports:

@@ -216,6 +216,14 @@ def test_bad_delta_shift_suffix_is_a_usage_error(capsys, weight):
     assert "bad delta-shift suffix" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["1_0", "+1", "\u0663", " 1", "1 "])
+def test_weights_take_plain_ascii_integers_only(capsys, field):
+    assert run("weights", "B2", f"{field},1") == (EXIT_USAGE, "")
+    assert "cannot parse weight" in capsys.readouterr().err
+    assert run("delta-max", "A1~", f"1,1:d{field}") == (EXIT_USAGE, "")
+    assert "bad delta-shift suffix" in capsys.readouterr().err
+
+
 def test_invariant_failure_is_exit_3(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise InvariantError("x")
@@ -225,15 +233,27 @@ def test_invariant_failure_is_exit_3(monkeypatch, capsys):
     assert capsys.readouterr().err == "internal invariant failure: x\n"
 
 
-def test_scan_case_error_is_exit_3(monkeypatch):
+@pytest.mark.parametrize("argv", [("decompose", "B2", "1,1", "1,1"), ("conjecture", "B2", "1", "1")])
+def test_component_outside_the_translated_set_is_exit_3(misplaced_reflections, capsys, argv):
+    assert run("--no-cache", *argv) == (EXIT_INTERNAL, "")
+    assert "exceeds the translated weight set" in capsys.readouterr().err
+
+
+def test_scan_case_error_is_exit_3(monkeypatch, capsys):
     def broken(*args, **kwargs):
-        raise RuntimeError("x")
+        raise RuntimeError("boom")
 
     monkeypatch.setattr("rho_tensor.harness.verify_conjecture", broken)
     code, text = run("scan", "A1", "--max-sum", "1")
     lines = text.splitlines()
     assert code == EXIT_INTERNAL
-    assert len(lines) == 2 and all("ERROR" in line for line in lines)
+    assert len(lines) == 2 and all("ERROR" in line and "boom" not in line for line in lines)
+    reasons = "error: A1 m=0 n=0: boom\nerror: A1 m=1 n=0: boom\n"
+    assert capsys.readouterr().err == reasons
+    for fmt in ("json", "csv"):
+        code, text = run("scan", "A1", "--max-sum", "1", "--format", fmt)
+        assert code == EXIT_INTERNAL and text.count("ERROR") == 2
+        assert capsys.readouterr().err == reasons
 
 
 def test_cache_commands(tmp_path, monkeypatch):

@@ -11,9 +11,10 @@ from rho_tensor.harness import (
     support_containment_check,
     verify_conjecture,
 )
-from rho_tensor.rootdata import AlgebraError
+from rho_tensor.rootdata import AlgebraError, build_root_system
 from rho_tensor.tensor import klimyk
 
+from oracles import predicted_weights_by_descent
 from reference_tables import B2_5RHO_2RHO, G2_3RHO_4RHO, G2_5RHO_2RHO
 
 
@@ -33,8 +34,22 @@ def test_predicted_weights_g2_reference(g2):
 
 
 def test_predicted_weights_requires_m_ge_n(b2):
-    with pytest.raises(AlgebraError):
-        predicted_weights(b2, 1, 2)
+    for m, n in [(1, 2), (1, -1)]:
+        for fn in (predicted_weights, verify_conjecture):
+            with pytest.raises(AlgebraError, match="requires m >= n >= 0"):
+                fn(b2, m, n)
+
+
+@pytest.mark.parametrize(
+    "name,max_sum",
+    [(name, 6) for name in ("A1", "A2", "A3", "B2", "B3", "C3", "G2")] + [("D4", 4), ("F4", 3)],
+)
+def test_predicted_set_matches_the_descent_oracle(name, max_sum):
+    rs = build_root_system(name)
+    for total in range(max_sum + 1):
+        for n in range(total // 2 + 1):
+            m = total - n
+            assert verify_conjecture(rs, m, n).predicted == predicted_weights_by_descent(rs, m, n)
 
 
 def test_verify_conjecture_reference_cases(b2, g2):

@@ -3,10 +3,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rho_tensor.charcalc import freudenthal
-from rho_tensor.rootdata import AlgebraError, build_root_system
+from rho_tensor.rootdata import AlgebraError, InvariantError, build_root_system
 from rho_tensor.tensor import (
     contains_component,
     klimyk,
@@ -139,22 +139,22 @@ def test_pair_order(b2, g2):
         pair_order_le(b2, (1, 0), (0, 1), (1, 1), (1, 1))
 
 
-@pytest.mark.parametrize(
-    "name,lam,mu",
-    [
-        ("D4", (1, 0, 0, 0), (0, 0, 1, 0)),
-        ("D4", (0, 1, 0, 0), (1, 0, 0, 0)),
-        ("D4", (1, 0, 0, 1), (0, 0, 1, 0)),
-        ("D4", (0, 1, 0, 0), (0, 1, 0, 0)),
-        ("D4", (1, 1, 0, 0), (0, 0, 0, 1)),
-        ("F4", (0, 0, 0, 1), (0, 0, 0, 1)),
-        ("F4", (1, 0, 0, 0), (0, 0, 0, 1)),
-        ("F4", (0, 0, 1, 0), (0, 0, 0, 1)),
-        ("F4", (1, 0, 0, 0), (1, 0, 0, 0)),
-        ("E6", (1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1)),
-        ("E6", (0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0)),
-    ],
-)
+BEYOND_RANK_THREE = [
+    ("D4", (1, 0, 0, 0), (0, 0, 1, 0)),
+    ("D4", (0, 1, 0, 0), (1, 0, 0, 0)),
+    ("D4", (1, 0, 0, 1), (0, 0, 1, 0)),
+    ("D4", (0, 1, 0, 0), (0, 1, 0, 0)),
+    ("D4", (1, 1, 0, 0), (0, 0, 0, 1)),
+    ("F4", (0, 0, 0, 1), (0, 0, 0, 1)),
+    ("F4", (1, 0, 0, 0), (0, 0, 0, 1)),
+    ("F4", (0, 0, 1, 0), (0, 0, 0, 1)),
+    ("F4", (1, 0, 0, 0), (1, 0, 0, 0)),
+    ("E6", (1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1)),
+    ("E6", (0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("name,lam,mu", BEYOND_RANK_THREE)
 def test_klimyk_against_oracle_beyond_rank_three(name, lam, mu):
     # the D/E/F constructions end to end, against character multiplication
     rs = build_root_system(name)
@@ -169,6 +169,48 @@ def test_klimyk_beyond_rank_three():
         (0, 0, 0, 0): 1, (0, 0, 0, 1): 1, (1, 0, 0, 0): 1,
         (0, 0, 0, 2): 1, (0, 0, 1, 0): 1,
     }
+
+
+@pytest.mark.parametrize(
+    "name,lam,mu",
+    BEYOND_RANK_THREE
+    + [
+        ("A1", (1,), (4,)),
+        ("A2", (2, 0), (0, 2)),
+        ("B2", (3, 0), (0, 2)),
+        ("B2", (0, 1), (3, 2)),  # the smaller factor is lam
+        ("G2", (2, 1), (0, 3)),
+        ("A3", (1, 0, 2), (0, 2, 0)),
+        ("B3", (1, 0, 1), (0, 0, 2)),
+        ("C3", (0, 1, 0), (2, 0, 1)),
+    ],
+)
+def test_translated_set_is_big_plus_the_weights_of_small(name, lam, mu):
+    rs = build_root_system(name)
+    big, small = (mu, lam) if rs.weyl_dimension(lam) < rs.weyl_dimension(mu) else (lam, mu)
+    shifted = (tuple(a + b for a, b in zip(big, nu)) for nu in freudenthal(rs, small).full_weights(rs))
+    assert klimyk(rs, lam, mu).translated == {w for w in shifted if rs.is_dominant(w)}
+
+
+def test_component_outside_the_translated_set_is_an_invariant_failure(misplaced_reflections):
+    with pytest.raises(InvariantError, match="exceeds the translated weight set"):
+        klimyk(build_root_system("B2"), (1, 1), (1, 1))
+
+
+def _small_products(name):
+    weight = st.tuples(*[st.integers(0, 1)] * build_root_system(name).rank)
+    return st.tuples(st.just(name), weight, weight)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["A2", "B2", "G2", "A3", "D4"]).flatmap(_small_products))
+def test_klimyk_matches_oracle_on_small_weights(case):
+    name, lam, mu = case
+    rs = build_root_system(name)
+    assume(rs.weyl_dimension(lam) * rs.weyl_dimension(mu) <= 300_000)  # the oracle's time
+    dec = klimyk(rs, lam, mu)
+    assert dec.components == oracle_decompose(rs, lam, mu).components
+    assert dec.support() <= dec.translated
 
 
 @settings(max_examples=25, deadline=None)
