@@ -7,6 +7,10 @@ Every ``--format`` result goes through one renderer: JSON documents carry
 while ``schur-compare`` and affine ``conjecture`` print their table for
 ``--format csv``.
 
+Every parser comes from one table, ``COMMANDS``. ``main`` builds the subparser
+of the command word (the first argument not starting with ``-``) alone; bare
+``--help``, an unknown command and usage errors go to the full parser.
+
 Exit codes: 0 success / verified; 1 verified-negative (a conjecture case
 fails, dominance fails, or a depth-limited scan has missing weights);
 2 usage or parse error; 3 internal invariant failure.
@@ -35,7 +39,7 @@ from .rootdata import (
     AlgebraError, AlgebraId, InvariantError, RootSystem, Weight, build_root_system, parse_integer,
     parse_weight,
 )
-from .tensor import Decomposition, klimyk, saturation_check, schur_compare
+from .tensor import klimyk, saturation_check, schur_compare
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -105,15 +109,6 @@ def _render_multiplicities(out, fmt: str, kind: str, rank: int, head: dict, key:
             yield [*w, d, m] if depth else [*w, m]
 
     _render(out, fmt, kind, lambda: {**head, key: [entry(*t) for t in items]}, lines, rows)
-
-
-def decomposition_from_json_dict(doc: dict) -> Decomposition:
-    return Decomposition(
-        algebra=doc["algebra"],
-        lhs=tuple(doc["lhs"]),
-        rhs=tuple(doc["rhs"]),
-        components={tuple(e["weight"]): int(e["mult"]) for e in doc["components"]},
-    )
 
 
 def _conjecture_lines(rep):
@@ -436,111 +431,116 @@ def _cmd_cache(args, cache, out) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+# -- the command table ---------------------------------------------------------
+
+
+def _integer(text: str) -> int:
+    """argparse ``type`` of a count: ``parse_integer``, with ``int``'s message."""
+    try:
+        return parse_integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_M, _N = _arg("m", type=_integer), _arg("n", type=_integer)
+_DEPTH = _arg("--depth", type=_integer, default=aff.DEFAULT_DEPTH)
+_FORMAT = _arg("--format", choices=["table", "json", "csv"], default="table")
+
+# name -> (help, handler, *argument specs): every parser is built from this
+# table. A string spec names plain positional arguments.
+COMMANDS = {
+    "decompose": (
+        "decompose V(lhs) (x) V(rhs) for a finite type", _cmd_decompose, "algebra lhs rhs", _FORMAT
+    ),
+    "weights": ("dominant weight multiplicities of one irreducible", _cmd_weights, "algebra weight", _FORMAT),
+    "conjecture": (
+        "verify the translated-weight-set prediction for (m, n)", _cmd_conjecture, "algebra", _M, _N,
+        _arg("--depth", type=_integer, default=aff.DEFAULT_DEPTH, help="delta truncation depth (affine)"),
+        _FORMAT,
+    ),
+    "scan": (
+        "batch conjecture verification over types and m >= n >= 0", _cmd_scan,
+        _arg("algebras", nargs="*"), _arg("--max-sum", type=_integer, required=True), _FORMAT,
+    ),
+    "naive-scan": (
+        "dominant weights below (m+n) rho absent from the product", _cmd_naive_scan, "algebra", _M, _N, _FORMAT
+    ),
+    "schur-compare": (
+        "multiplicity dominance of one product over another", _cmd_schur_compare,
+        "algebra lhs1 rhs1 lhs2 rhs2", _FORMAT,
+    ),
+    "support-contain": (
+        "support containment under (m,n) -> (m-1,n+1)", _cmd_support_contain, "algebra", _M, _N
+    ),
+    "saturate": (
+        "check V(d nu) inside V(d lam) (x) V(d mu)", _cmd_saturate,
+        "algebra lhs rhs component", _arg("d", type=_integer),
+    ),
+    "affine-decompose": (
+        "truncated affine tensor decomposition", _cmd_affine_decompose, "algebra lhs rhs", _DEPTH, _FORMAT
+    ),
+    "delta-max": (
+        "delta-maximal weights of a truncated affine character", _cmd_delta_max,
+        "algebra weight", _DEPTH, _FORMAT,
+    ),
+    "gko": (
+        "GKO central charge, L0 scalars and positivity certificates", _cmd_gko, "algebra", _M, _N,
+        _arg("--lambda", dest="lam", help="single component weight (affine coords)"), _DEPTH,
+    ),
+    "cache": (
+        "character cache administration", _cmd_cache, _arg("action", choices=["stat", "clear", "warm"]),
+        _arg("algebra", nargs="?"), _arg("--up-to", help="warm bound, e.g. 7,7"),
+    ),
+}
+
+
+class _RaisingParser(argparse.ArgumentParser):
+    """Raises a usage error where ``ArgumentParser`` prints it and exits."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``rho-tensor`` parser of every command in ``COMMANDS``, or of
+    ``command`` alone. Both parse a valid command line to the same namespace.
+    A usage line of the one-command parser would list one command, so it
+    raises ``argparse.ArgumentError`` where the full parser prints and exits."""
+    parser = (argparse.ArgumentParser if command is None else _RaisingParser)(
         prog="rho-tensor",
         description="Exact tensor decompositions of V(m rho) (x) V(n rho) and related scans.",
     )
     parser.add_argument("--no-cache", action="store_true", help="disable the on-disk character cache")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p):
-        p.add_argument("--format", choices=["table", "json", "csv"], default="table")
-
-    p = sub.add_parser("decompose", help="decompose V(lhs) (x) V(rhs) for a finite type")
-    p.add_argument("algebra")
-    p.add_argument("lhs")
-    p.add_argument("rhs")
-    add_format(p)
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("weights", help="dominant weight multiplicities of one irreducible")
-    p.add_argument("algebra")
-    p.add_argument("weight")
-    add_format(p)
-    p.set_defaults(func=_cmd_weights)
-
-    p = sub.add_parser("conjecture", help="verify the translated-weight-set prediction for (m, n)")
-    p.add_argument("algebra")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("--depth", type=int, default=aff.DEFAULT_DEPTH, help="delta truncation depth (affine)")
-    add_format(p)
-    p.set_defaults(func=_cmd_conjecture)
-
-    p = sub.add_parser("scan", help="batch conjecture verification over types and m >= n >= 0")
-    p.add_argument("algebras", nargs="*")
-    p.add_argument("--max-sum", type=int, required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_scan)
-
-    p = sub.add_parser("naive-scan", help="dominant weights below (m+n) rho absent from the product")
-    p.add_argument("algebra")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
-    add_format(p)
-    p.set_defaults(func=_cmd_naive_scan)
-
-    p = sub.add_parser("schur-compare", help="multiplicity dominance of one product over another")
-    p.add_argument("algebra")
-    p.add_argument("lhs1")
-    p.add_argument("rhs1")
-    p.add_argument("lhs2")
-    p.add_argument("rhs2")
-    add_format(p)
-    p.set_defaults(func=_cmd_schur_compare)
-
-    p = sub.add_parser("support-contain", help="support containment under (m,n) -> (m-1,n+1)")
-    p.add_argument("algebra")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
-    p.set_defaults(func=_cmd_support_contain)
-
-    p = sub.add_parser("saturate", help="check V(d nu) inside V(d lam) (x) V(d mu)")
-    p.add_argument("algebra")
-    p.add_argument("lhs")
-    p.add_argument("rhs")
-    p.add_argument("component")
-    p.add_argument("d", type=int)
-    p.set_defaults(func=_cmd_saturate)
-
-    p = sub.add_parser("affine-decompose", help="truncated affine tensor decomposition")
-    p.add_argument("algebra")
-    p.add_argument("lhs")
-    p.add_argument("rhs")
-    p.add_argument("--depth", type=int, default=aff.DEFAULT_DEPTH)
-    add_format(p)
-    p.set_defaults(func=_cmd_affine_decompose)
-
-    p = sub.add_parser("delta-max", help="delta-maximal weights of a truncated affine character")
-    p.add_argument("algebra")
-    p.add_argument("weight")
-    p.add_argument("--depth", type=int, default=aff.DEFAULT_DEPTH)
-    add_format(p)
-    p.set_defaults(func=_cmd_delta_max)
-
-    p = sub.add_parser("gko", help="GKO central charge, L0 scalars and positivity certificates")
-    p.add_argument("algebra")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("--lambda", dest="lam", default=None, help="single component weight (affine coords)")
-    p.add_argument("--depth", type=int, default=aff.DEFAULT_DEPTH)
-    p.set_defaults(func=_cmd_gko)
-
-    p = sub.add_parser("cache", help="character cache administration")
-    p.add_argument("action", choices=["stat", "clear", "warm"])
-    p.add_argument("algebra", nargs="?")
-    p.add_argument("--up-to", default=None, help="warm bound, e.g. 7,7")
-    p.set_defaults(func=_cmd_cache)
-
+    for name in COMMANDS if command is None else [command]:
+        help_, func, *specs = COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        for spec in specs:
+            for flags, kwargs in map(_arg, spec.split()) if isinstance(spec, str) else [spec]:
+                p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=func)
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse with the command word's parser; the full one takes what it rejects."""
+    command = next((a for a in argv if not a.startswith("-")), None)
+    if command in COMMANDS:
+        try:
+            return build_parser(command).parse_args(argv)
+        except argparse.ArgumentError:
+            pass  # the full parser reports it
+    return build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     cache = None if args.no_cache else default_cache()

@@ -30,7 +30,7 @@ _RANK_LIMITS = {
     "G": (2, 2),
 }
 
-_NAME_RE = re.compile(r"^([A-Ga-g])(\d+)(~?)$")
+_NAME_RE = re.compile(r"([A-Ga-g])([0-9]+)(~?)")
 _INTEGER_RE = re.compile(r"-?[0-9]+")
 
 
@@ -61,8 +61,8 @@ class AlgebraId:
 
     @classmethod
     def parse(cls, name: str) -> "AlgebraId":
-        """Parse names like "B2", "G2", "A3", "A1~" (tilde = untwisted affine)."""
-        m = _NAME_RE.match(name.strip())
+        """Parse names like "B2", "G2", "A1~" (tilde = untwisted affine): ASCII digits, no blanks."""
+        m = _NAME_RE.fullmatch(name)
         if not m:
             raise AlgebraError(f"cannot parse algebra name {name!r} (expected e.g. B2, A1~)")
         return cls(m.group(1).upper(), int(m.group(2)), m.group(3) == "~")

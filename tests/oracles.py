@@ -17,6 +17,8 @@ Cartan matrix and the form in ``Fraction`` arithmetic, where the production
 build stays in integers throughout. The descent oracle for the conjecture's
 predicted set tests every dominant weight below (m+n) rho for membership,
 where the production set is read off the unreflected Klimyk terms.
+``decomposition_from_json_dict`` rebuilds a ``Decomposition`` from the JSON
+document of ``decompose --format json``, for the round-trip test.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from rho_tensor.rootdata import (
     floor_root_coords,
     weyl_orbit,
 )
+from rho_tensor.tensor import Decomposition
 
 
 def _signed_orbit(rs: RootSystem, w: Weight) -> dict[Weight, int]:
@@ -406,3 +409,12 @@ def affine_slices_by_weyl_kac(rs: RootSystem, lam: AffineWeight, depth: int) -> 
         assert 0 <= d <= depth and m > 0, f"bad quotient term {(fin, u)}: {m}"
         slices[d][fin] = m
     return slices
+
+
+def decomposition_from_json_dict(doc: dict) -> Decomposition:
+    return Decomposition(
+        algebra=doc["algebra"],
+        lhs=tuple(doc["lhs"]),
+        rhs=tuple(doc["rhs"]),
+        components={tuple(e["weight"]): int(e["mult"]) for e in doc["components"]},
+    )

@@ -1,18 +1,25 @@
 """Command-line surface: formats, exit codes, schema round-trips, cache admin."""
 
+import argparse
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from oracles import decomposition_from_json_dict
 
+import rho_tensor
 from rho_tensor.charcalc import CharCache, clear_memory_cache, freudenthal
 from rho_tensor.cli import (
+    COMMANDS,
     EXIT_INTERNAL,
     EXIT_NEGATIVE,
     EXIT_OK,
     EXIT_USAGE,
-    decomposition_from_json_dict,
+    build_parser,
     main,
 )
 from rho_tensor.rootdata import InvariantError, build_root_system
@@ -360,3 +367,129 @@ def test_affine_decompose_names_a_non_dominant_factor(capsys):
     assert (code, text) == (EXIT_USAGE, "")
     err = capsys.readouterr().err
     assert "requires dominant weights" in err and "level" not in err
+
+
+# -- dispatch on the command word ----------------------------------------------
+
+# argv -> exit code, stdout and stderr of usage errors, help and dispatch edge
+# cases, recorded with COLUMNS=80 from the parser that built every subcommand
+# on each call: dispatch must leave every message byte-identical
+GOLDEN_ERRORS = json.loads((Path(__file__).parent / "golden_cli_errors.json").read_text())
+
+
+def golden_error(argv):
+    return next(g for g in GOLDEN_ERRORS if g["argv"] == list(argv))
+
+
+@pytest.fixture
+def columns_80(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage and help to the terminal width
+
+
+@pytest.mark.parametrize("golden", GOLDEN_ERRORS, ids=lambda g: " ".join(g["argv"]) or "<empty>")
+def test_dispatch_keeps_messages(columns_80, capsys, golden):
+    code = main(golden["argv"])  # help goes to sys.stdout, not to main's out
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (golden["exit"], golden["stdout"], golden["stderr"])
+
+
+@pytest.mark.parametrize(
+    "argv,rejected",
+    [
+        (("conjecture", "B2", "{}", "1"), ("conjecture", "B2", "x", "1")),
+        (("--no-cache", "conjecture", "B2", "{}", "\u0663"), ("conjecture", "B2", "x", "1")),
+        (("scan", "A1", "--max-sum", "{}"), ("scan", "A1", "--max-sum", "x")),
+        (("saturate", "B2", "1,1", "1,1", "2,2", "{}"), ("saturate", "B2", "1,1", "1,1", "2,2", "x")),
+        (
+            ("affine-decompose", "A1~", "1,1", "1,1", "--depth", "{}"),
+            ("affine-decompose", "A1~", "1,1", "1,1", "--depth", "x"),
+        ),
+    ],
+)
+@pytest.mark.parametrize("field", ["1_0", "+1", "\u0662", " 1", "1 "])
+def test_counts_take_plain_ascii_integers_only(columns_80, capsys, argv, rejected, field):
+    # rejected as int() rejects "x": the same message, naming the field
+    assert run(*(a.format(field) for a in argv)) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == golden_error(rejected)["stderr"].replace("'x'", repr(field))
+
+
+@pytest.mark.parametrize("name", ["B\u0662", " B2 ", "B2\n"])
+def test_algebra_names_take_plain_ascii_digits_only(capsys, name):
+    assert run("weights", name, "1,1") == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == f"error: cannot parse algebra name {name!r} (expected e.g. B2, A1~)\n"
+
+
+SAMPLE_ARGV = [
+    ["decompose", "B2", "1,1", "2,2", "--format", "json"],
+    ["--no-cache", "weights", "B2", "1,1"],
+    ["conjecture", "A1~", "2", "1", "--depth", "3"],
+    ["scan", "A1", "B2", "--max-sum", "2", "--format", "csv"],
+    ["naive-scan", "B2", "2", "1"],
+    ["schur-compare", "G2", "1,1", "1,1", "2,2", "0,0"],
+    ["support-contain", "B2", "2", "1"],
+    ["saturate", "B2", "1,1", "1,1", "2,2", "2"],
+    ["affine-decompose", "A1~", "1,1", "1,1", "--depth", "2"],
+    ["delta-max", "A1~", "2,2"],
+    ["gko", "A1~", "2", "1", "--lambda", "3,3", "--depth", "1"],
+    ["cache", "stat"],
+    ["--no-cache", "cache", "clear"],
+    ["cache", "warm", "B2", "--up-to", "1,1"],
+]
+
+
+def test_sample_argv_cover_every_command():
+    assert sorted({next(a for a in argv if not a.startswith("-")) for argv in SAMPLE_ARGV}) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize("argv", SAMPLE_ARGV, ids=" ".join)
+def test_one_command_parser_parses_like_the_full_parser(argv):
+    command = next(a for a in argv if not a.startswith("-"))
+    assert vars(build_parser(command).parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+
+def test_one_command_parser_raises_where_the_full_parser_prints(capsys):
+    with pytest.raises(argparse.ArgumentError, match="unrecognized arguments: extra"):
+        build_parser("weights").parse_args(["weights", "B2", "1,1", "extra"])
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize(
+    "argv,built",
+    [
+        (["--no-cache", "weights", "B2", "1,1"], 1),
+        (["weights", "-h"], 1),
+        (["--help"], 12),
+        (["bogus"], 12),
+        ([], 12),
+        (["weights", "B2", "1,1", "extra"], 1 + 12),  # the error is reported by the full parser
+    ],
+)
+def test_main_builds_the_subparsers_it_needs(monkeypatch, capsys, argv, built):
+    add_parser = argparse._SubParsersAction.add_parser
+    names = []
+
+    def counting(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    main(argv)
+    assert len(COMMANDS) == 12
+    assert len(names) == built
+
+
+@pytest.mark.parametrize(
+    "argv", [["--no-cache", "weights", "B2", "1,1"], ["weights", "B2", "1,1", "extra"]], ids=" ".join
+)
+def test_entrypoint_reads_the_command_word_from_sys_argv(tmp_path, argv):
+    src = str(Path(rho_tensor.__file__).parents[1])
+    env = {
+        **os.environ,
+        "COLUMNS": "80",
+        "RHO_TENSOR_CACHE": str(tmp_path / "cache"),
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    script = "from rho_tensor.cli import entrypoint; entrypoint()"
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True)
+    golden = golden_error(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (golden["exit"], golden["stdout"], golden["stderr"])

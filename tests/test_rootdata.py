@@ -50,6 +50,12 @@ def test_algebra_id_parsing():
         AlgebraId.parse("not-an-algebra")
 
 
+@pytest.mark.parametrize("name", ["B\u0662", " B2 ", "B2\n", "\tA1~", "A1~ ", "B+2", "B2_0"])
+def test_algebra_names_take_plain_ascii_digits_only(name):
+    with pytest.raises(AlgebraError):
+        AlgebraId.parse(name)
+
+
 @pytest.mark.parametrize("name,count", sorted(POSROOT_COUNTS.items()))
 def test_positive_root_closure_counts(name, count):
     rs = build_root_system(name)
