@@ -25,8 +25,6 @@ from .tensor import (
     contains_component,
     klimyk,
     oracle_decompose,
-    pair_order_le,
-    pair_order_violations,
     saturation_check,
     schur_compare,
 )
@@ -50,12 +48,14 @@ from .affine import (
     truncated_tensor,
 )
 from .harness import (
+    AffineConjectureReport,
     ConjectureReport,
     SupportContainmentReport,
     naive_condition_scan,
     predicted_weights,
     scan_all,
     support_containment_check,
+    verify_affine_conjecture,
     verify_conjecture,
 )
 

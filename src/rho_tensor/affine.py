@@ -70,11 +70,6 @@ def affine_rho(rs: RootSystem, k: int = 1) -> AffineWeight:
     return AffineWeight((k,) * (rs.rank + 1), 0)
 
 
-def affine_delta(rs: RootSystem) -> AffineWeight:
-    _require_affine(rs)
-    return AffineWeight((0,) * (rs.rank + 1), 1)
-
-
 def level(rs: RootSystem, w: AffineWeight) -> int:
     """Value on the central element: omega_0 coefficient 1, omega_i the dual marks."""
     _require_affine(rs)

@@ -48,10 +48,6 @@ class DominantCharacter:
     highest: Weight
     mults: dict[Weight, int]
 
-    def contains(self, rs: RootSystem, beta: Weight) -> bool:
-        """True iff ``beta`` (any Weyl chamber) is a weight of V(highest)."""
-        return rs.to_dominant(beta)[0] in self.mults
-
     def multiplicity(self, rs: RootSystem, beta: Weight) -> int:
         """Weight multiplicity at ``beta``; Weyl-invariant by reflection."""
         return self.mults.get(rs.to_dominant(beta)[0], 0)
@@ -329,18 +325,24 @@ class CharCache:
         if not self._path(str(rs.algebra), lam).is_file():
             self.store(rs, lam, table)
 
-    def stat(self) -> list[tuple[str, int]]:
-        if not self.root.is_dir():
+    def _tables(self) -> list[Path]:
+        """The table files, by name; none while the directory does not exist."""
+        try:
+            names = os.listdir(self.root)
+        except FileNotFoundError:
             return []
-        return sorted((p.name, p.stat().st_size) for p in self.root.glob("*.char"))
+        return [self.root / name for name in sorted(names) if name.endswith(".char")]
+
+    def stat(self) -> list[tuple[str, int]]:
+        with self._disk():
+            return [(p.name, p.stat().st_size) for p in self._tables()]
 
     def clear(self) -> int:
-        removed = 0
-        if self.root.is_dir():
-            for p in self.root.glob("*.char"):
+        with self._disk():
+            tables = self._tables()
+            for p in tables:
                 p.unlink()
-                removed += 1
-        return removed
+        return len(tables)
 
 
 def default_cache() -> CharCache:

@@ -1,5 +1,7 @@
-"""Command-line front end: decompositions, conjecture scans, affine truncated
-reports, GKO data, and cache administration.
+"""Command-line front end: parses a command line, calls the library, and
+prints the result. The commands cover decompositions, characters, the
+conjecture reports and scans, affine truncated products, GKO data, and cache
+administration.
 
 Every ``--format`` result goes through one renderer: JSON documents carry
 ``meta: {kind, version}``; ``decompose``, ``weights``, finite ``conjecture``,
@@ -26,13 +28,13 @@ import sys
 from . import affine as aff
 from .charcalc import default_cache, dominant_weights_below, freudenthal
 from .harness import (
-    DEPTH_LIMITED,
     ERROR,
     FAILS,
     HOLDS,
     naive_condition_scan,
     scan_all,
     support_containment_check,
+    verify_affine_conjecture,
     verify_conjecture,
 )
 from .rootdata import (
@@ -130,6 +132,20 @@ def _conjecture_rows(rep):
         yield [" ".join(str(c) for c in w), "missing" if w in missing else "present"]
 
 
+def _affine_conjecture_lines(rep):
+    yield (
+        f"{rep.algebra}  m={rep.m} n={rep.n} depth={rep.depth}  "
+        f"verdict={rep.verdict}  predicted={len(rep.predicted)} "
+        f"present={len(rep.present)} missing={len(rep.missing)} "
+        f"unexpected={len(rep.unexpected)}"
+    )
+    for e in rep.missing:
+        note = "beta dominant" if e["beta_dominant"] else "beta non-dominant"
+        yield f"  missing: {_fmt_weight(e['weight'])} at depth {e['depth']} ({note})"
+    for e in rep.unexpected:
+        yield f"  unexpected delta-maximal component: {_fmt_weight(e['weight'])} at depth {e['depth']}"
+
+
 # -- command implementations -------------------------------------------------
 
 
@@ -160,64 +176,21 @@ def _cmd_conjecture(args, cache, out) -> int:
     aid = AlgebraId.parse(args.algebra)
     if args.m < args.n or args.n < 0:
         raise AlgebraError(f"conjecture requires m >= n >= 0, got m={args.m}, n={args.n}")
-    if aid.affine and args.n < 1:
-        raise AlgebraError(f"conjecture on an affine type requires n >= 1, got n={args.n}")
     rs = build_root_system(aid)
-    if aid.affine:
-        rep = affine_conjecture_report(rs, args.m, args.n, args.depth)
-        _render(
-            out, args.format, "affine-conjecture-report", lambda: rep, lambda: _affine_conjecture_lines(rep)
-        )
-        return EXIT_NEGATIVE if rep["missing"] or rep["unexpected"] else EXIT_OK
-    rep = verify_conjecture(rs, args.m, args.n, cache)
     # the report's fields are the JSON document
+    if aid.affine:
+        rep = verify_affine_conjecture(rs, args.m, args.n, args.depth)
+        _render(
+            out, args.format, "affine-conjecture-report",
+            lambda: vars(rep), lambda: _affine_conjecture_lines(rep),
+        )
+        return EXIT_NEGATIVE if rep.missing or rep.unexpected else EXIT_OK
+    rep = verify_conjecture(rs, args.m, args.n, cache)
     _render(
         out, args.format, "conjecture-report",
         lambda: vars(rep), lambda: _conjecture_lines(rep), lambda: _conjecture_rows(rep),
     )
     return EXIT_OK if rep.verdict == HOLDS else EXIT_NEGATIVE
-
-
-def affine_conjecture_report(rs: RootSystem, m: int, n: int, depth: int) -> dict:
-    """Depth-qualified affine scan: predicted components come from the
-    delta-maximal weights of V(n rho); presence is checked at shift zero.
-    The report is also the JSON document of ``conjecture`` on affine types."""
-    nh = n * rs.dual_coxeter
-    predicted = []
-    for lam, beta, beta_dom, d in aff.predicted_components(rs, m, n, depth):
-        dominant = beta == beta_dom and aff.theta_pairing(rs, beta_dom) <= nh
-        predicted.append({"weight": lam, "depth": d, "beta_dominant": dominant})
-    predicted.sort(key=lambda e: (e["depth"], e["weight"]))
-    rho = aff.affine_rho(rs)
-    dec = aff.truncated_tensor(rs, m * rho, n * rho, depth)
-    predicted_keys = {(e["weight"], e["depth"]) for e in predicted}
-    return {
-        "algebra": str(rs.algebra),
-        "m": m,
-        "n": n,
-        "depth": depth,
-        "verdict": DEPTH_LIMITED,
-        "predicted": predicted,
-        "present": [e for e in predicted if (e["weight"], e["depth"]) in dec.components],
-        "missing": [e for e in predicted if (e["weight"], e["depth"]) not in dec.components],
-        "unexpected": [
-            {"weight": w, "depth": d} for w, d in dec.delta_max_components() if (w, d) not in predicted_keys
-        ],
-    }
-
-
-def _affine_conjecture_lines(rep: dict):
-    yield (
-        f"{rep['algebra']}  m={rep['m']} n={rep['n']} depth={rep['depth']}  "
-        f"verdict={rep['verdict']}  predicted={len(rep['predicted'])} "
-        f"present={len(rep['present'])} missing={len(rep['missing'])} "
-        f"unexpected={len(rep['unexpected'])}"
-    )
-    for e in rep["missing"]:
-        note = "beta dominant" if e["beta_dominant"] else "beta non-dominant"
-        yield f"  missing: {_fmt_weight(e['weight'])} at depth {e['depth']} ({note})"
-    for e in rep["unexpected"]:
-        yield f"  unexpected delta-maximal component: {_fmt_weight(e['weight'])} at depth {e['depth']}"
 
 
 def _cmd_scan(args, cache, out) -> int:
@@ -404,6 +377,9 @@ def _cmd_gko(args, cache, out) -> int:
 
 def _cmd_cache(args, cache, out) -> int:
     if args.action in ("stat", "clear"):
+        for name, value in (("algebra", args.algebra), ("--up-to", args.up_to)):
+            if value is not None:
+                raise AlgebraError(f"cache {args.action} takes no {name} argument, got {value!r}")
         cache = cache or default_cache()  # under --no-cache too: they act on the files on disk
     if args.action == "stat":
         entries = cache.stat()

@@ -7,12 +7,17 @@ and the predicted set is its ``translated`` set: the terms it adds without a
 reflection. Support containment in that set is a theorem, which ``klimyk``
 asserts on every product; set equality is the statement under test, so a
 FAILS verdict is a reportable finding rather than an internal error.
+
+On affine types, :func:`verify_affine_conjecture` predicts the components
+from the delta-maximal weights of V(n rho) and looks for them within a
+truncation depth, so its verdict is always DEPTH_LIMITED.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .affine import _require_affine, affine_rho, predicted_components, theta_pairing, truncated_tensor
 from .charcalc import CharCache, dominant_weights_below
 from .rootdata import AlgebraError, AlgebraId, RootSystem, Weight, build_root_system
 from .tensor import Decomposition, klimyk
@@ -63,6 +68,50 @@ def verify_conjecture(rs: RootSystem, m: int, n: int, cache: CharCache | None = 
     missing = sorted(dec.translated - dec.components.keys())
     verdict = HOLDS if not missing else FAILS
     return ConjectureReport(str(rs.algebra), m, n, predicted, present, missing, verdict)
+
+
+@dataclass
+class AffineConjectureReport:
+    """Depth-limited verdict for one affine (algebra, m, n, depth) case.
+
+    A ``predicted`` entry is ``{"weight", "depth", "beta_dominant"}``;
+    ``present`` and ``missing`` split ``predicted`` by presence at shift zero,
+    and ``unexpected`` lists the delta-maximal components ``{"weight",
+    "depth"}`` outside it. The fields are the JSON document of ``conjecture``
+    on affine types."""
+
+    algebra: str
+    m: int
+    n: int
+    depth: int
+    verdict: str
+    predicted: list[dict]
+    present: list[dict]
+    missing: list[dict]
+    unexpected: list[dict]
+
+
+def verify_affine_conjecture(rs: RootSystem, m: int, n: int, depth: int) -> AffineConjectureReport:
+    """Decompose V(m rho) (x) V(n rho) within ``depth`` and compare it with the
+    components predicted from the delta-maximal weights of V(n rho)."""
+    _require_affine(rs)
+    if n < 1:
+        raise AlgebraError(f"conjecture on an affine type requires n >= 1, got n={n}")
+    nh = n * rs.dual_coxeter
+    predicted = []
+    for lam, beta, beta_dom, d in predicted_components(rs, m, n, depth):
+        dominant = beta == beta_dom and theta_pairing(rs, beta_dom) <= nh
+        predicted.append({"weight": lam, "depth": d, "beta_dominant": dominant})
+    predicted.sort(key=lambda e: (e["depth"], e["weight"]))
+    rho = affine_rho(rs)
+    dec = truncated_tensor(rs, m * rho, n * rho, depth)
+    keys = {(e["weight"], e["depth"]) for e in predicted}
+    return AffineConjectureReport(
+        str(rs.algebra), m, n, depth, DEPTH_LIMITED, predicted,
+        present=[e for e in predicted if (e["weight"], e["depth"]) in dec.components],
+        missing=[e for e in predicted if (e["weight"], e["depth"]) not in dec.components],
+        unexpected=[{"weight": w, "depth": d} for w, d in dec.delta_max_components() if (w, d) not in keys],
+    )
 
 
 def naive_condition_scan(rs: RootSystem, m: int, n: int, cache: CharCache | None = None) -> list[Weight]:

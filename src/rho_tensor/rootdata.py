@@ -210,11 +210,6 @@ class RootSystem:
 
     # -- Weyl group actions -----------------------------------------------
 
-    def simple_reflection(self, w: Weight, i: int) -> Weight:
-        wi = w[i]
-        col = self.simple_fund[i]
-        return tuple(w[j] - wi * col[j] for j in range(self.rank))
-
     def to_dominant(self, w: Weight) -> tuple[Weight, int]:
         """Dominant representative of the Weyl orbit of ``w`` and the sign
         (-1)^(reflections applied); sign 0 iff ``w`` lies on a wall."""
@@ -246,26 +241,10 @@ class RootSystem:
         self._require_finite()
         return weyl_orbit(self, w)
 
-    # -- order and form ----------------------------------------------------
-
-    def dominance_le(self, a: Weight, b: Weight) -> bool:
-        """True iff b - a is a non-negative integer combination of simple roots."""
-        idx = self.lattice_index
-        diff = tuple(y - x for x, y in zip(a, b))
-        return all(c >= 0 and c % idx == 0 for c in self.root_coords(diff))
-
-    def pair_coroot(self, w: Weight, cv: RootVector) -> int:
-        """<w, alpha^vee> for a coroot ``cv`` in simple-coroot coordinates."""
-        return sum(map(mul, w, cv))
-
-    # the invariant form, scaled by form_scale
+    # -- the invariant form, scaled by form_scale -----------------------------
 
     def sip_ww(self, a: Weight, b: Weight) -> int:
         return sum(x * sum(map(mul, row, b)) for x, row in zip(a, self.form_ww))
-
-    def sip_wr(self, a: Weight, c: RootVector) -> int:
-        d = self.form_d
-        return sum(d[j] * c[j] * a[j] for j in range(self.rank))
 
     # -- representation-theoretic helpers -----------------------------------
 

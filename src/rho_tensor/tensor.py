@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from operator import add
 
 from .charcalc import CharCache, freudenthal
-from .rootdata import AlgebraError, InvariantError, RootSystem, RootVector, Weight
+from .rootdata import AlgebraError, InvariantError, RootSystem, Weight
 
 
 @dataclass
@@ -209,22 +209,3 @@ def schur_compare(a: Decomposition, b: Decomposition) -> SchurReport:
     ]
     return SchurReport(dominates=not witnesses, witnesses=witnesses)
 
-
-def pair_order_violations(
-    rs: RootSystem, lam: Weight, mu: Weight, lam_p: Weight, mu_p: Weight
-) -> list[RootVector]:
-    """Positive coroots where min{lam, mu} exceeds min{lam', mu'}."""
-    if tuple(a + b for a, b in zip(lam, mu)) != tuple(a + b for a, b in zip(lam_p, mu_p)):
-        raise AlgebraError("pair order requires lam + mu = lam' + mu'")
-    bad = []
-    for rc, cv in zip(rs.positive_roots, rs.positive_coroots):
-        lo = min(rs.pair_coroot(lam, cv), rs.pair_coroot(mu, cv))
-        hi = min(rs.pair_coroot(lam_p, cv), rs.pair_coroot(mu_p, cv))
-        if lo > hi:
-            bad.append(rc)
-    return bad
-
-
-def pair_order_le(rs: RootSystem, lam: Weight, mu: Weight, lam_p: Weight, mu_p: Weight) -> bool:
-    """min-pairing order on pairs of dominant weights with equal sums."""
-    return not pair_order_violations(rs, lam, mu, lam_p, mu_p)

@@ -19,6 +19,8 @@ predicted set tests every dominant weight below (m+n) rho for membership,
 where the production set is read off the unreflected Klimyk terms.
 ``decomposition_from_json_dict`` rebuilds a ``Decomposition`` from the JSON
 document of ``decompose --format json``, for the round-trip test.
+``simple_reflection`` and ``sip_wr`` (the form on a weight and a root) are
+plain helpers of these oracles; the library reflects only in ``to_dominant``.
 """
 
 from __future__ import annotations
@@ -191,9 +193,14 @@ def root_datum_by_fractions(algebra: AlgebraId | str) -> RootSystem:
 # -- Weyl orbits by breadth-first search ----------------------------------------
 
 
+def simple_reflection(rs: RootSystem, w: Weight, i: int) -> Weight:
+    """s_i(w) = w - <w, alpha_i^vee> alpha_i, in fundamental coordinates."""
+    return tuple(a - w[i] * c for a, c in zip(w, rs.simple_fund[i]))
+
+
 def orbit_by_bfs(rs: RootSystem, w: Weight) -> dict[Weight, int]:
     """``{v: number of simple reflections from w to v}`` over the Weyl orbit
-    of ``w``, by breadth-first search over ``simple_reflection``."""
+    of ``w``, by breadth-first search over :func:`simple_reflection`."""
     depth = {w: 0}
     frontier = [w]
     while frontier:
@@ -201,7 +208,7 @@ def orbit_by_bfs(rs: RootSystem, w: Weight) -> dict[Weight, int]:
         for v in frontier:
             for i in range(rs.rank):
                 if v[i] != 0:
-                    img = rs.simple_reflection(v, i)
+                    img = simple_reflection(rs, v, i)
                     if img not in depth:
                         depth[img] = depth[v] + 1
                         nxt.append(img)
@@ -221,7 +228,7 @@ def predicted_weights_by_descent(rs: RootSystem, m: int, n: int) -> list[Weight]
     return sorted(
         lam
         for lam in dominant_weights_below(rs, (m + n,) * rs.rank)
-        if char_n.contains(rs, tuple(a - b for a, b in zip(lam, mrho)))
+        if char_n.multiplicity(rs, tuple(a - b for a, b in zip(lam, mrho))) > 0
     )
 
 
@@ -319,7 +326,7 @@ def _finite_weyl_words(rs: RootSystem) -> list[list[int]]:
         for w in frontier:
             word = seen[w]
             for i in range(rs.rank):
-                img = rs.simple_reflection(w, i)
+                img = simple_reflection(rs, w, i)
                 if img not in seen:
                     seen[img] = [i] + word
                     nxt.append(img)
@@ -329,8 +336,14 @@ def _finite_weyl_words(rs: RootSystem) -> list[list[int]]:
 
 def _apply_word(rs: RootSystem, word: list[int], w: Weight) -> Weight:
     for i in reversed(word):
-        w = rs.simple_reflection(w, i)
+        w = simple_reflection(rs, w, i)
     return w
+
+
+def sip_wr(rs: RootSystem, a: Weight, c: RootVector) -> int:
+    """form_scale * (a|c) for a weight ``a`` and a root with simple-root
+    coordinates ``c``: (omega_j|alpha_j) = d_j."""
+    return sum(d * x * y for d, x, y in zip(rs.form_d, c, a))
 
 
 def _signed_affine_orbit(rs: RootSystem, x: AffineWeight, cutoff: int, kmax: int) -> dict[AffKey, int]:
@@ -351,8 +364,8 @@ def _signed_affine_orbit(rs: RootSystem, x: AffineWeight, cutoff: int, kmax: int
             beta = tuple(map(mul, ks, steps))
             beta_fund = rs.fund_coords_of_root(beta)
             # drop = (y|beta) + (beta|beta) lvl / 2, from the form scaled by form_scale
-            ip = rs.sip_wr(y, beta)
-            beta_sq = rs.sip_wr(beta_fund, beta)
+            ip = sip_wr(rs, y, beta)
+            beta_sq = sip_wr(rs, beta_fund, beta)
             drop, rem = divmod(2 * ip + beta_sq * lvl, 2 * rs.form_scale)
             assert rem == 0
             if drop > cutoff:

@@ -21,7 +21,7 @@ from rho_tensor.affine import (
     truncated_tensor,
 )
 from rho_tensor.charcalc import clear_memory_cache, dominant_weights_below, freudenthal
-from rho_tensor.harness import HOLDS, naive_condition_scan, scan_all
+from rho_tensor.harness import HOLDS, naive_condition_scan, scan_all, verify_affine_conjecture
 from rho_tensor.rootdata import build_root_system
 from rho_tensor.tensor import klimyk, oracle_decompose, schur_compare
 
@@ -167,6 +167,9 @@ def test_criterion_8_affine_sl2_suite(sl2_affine):
                             predicted.add((lam_fin, d))
                 for key in predicted:
                     assert key in dec.components, (m, n, key)
+                rep = verify_affine_conjecture(rs, m, n, depth)
+                assert {(e["weight"], e["depth"]) for e in rep.predicted} == predicted, (m, n)
+                assert rep.missing == [], (m, n)
 
                 # (c) strictly positive L0 scalar and unbroken delta-strings
                 min_depth_of = {}
@@ -197,12 +200,15 @@ def test_criterion_9_affine_sl3_dominant_delta_max(sl3_affine):
             lvl = (m + n) * h
             dec = truncated_tensor(rs, m * rho, n * rho, depth)
             char_n = affine_freudenthal(rs, n * rho, depth)
+            rep = verify_affine_conjecture(rs, m, n, depth)
+            present = {(e["weight"], e["depth"]) for e in rep.present if e["beta_dominant"]}
             checked = 0
             for beta_dom, d in delta_max_weights(char_n):
                 if theta_pairing(rs, beta_dom) > n * h:
                     continue  # beta not affine-dominant: reported separately, not asserted
                 lam_fin = tuple(m + b for b in beta_dom)
                 assert (lam_fin, d) in dec.components, (m, n, beta_dom, d)
+                assert (lam_fin, d) in present, (m, n, beta_dom, d)
                 checked += 1
             assert checked > 0
 

@@ -12,7 +12,6 @@ from rho_tensor.affine import (
     AffineWeight,
     affine_bilinear,
     affine_candidates,
-    affine_delta,
     affine_freudenthal,
     affine_rho,
     affinize,
@@ -50,7 +49,7 @@ def test_affine_weight_arithmetic(sl2_affine):
     assert (2 * rho - rho) == rho
     assert rho.shifted(-2).delta_shift == -2
     assert rho.is_dominant() and not (rho - 2 * affine_rho(rs)).is_dominant()
-    delta = affine_delta(rs)
+    delta = AffineWeight((0,) * (rs.rank + 1), 1)
     assert level(rs, delta) == 0
     assert in_affine_root_lattice(rs, delta)
     assert not in_affine_root_lattice(rs, rho)
@@ -58,7 +57,7 @@ def test_affine_weight_arithmetic(sl2_affine):
 
 def test_affine_form_conventions(sl2_affine, sl3_affine):
     for rs in (sl2_affine, sl3_affine):
-        delta = affine_delta(rs)
+        delta = AffineWeight((0,) * (rs.rank + 1), 1)
         rho = affine_rho(rs)
         assert affine_bilinear(rs, delta, delta) == 0
         assert affine_bilinear(rs, delta, rho) == rs.dual_coxeter

@@ -16,7 +16,12 @@ from rho_tensor.charcalc import (
 )
 from rho_tensor.rootdata import AlgebraError, build_root_system
 
-from oracles import character_by_weyl_formula, dominant_weights_by_box, rho_character_by_product
+from oracles import (
+    character_by_weyl_formula,
+    dominant_weights_by_box,
+    rho_character_by_product,
+    simple_reflection,
+)
 
 # frozen from the Weyl-character-formula oracle (see test below re-deriving it)
 B2_2RHO_TABLE = {
@@ -109,9 +114,9 @@ def test_dominant_weights_below_examples(a1, b2):
 
 def test_weight_set_queries(a1, b2):
     ch = freudenthal(a1, (2,))
-    assert ch.contains(a1, (2,))
-    assert ch.contains(a1, (-2,))
-    assert not ch.contains(a1, (1,))
+    assert ch.multiplicity(a1, (2,)) > 0
+    assert ch.multiplicity(a1, (-2,)) > 0
+    assert ch.multiplicity(a1, (1,)) == 0
     assert ch.multiplicity(a1, (2,)) == 1
     assert ch.multiplicity(a1, (4,)) == 0
     ch = freudenthal(b2, (2, 2))
@@ -119,7 +124,7 @@ def test_weight_set_queries(a1, b2):
     # (-1, 0) is omega_2 - rho in disguise
     expanded = ch.full_weights(b2)
     for w in [(-1, 2), (2, -2), (0, 1), (3, -4), (-2, 0), (-1, 0)]:
-        assert ch.contains(b2, w) == (w in expanded)
+        assert (ch.multiplicity(b2, w) > 0) == (w in expanded)
         assert ch.multiplicity(b2, w) == expanded.get(w, 0)
 
 
@@ -139,7 +144,7 @@ def test_weyl_invariance(name, lam, word):
     ch = freudenthal(rs, lam)
     w = lam
     for i in word:
-        w = rs.simple_reflection(w, i)
+        w = simple_reflection(rs, w, i)
     assert ch.multiplicity(rs, w) == 1
 
 

@@ -1,6 +1,7 @@
 """Command-line surface: formats, exit codes, schema round-trips, cache admin."""
 
 import argparse
+import dataclasses
 import io
 import json
 import os
@@ -112,6 +113,26 @@ def test_conjecture_affine_sl3_reports_beta_dominance():
     # entries from non-dominant delta-maximal beta are flagged, kept separate
     flags = {e["beta_dominant"] for e in doc["predicted"]}
     assert flags == {True, False}
+
+
+def test_conjecture_affine_prints_missing_and_unexpected(monkeypatch):
+    # the component (3) leaves and an unpredicted (9) arrives, both at depth 0
+    import rho_tensor.harness as harness
+
+    truncated_tensor = harness.truncated_tensor
+
+    def moved(rs, lam, mu, depth):
+        dec = truncated_tensor(rs, lam, mu, depth)
+        components = {k: c for k, c in dec.components.items() if k[0] != (3,)}
+        return dataclasses.replace(dec, components={**components, ((9,), 0): 1})
+
+    monkeypatch.setattr(harness, "truncated_tensor", moved)
+    assert run("conjecture", "A1~", "2", "1", "--depth", "4") == (
+        EXIT_NEGATIVE,
+        "A1~  m=2 n=1 depth=4  verdict=DEPTH_LIMITED  predicted=3 present=2 missing=1 unexpected=1\n"
+        "  missing: (3) at depth 0 (beta dominant)\n"
+        "  unexpected delta-maximal component: (9) at depth 0\n",
+    )
 
 
 def test_conjecture_usage_error(capsys):
@@ -282,6 +303,48 @@ def test_cache_commands(tmp_path, monkeypatch):
     assert code == EXIT_OK and text.startswith("removed 0 ")
     code, text = run("cache", "stat")
     assert text.startswith("0 cached")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("cache", "clear", "B2"), "cache clear takes no algebra argument, got 'B2'"),
+        (("cache", "stat", "Z9"), "cache stat takes no algebra argument, got 'Z9'"),
+        (("cache", "stat", "--up-to", "zz"), "cache stat takes no --up-to argument, got 'zz'"),
+        (
+            ("--no-cache", "cache", "clear", "--up-to", "1,1"),
+            "cache clear takes no --up-to argument, got '1,1'",
+        ),
+    ],
+    ids=["clear B2", "stat Z9", "stat --up-to zz", "--no-cache clear --up-to 1,1"],
+)
+def test_cache_stat_and_clear_take_no_algebra_or_bound(capsys, argv, message):
+    # a rejected stat or clear leaves the tables of both algebras in place
+    run("cache", "warm", "B2", "--up-to", "1,1")
+    run("cache", "warm", "A2", "--up-to", "1,1")
+    _, before = run("cache", "stat")
+    capsys.readouterr()
+    assert run(*argv) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert run("cache", "stat") == (EXIT_OK, before)
+
+
+def test_cache_stat_and_clear_on_a_file_are_usage_errors(tmp_path, monkeypatch, capsys):
+    not_a_dir = tmp_path / "a-file"
+    not_a_dir.write_text("")
+    monkeypatch.setenv("RHO_TENSOR_CACHE", str(not_a_dir))
+    for action in ("stat", "clear"):
+        assert run("cache", action) == (EXIT_USAGE, "")
+        assert capsys.readouterr().err.startswith(f"error: cache directory {not_a_dir} is unusable: ")
+    assert not_a_dir.read_text() == ""
+
+
+def test_cache_clear_that_cannot_remove_a_file_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    cache_dir = tmp_path / "cache5"
+    (cache_dir / "B2.1_1.char").mkdir(parents=True)  # a directory: unlink fails
+    monkeypatch.setenv("RHO_TENSOR_CACHE", str(cache_dir))
+    assert run("cache", "clear") == (EXIT_USAGE, "")
+    assert capsys.readouterr().err.startswith(f"error: cache directory {cache_dir} is unusable: ")
 
 
 def test_unusable_cache_directory_is_a_usage_error(tmp_path, monkeypatch, capsys):

@@ -4,11 +4,13 @@ import pytest
 
 from rho_tensor.charcalc import dominant_weights_below
 from rho_tensor.harness import (
+    DEPTH_LIMITED,
     HOLDS,
     naive_condition_scan,
     predicted_weights,
     scan_all,
     support_containment_check,
+    verify_affine_conjecture,
     verify_conjecture,
 )
 from rho_tensor.rootdata import AlgebraError, build_root_system
@@ -59,6 +61,23 @@ def test_verify_conjecture_reference_cases(b2, g2):
     assert rep.verdict == HOLDS and len(rep.present) == 112
     rep = verify_conjecture(g2, 3, 0)
     assert rep.verdict == HOLDS and rep.present == [(3, 3)]
+
+
+def test_verify_affine_conjecture_sl2(sl2_affine):
+    rep = verify_affine_conjecture(sl2_affine, 2, 1, 4)
+    assert (rep.algebra, rep.m, rep.n, rep.depth, rep.verdict) == ("A1~", 2, 1, 4, DEPTH_LIMITED)
+    # m rho + beta for beta = -rho, rho at depth 0 and 3 rho at depth 1; only rho is dominant
+    expected = [((1,), 0, False), ((3,), 0, True), ((5,), 1, False)]
+    assert [(e["weight"], e["depth"], e["beta_dominant"]) for e in rep.predicted] == expected
+    assert rep.present == rep.predicted
+    assert rep.missing == [] and rep.unexpected == []
+
+
+def test_verify_affine_conjecture_checks_its_arguments(a1, sl2_affine):
+    with pytest.raises(AlgebraError, match=r"conjecture on an affine type requires n >= 1, got n=0"):
+        verify_affine_conjecture(sl2_affine, 1, 0, 4)
+    with pytest.raises(AlgebraError, match="requires an untwisted affine algebra"):
+        verify_affine_conjecture(a1, 2, 1, 4)
 
 
 def test_naive_scan_b2_counterexample_list(b2):

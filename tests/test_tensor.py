@@ -11,8 +11,6 @@ from rho_tensor.tensor import (
     contains_component,
     klimyk,
     oracle_decompose,
-    pair_order_le,
-    pair_order_violations,
     saturation_check,
     schur_compare,
 )
@@ -75,7 +73,7 @@ def test_translation_necessary_condition(b2, g2):
         char = freudenthal(rs, mu)
         for nu in klimyk(rs, lam, mu).components:
             beta = tuple(a - b for a, b in zip(nu, lam))
-            assert char.contains(rs, beta)
+            assert char.multiplicity(rs, beta) > 0
 
 
 def test_contains_component(b2):
@@ -122,21 +120,6 @@ def test_schur_compare_sl2_min_pair(a1):
     a = oracle_decompose(a1, (3,), (1,))
     b = oracle_decompose(a1, (2,), (2,))
     assert schur_compare(a, b).dominates
-
-
-def test_pair_order(b2, g2):
-    assert pair_order_le(b2, (2, 2), (1, 1), (2, 2), (1, 1))
-    # (m rho, n rho) <= ((m-1) rho, (n+1) rho) whenever m > n
-    for rs in (b2, g2):
-        for m, n in [(5, 2), (3, 0), (4, 3)]:
-            lam, mu = (m,) * 2, (n,) * 2
-            lam_p, mu_p = (m - 1,) * 2, (n + 1,) * 2
-            assert pair_order_le(rs, lam, mu, lam_p, mu_p)
-    # a failing pair, with the violating coroot reported
-    bad = pair_order_violations(b2, (2, 2), (2, 2), (4, 4), (0, 0))
-    assert bad and all(rc in b2.positive_roots for rc in bad)
-    with pytest.raises(AlgebraError):
-        pair_order_le(b2, (1, 0), (0, 1), (1, 1), (1, 1))
 
 
 BEYOND_RANK_THREE = [
