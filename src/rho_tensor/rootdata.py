@@ -16,6 +16,7 @@ import re
 from dataclasses import dataclass
 from math import gcd, lcm, prod
 from operator import mul
+from typing import NamedTuple
 
 Weight = tuple[int, ...]
 RootVector = tuple[int, ...]
@@ -153,6 +154,36 @@ def _positive_roots(cartan: list[list[int]], rank: int) -> list[RootVector]:
     return sorted(roots, key=lambda r: (sum(r), r))
 
 
+class DynkinNode(NamedTuple):
+    """What ``s_i`` touches, for one node ``i`` of the Dynkin diagram.
+
+    In fundamental coordinates ``s_i u = u - u_i alpha_i`` sets coordinate
+    ``i`` to ``-u_i`` and subtracts ``u_i A[j][i]`` at each neighbour ``j``;
+    every other coordinate stays. ``neighbours`` holds ``(j, A[j][i])`` over
+    the neighbours in increasing ``j``; the other three fields split the
+    nodes for :func:`weyl_orbit`'s test on the coordinates before ``i``.
+    """
+
+    neighbours: tuple[tuple[int, int], ...]
+    earlier_neighbours: tuple[tuple[int, int], ...]  # the pairs with j < i
+    later_neighbours: tuple[int, ...]  # the neighbours j > i
+    earlier_others: tuple[int, ...]  # the j < i that are not neighbours
+
+
+def _dynkin_nodes(cartan: list[list[int]]) -> tuple[DynkinNode, ...]:
+    rank = len(cartan)
+    nodes = []
+    for i in range(rank):
+        near = tuple((j, cartan[j][i]) for j in range(rank) if j != i and cartan[j][i])
+        nodes.append(DynkinNode(
+            neighbours=near,
+            earlier_neighbours=tuple((j, a) for j, a in near if j < i),
+            later_neighbours=tuple(j for j, _ in near if j > i),
+            earlier_others=tuple(j for j in range(i) if not cartan[j][i]),
+        ))
+    return tuple(nodes)
+
+
 @dataclass(frozen=True)
 class RootSystem:
     """Immutable Cartan/root/form data for one algebra, all of it integers.
@@ -162,6 +193,10 @@ class RootSystem:
     roots in fundamental-weight coordinates and ``positive_coroots`` their
     coroots in simple-coroot coordinates; ``weyl_denominator`` is
     ``prod <rho, alpha^vee>``, the denominator of the Weyl dimension formula.
+    ``dynkin_nodes[i]`` lists what the simple reflection ``s_i`` changes: the
+    coordinate ``i`` and those of the Dynkin neighbours of ``i`` (``A[j][i] !=
+    0``), nothing else. :meth:`to_dominant` and :func:`weyl_orbit` read only
+    these, so a reflection costs the degree of its node, not the rank.
     ``cartan_inverse`` is ``lattice_index * A^-1``, with ``lattice_index =
     det A`` the index of the root lattice in the weight lattice, so
     simple-root coordinates and heights come out scaled by ``lattice_index``.
@@ -180,7 +215,7 @@ class RootSystem:
     positive_roots_fund: tuple[Weight, ...]
     positive_coroots: tuple[RootVector, ...]
     weyl_denominator: int
-    simple_fund: tuple[Weight, ...]
+    dynkin_nodes: tuple[DynkinNode, ...]
     rho: Weight
     highest_root: RootVector
     marks: tuple[int, ...]
@@ -212,25 +247,21 @@ class RootSystem:
 
     def to_dominant(self, w: Weight) -> tuple[Weight, int]:
         """Dominant representative of the Weyl orbit of ``w`` and the sign
-        (-1)^(reflections applied); sign 0 iff ``w`` lies on a wall."""
+        (-1)^(reflections applied); sign 0 iff ``w`` lies on a wall. Each
+        step reflects in the first negative coordinate, touching it and its
+        Dynkin neighbours only."""
         cur = list(w)
-        n = self.rank
+        nodes = self.dynkin_nodes
         parity = 1
-        cols = self.simple_fund
         while True:
-            neg = -1
-            for i in range(n):
-                if cur[i] < 0:
-                    neg = i
+            for i, x in enumerate(cur):
+                if x < 0:
                     break
-            if neg < 0:
-                if 0 in cur:
-                    parity = 0
-                return tuple(cur), parity
-            wi = cur[neg]
-            col = cols[neg]
-            for j in range(n):
-                cur[j] -= wi * col[j]
+            else:
+                return tuple(cur), (0 if 0 in cur else parity)
+            cur[i] = -x
+            for j, a in nodes[i].neighbours:
+                cur[j] -= x * a
             parity = -parity
 
     def is_dominant(self, w: Weight) -> bool:
@@ -335,7 +366,7 @@ def build_root_system(algebra: AlgebraId | str) -> RootSystem:
         positive_roots_fund=tuple(posroots_fund),
         positive_coroots=tuple(coroots),
         weyl_denominator=prod(map(sum, coroots)),
-        simple_fund=tuple(tuple(cartan[j][i] for j in range(rank)) for i in range(rank)),
+        dynkin_nodes=_dynkin_nodes(cartan),
         rho=(1,) * rank,
         highest_root=theta,
         marks=tuple(theta),
@@ -374,15 +405,48 @@ def weyl_orbit(rs: RootSystem, w: Weight) -> list[Weight]:
     walked down from the dominant representative. The children of ``u`` are
     the ``s_i u`` with ``u_i > 0`` whose first negative coordinate is ``i``
     (Snow, *Weyl group orbits*, ACM TOMS 1990).
+
+    The test builds no child. Below ``i``, ``s_i u`` agrees with ``u`` except
+    at the neighbours ``j`` of ``i``, where it is ``u_j - u_i A[j][i]``; so
+    ``s_i u`` is a child iff every other ``j < i`` has ``u_j >= 0`` and every
+    neighbour ``j < i`` has ``u_j >= u_i A[j][i]``. Before the first negative
+    coordinate ``f`` of ``u`` both always hold, as ``A[j][i] <= 0 < u_i``;
+    past ``f`` they can hold only at a neighbour of ``f``, since ``u_f < 0``.
+    Each child is built by touching ``i`` and its neighbours only.
     """
-    cols = rs.simple_fund
+    nodes = rs.dynkin_nodes
     orbit = [rs.to_dominant(w)[0]]
+    append = orbit.append
     for u in orbit:  # the list grows while it is read: each child is visited in turn
-        for i, ui in enumerate(u):
+        for f, uf in enumerate(u):  # f stops at the first negative coordinate
+            if uf > 0:
+                child = list(u)
+                child[f] = -uf
+                for j, a in nodes[f].neighbours:
+                    child[j] -= uf * a
+                append(tuple(child))
+            elif uf < 0:
+                break
+        else:
+            continue
+        for i in nodes[f].later_neighbours:
+            ui = u[i]
             if ui > 0:
-                col = cols[i]
-                if all(u[j] - ui * col[j] >= 0 for j in range(i)):
-                    orbit.append(tuple([a - ui * c for a, c in zip(u, col)]))
+                node = nodes[i]
+                # plain loops: all() over generators doubled the walk's time
+                for j in node.earlier_others:
+                    if u[j] < 0:
+                        break
+                else:
+                    for j, a in node.earlier_neighbours:
+                        if u[j] < ui * a:
+                            break
+                    else:
+                        child = list(u)
+                        child[i] = -ui
+                        for j, a in node.neighbours:
+                            child[j] -= ui * a
+                        append(tuple(child))
     return orbit
 
 

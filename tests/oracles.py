@@ -21,6 +21,14 @@ where the production set is read off the unreflected Klimyk terms.
 document of ``decompose --format json``, for the round-trip test.
 ``simple_reflection`` and ``sip_wr`` (the form on a weight and a root) are
 plain helpers of these oracles; the library reflects only in ``to_dominant``.
+The dense reflection loop and the dense tree walk do the work of
+``to_dominant`` and ``weyl_orbit`` by subtracting a whole Cartan column at
+every step and testing each child built in full, where the library touches
+only the Dynkin neighbours of the reflecting node. The sign
+oracle reflects nothing: it counts the positive coroots that pair negatively
+with a weight. Every reflection here reads ``rs.cartan``, never the library's
+``dynkin_nodes``, and the Fraction build makes that field from its own Cartan
+matrix, so no oracle checks the sparse code against itself.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from rho_tensor.affine import AffineWeight, affine_freudenthal, affine_rho, affi
 from rho_tensor.charcalc import dominant_weights_below, freudenthal
 from rho_tensor.rootdata import (
     AlgebraId,
+    DynkinNode,
     RootSystem,
     RootVector,
     Weight,
@@ -82,16 +91,19 @@ def character_by_weyl_formula(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
     return quotient
 
 
-def rho_character_by_product(rs: RootSystem) -> dict[Weight, int]:
-    """Full weight-multiplicity map of V(rho) from ch V(rho) = e^rho
-    prod_{a>0} (1 + e^{-a}): the multiplicity of rho - sum(S) counts the sets S
-    of positive roots with that sum."""
-    mults = {rs.rho: 1}
+def rho_character_by_product(rs: RootSystem, n: int = 1) -> dict[Weight, int]:
+    """Full weight-multiplicity map of V(n rho) from ch V(n rho) = e^{n rho}
+    prod_{a>0} (1 + e^{-a} + ... + e^{-n a}), the Weyl denominator formula
+    applied to the numerator at (n+1) rho: the multiplicity of
+    n rho - sum_a k_a a counts the choices 0 <= k_a <= n with that sum."""
+    mults = {tuple(n * x for x in rs.rho): 1}
     for fund in rs.positive_roots_fund:
         nxt = dict(mults)
         for w, m in mults.items():
-            key = tuple(map(sub, w, fund))
-            nxt[key] = nxt.get(key, 0) + m
+            key = w
+            for _ in range(n):
+                key = tuple(map(sub, key, fund))
+                nxt[key] = nxt.get(key, 0) + m
         mults = nxt
     return mults
 
@@ -177,7 +189,7 @@ def root_datum_by_fractions(algebra: AlgebraId | str) -> RootSystem:
         positive_roots_fund=tuple(posroots_fund),
         positive_coroots=tuple(coroots),
         weyl_denominator=prod(map(sum, coroots)),
-        simple_fund=tuple(tuple(cartan[j][i] for j in range(rank)) for i in range(rank)),
+        dynkin_nodes=_dynkin_nodes_by_adjacency(cartan),
         rho=(1,) * rank,
         highest_root=theta,
         marks=tuple(theta),
@@ -190,12 +202,68 @@ def root_datum_by_fractions(algebra: AlgebraId | str) -> RootSystem:
     )
 
 
-# -- Weyl orbits by breadth-first search ----------------------------------------
+def _dynkin_nodes_by_adjacency(cartan: list[list[int]]) -> tuple[DynkinNode, ...]:
+    """``dynkin_nodes`` from the adjacency sets of the diagram: ``i`` and
+    ``j`` are joined iff ``A[i][j] A[j][i]`` (four times the squared cosine of
+    their angle) is nonzero."""
+    rank = len(cartan)
+    adjacent = [{j for j in range(rank) if j != i and cartan[i][j] * cartan[j][i]} for i in range(rank)]
+    nodes = []
+    for i, near in enumerate(adjacent):
+        earlier = set(range(i))
+        nodes.append(DynkinNode(
+            neighbours=tuple((j, cartan[j][i]) for j in sorted(near)),
+            earlier_neighbours=tuple((j, cartan[j][i]) for j in sorted(near & earlier)),
+            later_neighbours=tuple(sorted(near - earlier)),
+            earlier_others=tuple(sorted(earlier - near)),
+        ))
+    return tuple(nodes)
+
+
+# -- Weyl orbits by breadth-first search, dense reflections ------------------------
 
 
 def simple_reflection(rs: RootSystem, w: Weight, i: int) -> Weight:
-    """s_i(w) = w - <w, alpha_i^vee> alpha_i, in fundamental coordinates."""
-    return tuple(a - w[i] * c for a, c in zip(w, rs.simple_fund[i]))
+    """s_i(w) = w - <w, alpha_i^vee> alpha_i, in fundamental coordinates:
+    column ``i`` of the Cartan matrix is alpha_i."""
+    wi = w[i]
+    return tuple(a - wi * row[i] for a, row in zip(w, rs.cartan))
+
+
+def to_dominant_dense(rs: RootSystem, w: Weight) -> tuple[Weight, int]:
+    """``RootSystem.to_dominant`` by whole-column reflections: reflect in
+    the first negative coordinate until none is left."""
+    cur = w
+    parity = 1
+    while min(cur) < 0:
+        cur = simple_reflection(rs, cur, next(i for i, x in enumerate(cur) if x < 0))
+        parity = -parity
+    return cur, (0 if 0 in cur else parity)
+
+
+def weyl_orbit_dense(rs: RootSystem, w: Weight) -> list[Weight]:
+    """``weyl_orbit`` by building every candidate ``s_i u`` with ``u_i > 0``
+    in full and keeping it if its coordinates before ``i`` are all
+    non-negative (Snow's tree, in the library's order)."""
+    orbit = [to_dominant_dense(rs, w)[0]]
+    for u in orbit:
+        for i, ui in enumerate(u):
+            if ui > 0:
+                child = simple_reflection(rs, u, i)
+                if all(x >= 0 for x in child[:i]):
+                    orbit.append(child)
+    return orbit
+
+
+def sign_by_coroots(rs: RootSystem, w: Weight) -> int:
+    """The sign of ``to_dominant(w)`` with no reflection: 0 if a positive
+    coroot pairs to 0 with ``w``, else (-1) to the number of positive coroots
+    that pair negatively (the length of the shortest Weyl group element taking
+    ``w`` into the dominant chamber)."""
+    pairings = [sum(map(mul, w, cv)) for cv in rs.positive_coroots]
+    if 0 in pairings:
+        return 0
+    return (-1) ** sum(p < 0 for p in pairings)
 
 
 def orbit_by_bfs(rs: RootSystem, w: Weight) -> dict[Weight, int]:

@@ -95,6 +95,13 @@ def test_rho_character_against_product_formula(name):
     assert freudenthal(rs, rs.rho).mults == {w: m for w, m in oracle.items() if rs.is_dominant(w)}
 
 
+@pytest.mark.parametrize("name,n", [("B2", 2), ("A3", 2), ("D4", 2), ("G2", 3), ("C3", 3), ("F4", 1)])
+def test_n_rho_character_against_product_formula(name, n):
+    # the tables the conjecture scans read, every weight of them
+    rs = build_root_system(name)
+    assert freudenthal(rs, (n,) * rs.rank).full_weights(rs) == rho_character_by_product(rs, n)
+
+
 def test_dominant_weights_below_examples(a1, b2):
     assert dominant_weights_below(a1, (0,)) == [(0,)]
     assert dominant_weights_below(a1, (4,)) == [(4,), (2,), (0,)]

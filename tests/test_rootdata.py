@@ -4,10 +4,21 @@ from dataclasses import fields, replace
 from fractions import Fraction
 from math import prod
 from operator import mul
+from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import orbit_by_bfs, root_datum_by_fractions, simple_reflection, sip_wr
+from oracles import (
+    orbit_by_bfs,
+    root_datum_by_fractions,
+    sign_by_coroots,
+    simple_reflection,
+    sip_wr,
+    to_dominant_dense,
+    weyl_orbit_dense,
+)
+from rho_tensor.charcalc import freudenthal
 from rho_tensor.rootdata import (
     AlgebraError,
     AlgebraId,
@@ -223,6 +234,37 @@ def test_weyl_orbit_against_bfs(name, w):
     assert len(orbit) == len(set(orbit))
     assert set(orbit) == set(orbit_by_bfs(rs, w))
     assert weyl_orbit_size(rs, w) == len(orbit)
+
+
+@pytest.mark.parametrize("name", DATUM_NAMES)
+def test_to_dominant_against_dense_loop(name):
+    # an affine id reflects its finite part
+    rs = build_root_system(name)
+    rng = Random(f"to_dominant {name}")
+    for _ in range(200):
+        w = tuple(rng.randint(-6, 6) for _ in range(rs.rank))
+        assert rs.to_dominant(w) == to_dominant_dense(rs, w), w
+
+
+@pytest.mark.parametrize("name,n", [("F4", 1), ("B3", 3), ("D4", 2)])
+def test_weyl_orbit_on_every_dominant_weight_of_n_rho(name, n):
+    # the sparse walk makes the dense walk's list, in its order
+    rs = build_root_system(name)
+    for mu in freudenthal(rs, (n,) * rs.rank).mults:
+        orbit = weyl_orbit(rs, mu)
+        assert orbit == weyl_orbit_dense(rs, mu)
+        assert set(orbit) == set(orbit_by_bfs(rs, mu))
+        assert len(orbit) == weyl_orbit_size(rs, mu)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["A4", "B3", "C4", "D5", "G2", "F4", "E6", "E7"]), st.data())
+def test_to_dominant_sign_by_coroot_count(name, data):
+    rs = build_root_system(name)
+    w = data.draw(st.tuples(*[st.integers(-6, 6)] * rs.rank))
+    dom, sign = rs.to_dominant(w)
+    assert rs.is_dominant(dom)
+    assert sign == sign_by_coroots(rs, w)
 
 
 WEYL_ORDERS = {"A4": 120, "B3": 48, "G2": 12, "F4": 1152, "E6": 51840, "E7": 2903040, "E8": 696729600}
