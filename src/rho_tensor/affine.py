@@ -10,8 +10,11 @@ highest weight, the deepest computed so far, and views of it serve shallower
 or shifted requests. Truncated tensor products are decomposed by peeling
 highest weights depth by depth on dominant finite weights only: every slice of
 a character is invariant under the finite Weyl group, so the dominant part of
-a product determines it. Everything is depth-qualified: no claim is made
-beyond the truncation.
+a product determines it. The slice convolution therefore forms only the pairs
+of weights whose sum is dominant, which a per-coordinate threshold index of
+each slice of the second factor finds without trying the others, and every
+component is checked against the multiplicities of both factors (the PRV
+bound). Everything is depth-qualified: no claim is made beyond the truncation.
 
 The normalized invariant form follows the standard affine conventions:
 (delta|delta) = 0, (delta|Lambda) = level(Lambda), and on classical parts it
@@ -233,6 +236,59 @@ class TruncatedDecomposition:
         return sorted(best.items(), key=lambda t: (t[1], t[0]))
 
 
+def _partner_index(weights: dict[Weight, int], rank: int) -> list[tuple[int, list[frozenset[Weight]]]]:
+    """Per coordinate ``i``, ``(lo, sets)`` with ``sets[k]`` the frozenset of
+    the ``weights`` whose ``i``-th coordinate is at least ``lo + k``, for
+    ``0 <= k <= hi - lo + 1``: ``lo`` and ``hi`` are the least and greatest
+    ``i``-th coordinates, so ``sets[0]`` is every weight and ``sets[-1]`` none."""
+    index = []
+    for i in range(rank):
+        column = [w[i] for w in weights]
+        lo, hi = min(column, default=0), max(column, default=0)
+        index.append((lo, [frozenset(w for w in weights if w[i] >= t) for t in range(lo, hi + 2)]))
+    return index
+
+
+def _dominant_partners(
+    index: list[tuple[int, list[frozenset[Weight]]]], w1: Weight
+) -> frozenset[Weight]:
+    """The indexed weights ``w2`` with ``w1 + w2`` dominant, that is with
+    ``w2_i >= -w1_i`` for every ``i``: the intersection of the threshold sets
+    at ``-w1``, clamped to the ends, stopped at the first empty one."""
+    found = None
+    for x, (lo, sets) in zip(w1, index):
+        k = -x - lo
+        if k <= 0:
+            continue  # every indexed w2_i >= lo >= -x
+        part = sets[min(k, len(sets) - 1)]
+        found = part if found is None else found & part
+        if not found:
+            break
+    return index[0][1][0] if found is None else found  # None: the whole slice
+
+
+def _dominant_convolution(
+    rs: RootSystem, char_l: TruncatedAffineCharacter, char_m: TruncatedAffineCharacter, depth: int
+) -> list[dict[Weight, int]]:
+    """Per depth ``d``, the dominant part of the product of the two characters
+    at ``d`` below their highest weights: the orbit-expanded slices of both,
+    each ``w1`` paired only with its :func:`_dominant_partners`. The expanded
+    slices and the index are dropped on return, before the peel builds tables."""
+    full_l = [expand_orbits(rs, sl) for sl in char_l.slices]
+    full_m = [expand_orbits(rs, sl) for sl in char_m.slices]
+    index_m = [_partner_index(sl, rs.rank) for sl in full_m]
+    residual: list[dict[Weight, int]] = [dict() for _ in range(depth + 1)]
+    for d1 in range(depth + 1):
+        for d2 in range(depth + 1 - d1):
+            target = residual[d1 + d2]
+            terms, index = full_m[d2], index_m[d2]
+            for w1, m1 in full_l[d1].items():
+                for w2 in _dominant_partners(index, w1):
+                    key = tuple(map(add, w1, w2))
+                    target[key] = target.get(key, 0) + m1 * terms[w2]
+    return residual
+
+
 def truncated_tensor(
     rs: RootSystem, lam: AffineWeight, mu: AffineWeight, depth: int
 ) -> TruncatedDecomposition:
@@ -240,19 +296,27 @@ def truncated_tensor(
     ``depth`` by slice convolution and highest-weight extraction, on dominant
     finite weights only.
 
-    Both factors are orbit-expanded, but the convolution keeps only the sums
-    that are dominant finite weights, and each component subtracts its own
-    dominant slices. This is exact because every slice of a character, and so
-    every slice of the residual (a difference of characters), is invariant
-    under the finite Weyl group: it vanishes iff it vanishes on dominant
-    weights, so checking the leftovers on dominant keys only is equivalent to
-    checking all of them.
+    Both factors are orbit-expanded, and the convolution forms a pair
+    ``(w1, w2)`` only when ``w1 + w2`` is a dominant finite weight, that is
+    when ``w2_i >= -w1_i`` for every coordinate ``i``. Each slice of ``mu``
+    is indexed once per product: per coordinate and threshold ``t``, the
+    frozenset of its weights with ``w2_i >= t`` (see :func:`_partner_index`).
+    Each ``w1`` intersects the sets at ``-w1`` and pairs with the survivors
+    only. Each component then subtracts its own dominant slices. This is exact
+    because every slice of a character, and so every slice of the residual (a
+    difference of characters), is invariant under the finite Weyl group: it
+    vanishes iff it vanishes on dominant weights, so checking the leftovers on
+    dominant keys only is equivalent to checking all of them.
 
     Extraction walks depths in increasing order and, within a depth, finite
     parts in decreasing height, so every candidate sees the contributions of
     all previously peeled components. Positive residual at a non-dominant
     affine weight, any negative residual, or a nonzero residual left after
-    extraction is an internal failure.
+    extraction is an internal failure. So is a component ``(w, d)`` of
+    multiplicity ``c`` above the multiplicity of ``w - lam`` in slice ``d`` of
+    V(mu), or of ``w - mu`` in slice ``d`` of V(lam): every component V(nu) of
+    V(lam) (x) V(mu) has ``nu - lam`` a weight of V(mu) whose multiplicity is
+    at least that of V(nu) (Parthasarathy, Ranga Rao & Varadarajan 1967).
     """
     _require_affine(rs)
     if not (lam.is_dominant() and mu.is_dominant()):
@@ -263,19 +327,8 @@ def truncated_tensor(
     if depth < 0:
         raise AlgebraError(f"depth must be non-negative, got {depth}")
     lvl = lvl_l + lvl_m
-    full_l = [expand_orbits(rs, sl) for sl in affine_freudenthal(rs, lam, depth).slices]
-    full_m = [expand_orbits(rs, sl) for sl in affine_freudenthal(rs, mu, depth).slices]
-
-    residual: list[dict[Weight, int]] = [dict() for _ in range(depth + 1)]
-    for d1 in range(depth + 1):
-        for d2 in range(depth + 1 - d1):
-            target = residual[d1 + d2]
-            terms = full_m[d2].items()
-            for w1, m1 in full_l[d1].items():
-                for w2, m2 in terms:
-                    key = tuple(map(add, w1, w2))
-                    if min(key) >= 0:
-                        target[key] = target.get(key, 0) + m1 * m2
+    char_l, char_m = affine_freudenthal(rs, lam, depth), affine_freudenthal(rs, mu, depth)
+    residual = _dominant_convolution(rs, char_l, char_m, depth)
 
     components: dict[tuple[Weight, int], int] = {}
     for d in range(depth + 1):
@@ -307,6 +360,16 @@ def truncated_tensor(
         raise InvariantError(
             f"extraction left a nonzero residual in {lam} (x) {mu} over {rs.algebra}: {leftovers}"
         )
+    for (w, d), c in components.items():
+        for first, other in ((lam, char_m), (mu, char_l)):
+            x = rs.to_dominant(tuple(map(sub, w, first.finite)))[0]
+            bound = other.slices[d].get(x, 0)
+            if bound < c:
+                raise InvariantError(
+                    f"component (finite {w}, depth {d}) of {lam} (x) {mu} over {rs.algebra} has "
+                    f"multiplicity {c}, above the multiplicity {bound} of {x} at depth {d} in "
+                    f"V({other.highest}) (PRV bound)"
+                )
     return TruncatedDecomposition(str(rs.algebra), lam, mu, depth, components)
 
 

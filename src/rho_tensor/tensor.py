@@ -66,7 +66,8 @@ def klimyk(rs: RootSystem, lam: Weight, mu: Weight, cache: CharCache | None = No
     """Decompose V(lam) (x) V(mu) by signed reflection over the weights of
     the smaller-dimensional factor ``small`` (ties toward ``mu``), the other
     factor being ``big``. A weight ``nu`` with ``big + rho + nu`` on a wall
-    has sign 0 in ``to_dominant`` and drops out; one with ``big + nu``
+    has sign 0 and drops out, before any reflection when a coordinate is
+    already zero and in ``to_dominant`` otherwise; one with ``big + nu``
     dominant adds with sign +1 as it stands and joins ``translated``, which
     must hold the support."""
     rs._require_finite()
@@ -89,10 +90,12 @@ def klimyk(rs: RootSystem, lam: Weight, mu: Weight, cache: CharCache | None = No
                 key = tuple(map(add, big, nu))
                 translated.add(key)
                 acc = components.get(key, 0) + m
+            elif 0 in y:
+                continue  # big + rho + nu lies on a wall: sign 0
             else:
                 dom, sign = to_dominant(y)
                 if not sign:
-                    continue  # big + rho + nu lies on a wall
+                    continue  # big + rho + nu meets a wall while reflecting
                 key = tuple(x - 1 for x in dom)
                 acc = components.get(key, 0) + m * sign
             if acc:

@@ -5,6 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from rho_tensor.affine import affine_rho, truncated_tensor
 from rho_tensor.charcalc import freudenthal
 from rho_tensor.rootdata import RootSystem, build_root_system
 
@@ -46,13 +47,7 @@ def sl3_affine():
     return build_root_system("A2~")
 
 
-@pytest.fixture
-def misplaced_reflections(monkeypatch):
-    """Make ``to_dominant`` return ``dom + rho`` for every weight off the
-    dominant chamber, once the B2 ``V(rho)`` table it builds is memoised:
-    Klimyk's reflected terms in ``B2 rho (x) rho`` then land outside the
-    translated set."""
-    freudenthal(build_root_system("B2"), (1, 1))
+def _misplace_reflections(monkeypatch):
     reflect = RootSystem.to_dominant
 
     def misplaced(self, w):
@@ -62,3 +57,24 @@ def misplaced_reflections(monkeypatch):
         return dom, sign
 
     monkeypatch.setattr(RootSystem, "to_dominant", misplaced)
+
+
+@pytest.fixture
+def misplaced_reflections(monkeypatch):
+    """Make ``to_dominant`` return ``dom + rho`` for every weight off the
+    dominant chamber, once the B2 ``V(rho)`` table it builds is memoised:
+    Klimyk's reflected terms in ``B2 rho (x) rho`` then land outside the
+    translated set."""
+    freudenthal(build_root_system("B2"), (1, 1))
+    _misplace_reflections(monkeypatch)
+
+
+@pytest.fixture
+def misplaced_affine_reflections(monkeypatch):
+    """The same misplaced ``to_dominant``, once every table of A2~
+    ``rho (x) rho`` at depth 2 is memoised: the product then convolves and
+    peels as before, but its containment check looks each off-chamber
+    ``w - rho`` up at the wrong dominant weight and finds it missing."""
+    rs = build_root_system("A2~")
+    truncated_tensor(rs, affine_rho(rs), affine_rho(rs), 2)
+    _misplace_reflections(monkeypatch)

@@ -3,6 +3,8 @@ decomposition, and the GKO coset scalars."""
 
 import copy
 from fractions import Fraction
+from itertools import product as iproduct
+from operator import add
 
 import pytest
 
@@ -10,6 +12,8 @@ from rho_tensor.affine import (
     GAP_AT_ONE,
     UNBROKEN,
     AffineWeight,
+    _dominant_partners,
+    _partner_index,
     affine_bilinear,
     affine_candidates,
     affine_freudenthal,
@@ -173,13 +177,46 @@ def test_truncated_tensor_leaves_the_memo_unchanged(sl3_affine):
 
 @pytest.mark.parametrize(
     "name,m,n,depth",
-    [("A1~", 2, 1, 8), ("A1~", 3, 2, 4), ("A2~", 2, 1, 3), ("B2~", 1, 1, 3), ("G2~", 1, 1, 2), ("A3~", 1, 1, 2)],
+    [
+        ("A1~", 2, 1, 8),
+        ("A1~", 3, 2, 4),
+        ("A2~", 2, 1, 3),
+        ("B2~", 1, 1, 3),
+        ("G2~", 1, 1, 2),
+        ("A3~", 1, 1, 2),
+        ("C3~", 1, 1, 1),
+        pytest.param("A3~", (2, 1, 0, 1), (1, 0, 1, 0), 3, id="A3~-2101-1010-3"),
+    ],
 )
 def test_truncated_tensor_matches_full_peel(name, m, n, depth):
+    """``m`` and ``n`` are multiples of rho or fundamental coordinates."""
     rs = build_root_system(name)
-    rho = affine_rho(rs)
-    dec = truncated_tensor(rs, m * rho, n * rho, depth)
-    assert dec.components == truncated_tensor_by_full_peel(rs, m * rho, n * rho, depth)
+    lam, mu = (AffineWeight(x) if isinstance(x, tuple) else x * affine_rho(rs) for x in (m, n))
+    dec = truncated_tensor(rs, lam, mu, depth)
+    assert dec.components == truncated_tensor_by_full_peel(rs, lam, mu, depth)
+
+
+@pytest.mark.parametrize(
+    "name,fund,depth",
+    [("A3~", (1, 1, 1, 1), 1), ("B2~", (1, 1, 1), 3), ("B2~", (2, 0, 1), 3), ("G2~", (1, 1, 1), 3)],
+    ids=["A3~-1111-1", "B2~-111-3", "B2~-201-3", "G2~-111-3"],
+)
+def test_partner_index_matches_brute_force(name, fund, depth):
+    rs = build_root_system(name)
+    for sl in affine_freudenthal(rs, AffineWeight(fund), depth).slices:
+        weights = expand_orbits(rs, sl)
+        index = _partner_index(weights, rs.rank)
+        # every threshold -w1_i from two below a coordinate's least value to two above its greatest
+        box = [range(-max(column) - 2, -min(column) + 3) for column in zip(*weights)]
+        for w1 in iproduct(*box):
+            expected = {w2 for w2 in weights if min(map(add, w1, w2)) >= 0}
+            assert _dominant_partners(index, w1) == expected, w1
+
+
+def test_component_above_the_prv_bound_is_an_invariant_failure(misplaced_affine_reflections):
+    rs = build_root_system("A2~")
+    with pytest.raises(InvariantError, match="PRV bound"):
+        truncated_tensor(rs, affine_rho(rs), affine_rho(rs), 2)
 
 
 def test_affine_freudenthal_rejects_bad_input(sl2_affine):

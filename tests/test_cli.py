@@ -267,6 +267,11 @@ def test_component_outside_the_translated_set_is_exit_3(misplaced_reflections, c
     assert "exceeds the translated weight set" in capsys.readouterr().err
 
 
+def test_component_above_the_prv_bound_is_exit_3(misplaced_affine_reflections, capsys):
+    assert run("--no-cache", "affine-decompose", "A2~", "1,1,1", "1,1,1", "--depth", "2") == (EXIT_INTERNAL, "")
+    assert "(PRV bound)" in capsys.readouterr().err
+
+
 def test_scan_case_error_is_exit_3(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise RuntimeError("boom")
