@@ -7,14 +7,19 @@ Freudenthal recursion (real roots alpha + k delta with multiplicity one,
 imaginary roots k delta with multiplicity rank). The tables live in the memo
 of :mod:`rho_tensor.charcalc`, keyed without the delta shift: one per classical
 highest weight, the deepest computed so far, and views of it serve shallower
-or shifted requests. Truncated tensor products are decomposed by peeling
-highest weights depth by depth on dominant finite weights only: every slice of
-a character is invariant under the finite Weyl group, so the dominant part of
-a product determines it. The slice convolution therefore forms only the pairs
-of weights whose sum is dominant, which a per-coordinate threshold index of
-each slice of the second factor finds without trying the others, and every
-component is checked against the multiplicities of both factors (the PRV
-bound). Everything is depth-qualified: no claim is made beyond the truncation.
+or shifted requests. Truncated tensor products are decomposed on dominant
+finite weights only: every slice of a character is invariant under the finite
+Weyl group, so the dominant part of a product determines it. The slice
+convolution therefore forms only the pairs of weights whose sum is dominant,
+which a per-coordinate threshold index of each slice of the second factor
+finds without trying the others. Each component is then read off the product
+with the Weyl-Kac denominator: its multiplicity is a signed sum, over the
+affine Weyl orbit of rho^, of product coefficients at the same depth or
+shallower, so the truncation loses nothing and no table is built beyond the
+two factors'. The sums off the affine chamber are checked against the
+components at their alcove points, and every component against the
+multiplicities of both factors (the PRV bound). Everything is
+depth-qualified: no claim is made beyond the truncation.
 
 The normalized invariant form follows the standard affine conventions:
 (delta|delta) = 0, (delta|Lambda) = level(Lambda), and on classical parts it
@@ -24,12 +29,23 @@ of the Goddard-Kent-Olive coset construction come out as exact rationals.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
+from operator import add, itemgetter, sub
 
 from .charcalc import _memo, _memo_lock, dominant_descent, expand_orbits, freudenthal_slices
-from .rootdata import AlgebraError, InvariantError, RootSystem, RootVector, Weight, weyl_orbit
+from .rootdata import (
+    AlgebraError,
+    DynkinNode,
+    InvariantError,
+    RootSystem,
+    RootVector,
+    Weight,
+    _dynkin_nodes,
+    floor_root_coords,
+    weyl_orbit,
+)
 
 DEFAULT_DEPTH = 6
 
@@ -240,12 +256,14 @@ def _partner_index(weights: dict[Weight, int], rank: int) -> list[tuple[int, lis
     """Per coordinate ``i``, ``(lo, sets)`` with ``sets[k]`` the frozenset of
     the ``weights`` whose ``i``-th coordinate is at least ``lo + k``, for
     ``0 <= k <= hi - lo + 1``: ``lo`` and ``hi`` are the least and greatest
-    ``i``-th coordinates, so ``sets[0]`` is every weight and ``sets[-1]`` none."""
+    ``i``-th coordinates, so ``sets[0]`` is every weight and ``sets[-1]`` none.
+    Each set is a suffix of the weights sorted once by the coordinate."""
     index = []
     for i in range(rank):
-        column = [w[i] for w in weights]
-        lo, hi = min(column, default=0), max(column, default=0)
-        index.append((lo, [frozenset(w for w in weights if w[i] >= t) for t in range(lo, hi + 2)]))
+        ordered = sorted(weights, key=itemgetter(i))
+        column = [w[i] for w in ordered]
+        lo, hi = (column[0], column[-1]) if column else (0, 0)
+        index.append((lo, [frozenset(ordered[bisect_left(column, t):]) for t in range(lo, hi + 2)]))
     return index
 
 
@@ -254,17 +272,17 @@ def _dominant_partners(
 ) -> frozenset[Weight]:
     """The indexed weights ``w2`` with ``w1 + w2`` dominant, that is with
     ``w2_i >= -w1_i`` for every ``i``: the intersection of the threshold sets
-    at ``-w1``, clamped to the ends, stopped at the first empty one."""
-    found = None
+    at ``-w1``, clamped to the ends, smallest first (each ``&`` costs the
+    size of its smaller operand)."""
+    parts = []
     for x, (lo, sets) in zip(w1, index):
         k = -x - lo
-        if k <= 0:
-            continue  # every indexed w2_i >= lo >= -x
-        part = sets[min(k, len(sets) - 1)]
-        found = part if found is None else found & part
-        if not found:
-            break
-    return index[0][1][0] if found is None else found  # None: the whole slice
+        if k > 0:  # else every indexed w2_i >= lo >= -x
+            parts.append(sets[min(k, len(sets) - 1)])
+    if not parts:
+        return index[0][1][0]  # the whole slice
+    parts.sort(key=len)
+    return parts[0].intersection(*parts[1:])
 
 
 def _dominant_convolution(
@@ -273,28 +291,194 @@ def _dominant_convolution(
     """Per depth ``d``, the dominant part of the product of the two characters
     at ``d`` below their highest weights: the orbit-expanded slices of both,
     each ``w1`` paired only with its :func:`_dominant_partners`. The expanded
-    slices and the index are dropped on return, before the peel builds tables."""
+    slices and the index are dropped on return."""
     full_l = [expand_orbits(rs, sl) for sl in char_l.slices]
     full_m = [expand_orbits(rs, sl) for sl in char_m.slices]
     index_m = [_partner_index(sl, rs.rank) for sl in full_m]
-    residual: list[dict[Weight, int]] = [dict() for _ in range(depth + 1)]
+    product: list[dict[Weight, int]] = [dict() for _ in range(depth + 1)]
     for d1 in range(depth + 1):
         for d2 in range(depth + 1 - d1):
-            target = residual[d1 + d2]
+            target = product[d1 + d2]
             terms, index = full_m[d2], index_m[d2]
             for w1, m1 in full_l[d1].items():
                 for w2 in _dominant_partners(index, w1):
                     key = tuple(map(add, w1, w2))
                     target[key] = target.get(key, 0) + m1 * terms[w2]
-    return residual
+    return product
+
+
+def _affine_nodes(rs: RootSystem) -> tuple[DynkinNode, ...]:
+    """The Dynkin nodes ``0..r`` of the affine Cartan matrix, node 0 the
+    affine root ``alpha_0 = delta - theta``: ``A[j][0] = -<theta, alpha_j^vee>``
+    and ``A[0][i] = -<alpha_i, theta^vee>`` for ``i, j >= 1``."""
+    theta = rs.fund_coords_of_root(rs.highest_root)
+    cartan = [[2] + [-theta_pairing(rs, col) for col in zip(*rs.cartan)]]
+    cartan += [[-t] + list(row) for t, row in zip(theta, rs.cartan)]
+    return _dynkin_nodes(cartan)
+
+
+def _rho_orbit_terms(
+    nodes: tuple[DynkinNode, ...], room: tuple[int, ...], costs: tuple[int, ...], budget: int
+) -> list[tuple[int, Weight, int]]:
+    """``(n_0, v, eps(w))`` for every ``w`` of the affine Weyl group with
+    ``rho^ - w rho^ = sum_i n_i alpha_i``, ``n_i <= room[i]`` for all ``i``
+    and ``sum_i n_i costs[i] <= budget``: ``v`` is the finite part of
+    ``w rho^``, its coordinates ``1..r``.
+
+    Snow's tree of the orbit of ``rho^``, walked down from ``rho^`` in affine
+    fundamental coordinates with the test of :func:`weyl_orbit`, node 0
+    first: the children of ``u`` are the ``s_i u`` with ``u_i > 0`` whose
+    first negative coordinate is ``i``. A child adds ``u_i alpha_i``, so
+    ``n`` only grows down the tree, and with costs ``>= 0`` a subtree is cut
+    where some ``n_i`` passes its room or the cost passes the budget; each
+    step is one reflection, so ``eps`` alternates.
+    """
+    terms = []
+    stack = [((1,) * len(nodes), room, budget, 1)]  # u, room - n, budget - cost, eps
+    pop, push = stack.pop, stack.append
+    while stack:
+        u, left, spare, eps = pop()
+        terms.append((room[0] - left[0], u[1:], eps))
+        for f, uf in enumerate(u):  # f stops at the first negative coordinate
+            if uf > 0:
+                if uf <= left[f] and uf * costs[f] <= spare:
+                    child = list(u)
+                    child[f] = -uf
+                    for j, a in nodes[f].neighbours:
+                        child[j] -= uf * a
+                    rest = list(left)
+                    rest[f] -= uf
+                    push((tuple(child), tuple(rest), spare - uf * costs[f], -eps))
+            elif uf < 0:
+                break
+        else:
+            continue
+        for i in nodes[f].later_neighbours:
+            ui = u[i]
+            if 0 < ui <= left[i] and ui * costs[i] <= spare:
+                node = nodes[i]
+                for j in node.earlier_others:
+                    if u[j] < 0:
+                        break
+                else:
+                    for j, a in node.earlier_neighbours:
+                        if u[j] < ui * a:
+                            break
+                    else:
+                        child = list(u)
+                        child[i] = -ui
+                        for j, a in node.neighbours:
+                            child[j] -= ui * a
+                        rest = list(left)
+                        rest[i] -= ui
+                        push((tuple(child), tuple(rest), spare - ui * costs[i], -eps))
+    return terms
+
+
+def _alcove_point(rs: RootSystem, v: Weight, d: int, lvl: int) -> tuple[Weight, int, int]:
+    """The affine-dominant point of the affine Weyl orbit of the level-``lvl``
+    weight with finite part ``v`` at depth ``d``: ``(finite part, depth,
+    (-1)^(reflections))``, the sign 0 iff the weight lies on a wall of the
+    affine Weyl group. Between finite reflections to the chamber, ``s_0`` adds
+    ``-v_0 alpha_0`` where ``v_0 = lvl - <v, theta^vee> < 0``: the depth drops
+    by ``-v_0``."""
+    theta = rs.fund_coords_of_root(rs.highest_root)
+    eps = 1
+    while True:
+        v, sign = rs.to_dominant(v)
+        v0 = lvl - theta_pairing(rs, v)
+        if not sign or not v0:
+            return v, d, 0
+        eps *= sign
+        if v0 > 0:
+            return v, d, eps
+        v = tuple(x + v0 * t for x, t in zip(v, theta))
+        d += v0
+        eps = -eps
+
+
+def _ball(rs: RootSystem, x: Weight, d: int, top: Weight, lvl: int) -> tuple[tuple[int, ...], int]:
+    """Costs and budget for :func:`_rho_orbit_terms` that keep the terms
+    ``x^ + N``, ``N = rho^ - w rho^ = sum_i n_i alpha_i``, with
+    ``|x^ + N|^2 <= |top^|^2``: every weight of a module whose components lie
+    below ``top^`` is that short (Kac, Prop. 11.4), where ``x^`` and ``top^``
+    are the level-``lvl`` weights with finite parts ``x`` and ``top`` at
+    depths ``d`` and 0. As ``|w rho^| = |rho^|``, ``|x^ + N|^2 = |x^|^2 +
+    2 (x^ + rho^ | N)``, so the bound reads ``sum_i n_i 2 (x^ + rho^ |
+    alpha_i) <= |top^|^2 - |x^|^2``, scaled by ``form_scale``. For an
+    affine-dominant ``x`` every cost ``2 (x_i + 1) (alpha_i|alpha_i) / 2`` is
+    positive, so the walk may cut a subtree where the budget runs out."""
+    x0 = lvl - theta_pairing(rs, x)
+    costs = (2 * (x0 + 1) * rs.form_scale,) + tuple(2 * (a + 1) * f for a, f in zip(x, rs.form_d))
+    return costs, rs.sip_ww(top, top) - rs.sip_ww(x, x) + 2 * rs.form_scale * lvl * d
+
+
+def _read_off(
+    rs: RootSystem, product: list[dict[Weight, int]], top: Weight, lvl: int
+) -> dict[tuple[Weight, int], int]:
+    """The components ``{(finite part, depth): c}`` of the level-``lvl``
+    product whose dominant slices are ``product``, below the highest weight
+    with finite part ``top``, in the order depth, then ``(-height, w)``.
+
+    Multiplying ``P = sum_nu c_nu ch V(nu)`` by the Weyl-Kac denominator
+    ``sum_w eps(w) e^(w rho^ - rho^)`` gives ``sum_nu c_nu sum_w eps(w)
+    e^(w(nu + rho^) - rho^)`` (Kac, *Infinite-dimensional Lie algebras*,
+    §10.4 and §12.1). The coefficient of ``e^x`` on the left is ``S(x, d) =
+    sum_w eps(w) P[d - n_0][to_dominant(x + s_w)]`` over the terms of
+    :func:`_rho_orbit_terms`; the weights of ``P`` lie below the top, so
+    the terms with some ``n_i`` above ``room = (d, gamma + d*marks)``,
+    ``gamma`` the root coordinates of ``top - x``, read zero and are cut, and
+    at an affine-dominant ``x`` so are those outside the ball of
+    :func:`_ball`. Every term is at depth ``d - n_0 <= d``, so the truncation
+    loses nothing. At an affine-dominant ``x`` (``<x, theta^vee> <= lvl``) only ``nu = x``
+    and ``w = 1`` land on the right: ``c_x = S(x, d)``, and a negative one is
+    an internal failure. At any other key, ``x + rho^`` reflects to an alcove
+    point ``nu + rho^`` at a shallower depth, already read off, and ``S(x, d)``
+    must be ``eps(w) c_nu``, or 0 if ``x + rho^`` is on a wall.
+    """
+    nodes = _affine_nodes(rs)
+    marks, to_dominant = rs.marks, rs.to_dominant
+    no_costs = (0,) * (rs.rank + 1)
+    components: dict[tuple[Weight, int], int] = {}
+    for d in range(len(product)):
+        for x in sorted(product[d], key=lambda w: (-rs.height(w), w)):
+            gamma = floor_root_coords(rs, tuple(map(sub, top, x)))
+            room = (d,) + tuple(g + d * a for g, a in zip(gamma, marks))
+            x0 = lvl - theta_pairing(rs, x)
+            costs, budget = _ball(rs, x, d, top, lvl) if x0 >= 0 else (no_costs, 0)
+            x_rho, total = tuple(a + 1 for a in x), 0  # x + rho
+            for n0, v, eps in _rho_orbit_terms(nodes, room, costs, budget):
+                y = tuple(map(sub, x_rho, v))  # x + s_w
+                if min(y) < 0:
+                    y = to_dominant(y)[0]
+                total += eps * product[d - n0].get(y, 0)
+            if x0 >= 0:
+                if total < 0:
+                    raise InvariantError(
+                        f"negative multiplicity {total} read off at finite part {x}, depth {d} "
+                        f"(level {lvl}) over {rs.algebra}"
+                    )
+                if total:
+                    components[(x, d)] = total
+                continue
+            point, e, sign = _alcove_point(rs, x_rho, d, lvl + rs.dual_coxeter)
+            nu = tuple(a - 1 for a in point)
+            expected = sign * components.get((nu, e), 0)
+            if total != expected:
+                raise InvariantError(
+                    f"read-off at non-dominant affine weight (finite {x}, depth {d}, level {lvl}) "
+                    f"over {rs.algebra} is {total}, but its alcove point (finite {nu}, depth {e}) "
+                    f"gives {expected}"
+                )
+    return components
 
 
 def truncated_tensor(
     rs: RootSystem, lam: AffineWeight, mu: AffineWeight, depth: int
 ) -> TruncatedDecomposition:
     """Decompose the product of two positive-level affine irreducibles up to
-    ``depth`` by slice convolution and highest-weight extraction, on dominant
-    finite weights only.
+    ``depth``: convolve their dominant slices, then read every component off
+    the product with the Weyl-Kac denominator.
 
     Both factors are orbit-expanded, and the convolution forms a pair
     ``(w1, w2)`` only when ``w1 + w2`` is a dominant finite weight, that is
@@ -302,21 +486,19 @@ def truncated_tensor(
     is indexed once per product: per coordinate and threshold ``t``, the
     frozenset of its weights with ``w2_i >= t`` (see :func:`_partner_index`).
     Each ``w1`` intersects the sets at ``-w1`` and pairs with the survivors
-    only. Each component then subtracts its own dominant slices. This is exact
-    because every slice of a character, and so every slice of the residual (a
-    difference of characters), is invariant under the finite Weyl group: it
-    vanishes iff it vanishes on dominant weights, so checking the leftovers on
-    dominant keys only is equivalent to checking all of them.
+    only. Every slice of a character is invariant under the finite Weyl
+    group, so its dominant part determines it.
 
-    Extraction walks depths in increasing order and, within a depth, finite
-    parts in decreasing height, so every candidate sees the contributions of
-    all previously peeled components. Positive residual at a non-dominant
-    affine weight, any negative residual, or a nonzero residual left after
-    extraction is an internal failure. So is a component ``(w, d)`` of
-    multiplicity ``c`` above the multiplicity of ``w - lam`` in slice ``d`` of
-    V(mu), or of ``w - mu`` in slice ``d`` of V(lam): every component V(nu) of
-    V(lam) (x) V(mu) has ``nu - lam`` a weight of V(mu) whose multiplicity is
-    at least that of V(nu) (Parthasarathy, Ranga Rao & Varadarajan 1967).
+    The multiplicity of each component is a signed sum of product
+    coefficients at the same depth or shallower (see :func:`_read_off`), so
+    no table beyond the two factors is built. A negative multiplicity, or a
+    sum at a key outside the affine chamber that disagrees with the
+    component at its alcove point, is an internal failure. So is a component
+    ``(w, d)`` of multiplicity ``c`` above the multiplicity of ``w - lam`` in
+    slice ``d`` of V(mu), or of ``w - mu`` in slice ``d`` of V(lam): every
+    component V(nu) of V(lam) (x) V(mu) has ``nu - lam`` a weight of V(mu)
+    whose multiplicity is at least that of V(nu) (Parthasarathy, Ranga Rao &
+    Varadarajan 1967).
     """
     _require_affine(rs)
     if not (lam.is_dominant() and mu.is_dominant()):
@@ -326,40 +508,9 @@ def truncated_tensor(
         raise AlgebraError(f"truncated_tensor requires positive levels, got {lvl_l}, {lvl_m}")
     if depth < 0:
         raise AlgebraError(f"depth must be non-negative, got {depth}")
-    lvl = lvl_l + lvl_m
     char_l, char_m = affine_freudenthal(rs, lam, depth), affine_freudenthal(rs, mu, depth)
-    residual = _dominant_convolution(rs, char_l, char_m, depth)
-
-    components: dict[tuple[Weight, int], int] = {}
-    for d in range(depth + 1):
-        for w in sorted(residual[d], key=lambda w: (-rs.height(w), w)):
-            c = residual[d].get(w, 0)
-            if c == 0:
-                continue
-            if c < 0:
-                raise InvariantError(
-                    f"negative residual {c} at finite part {w}, depth {d} in "
-                    f"{lam} (x) {mu} over {rs.algebra}"
-                )
-            if theta_pairing(rs, w) > lvl:
-                raise InvariantError(
-                    f"positive residual {c} at non-dominant affine weight (finite {w}, depth {d}, "
-                    f"level {lvl}) in {lam} (x) {mu} over {rs.algebra}"
-                )
-            comp_char = affine_freudenthal(rs, affinize(rs, w, lvl), depth - d)
-            for target, sl in zip(residual[d:], comp_char.slices):
-                for x, mx in sl.items():
-                    acc = target.get(x, 0) - c * mx
-                    if acc:
-                        target[x] = acc
-                    else:
-                        target.pop(x, None)
-            components[(w, d)] = c
-    leftovers = {(w, d): v for d in range(depth + 1) for w, v in residual[d].items() if v}
-    if leftovers:
-        raise InvariantError(
-            f"extraction left a nonzero residual in {lam} (x) {mu} over {rs.algebra}: {leftovers}"
-        )
+    product = _dominant_convolution(rs, char_l, char_m, depth)
+    components = _read_off(rs, product, (lam + mu).finite, lvl_l + lvl_m)
     for (w, d), c in components.items():
         for first, other in ((lam, char_m), (mu, char_l)):
             x = rs.to_dominant(tuple(map(sub, w, first.finite)))[0]

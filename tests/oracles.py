@@ -9,10 +9,13 @@ genuine two-route check. The product oracle counts the weights of V(rho)
 as subset sums of positive roots, and the box walks enumerate dominant weights
 and affine Freudenthal candidates over whole simple-root coordinate boxes
 instead of descending by positive roots. The full-weight peel decomposes a
-truncated affine product over every finite weight, where the production peel
-keeps dominant weights only. The orbit oracle walks a Weyl orbit breadth-first
-with a seen-set, where the production walk climbs the tree of
-``to_dominant``. The root-datum oracle builds the symmetrizer, the inverse
+truncated affine product over every finite weight by subtracting each
+component's character, where the library keeps dominant weights only and
+reads the components off with the Weyl-Kac denominator. The signed affine
+orbit lists the denominator's terms from finite reflections and coroot
+translations, where the library walks the tree of the affine orbit of rho^.
+The orbit oracle walks a Weyl orbit breadth-first with a seen-set, where the
+production walk climbs the tree of ``to_dominant``. The root-datum oracle builds the symmetrizer, the inverse
 Cartan matrix and the form in ``Fraction`` arithmetic, where the production
 build stays in integers throughout. The descent oracle for the conjecture's
 predicted set tests every dominant weight below (m+n) rho for membership,

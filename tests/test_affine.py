@@ -2,9 +2,10 @@
 decomposition, and the GKO coset scalars."""
 
 import copy
+import re
 from fractions import Fraction
 from itertools import product as iproduct
-from operator import add
+from operator import add, sub
 
 import pytest
 
@@ -12,8 +13,12 @@ from rho_tensor.affine import (
     GAP_AT_ONE,
     UNBROKEN,
     AffineWeight,
+    _affine_nodes,
+    _ball,
+    _dominant_convolution,
     _dominant_partners,
     _partner_index,
+    _rho_orbit_terms,
     affine_bilinear,
     affine_candidates,
     affine_freudenthal,
@@ -28,12 +33,18 @@ from rho_tensor.affine import (
     kac_wakimoto_check,
     level,
     sl2_delta_max_rule,
+    theta_pairing,
     truncated_tensor,
 )
 from rho_tensor.charcalc import _memo, clear_memory_cache, expand_orbits, freudenthal
-from rho_tensor.rootdata import AlgebraError, InvariantError, build_root_system
+from rho_tensor.rootdata import AlgebraError, InvariantError, build_root_system, floor_root_coords
 
-from oracles import affine_candidates_by_box, affine_slices_by_weyl_kac, truncated_tensor_by_full_peel
+from oracles import (
+    _signed_affine_orbit,
+    affine_candidates_by_box,
+    affine_slices_by_weyl_kac,
+    truncated_tensor_by_full_peel,
+)
 
 # frozen from the truncated Weyl-Kac oracle (re-derived live below)
 SL2_RHO_SLICES = [
@@ -185,6 +196,7 @@ def test_truncated_tensor_leaves_the_memo_unchanged(sl3_affine):
         ("G2~", 1, 1, 2),
         ("A3~", 1, 1, 2),
         ("C3~", 1, 1, 1),
+        ("B3~", 1, 1, 1),
         pytest.param("A3~", (2, 1, 0, 1), (1, 0, 1, 0), 3, id="A3~-2101-1010-3"),
     ],
 )
@@ -194,6 +206,53 @@ def test_truncated_tensor_matches_full_peel(name, m, n, depth):
     lam, mu = (AffineWeight(x) if isinstance(x, tuple) else x * affine_rho(rs) for x in (m, n))
     dec = truncated_tensor(rs, lam, mu, depth)
     assert dec.components == truncated_tensor_by_full_peel(rs, lam, mu, depth)
+
+
+@pytest.mark.parametrize("name", ["A1~", "A2~", "B2~", "G2~", "A3~", "C3~"])
+def test_rho_orbit_terms_match_the_signed_affine_orbit(name):
+    """With no bound on the finite room, the walk yields every ``w`` with
+    ``n_0 <= D``: the terms ``e^(w rho^)`` of the Weyl-Kac denominator down to
+    depth ``D``, with their signs. Translations up to 3 coroot steps reach
+    every such term for ``D <= 3`` on these algebras (as at 2 or 4 steps)."""
+    rs = build_root_system(name)
+    nodes = _affine_nodes(rs)
+    orbit = _signed_affine_orbit(rs, affine_rho(rs), 3, 3)
+    for depth in range(4):
+        terms = _rho_orbit_terms(nodes, (depth,) + (10**9,) * rs.rank, (0,) * (rs.rank + 1), 0)
+        found = {(v, -n0): eps for n0, v, eps in terms}
+        assert len(found) == len(terms)
+        assert found == {k: eps for k, eps in orbit.items() if k[1] >= -depth}
+
+
+@pytest.mark.parametrize(
+    "name,fund,depth",
+    [("A2~", (1, 1, 1), 3), ("B2~", (2, 1, 1), 2), ("G2~", (1, 1, 1), 2), ("E6~", (1, 0, 0, 0, 0, 0, 0), 2)],
+    ids=["A2~-111-3", "B2~-211-2", "G2~-111-2", "E6~-1000000-2"],
+)
+def test_ball_cuts_exactly_the_terms_outside_it(name, fund, depth):
+    """At every affine-dominant key of ``V(fund) (x) V(fund)``, the walk
+    with the costs and budget of ``_ball`` keeps exactly those terms of the
+    walk in the same room without them whose weight ``x^ + N`` has
+    ``|x^ + N|^2 <= |top^|^2``, computed here from the form (a depth ``d``
+    adds ``-2 lvl d``)."""
+    rs = build_root_system(name)
+    lam = AffineWeight(fund)
+    char = affine_freudenthal(rs, lam, depth)
+    top, lvl = (lam + lam).finite, 2 * level(rs, lam)
+    nodes, free = _affine_nodes(rs), (0,) * (rs.rank + 1)
+    for d, sl in enumerate(_dominant_convolution(rs, char, char, depth)):
+        for x in sl:
+            if theta_pairing(rs, x) > lvl:
+                continue
+            gamma = floor_root_coords(rs, tuple(map(sub, top, x)))
+            room = (d,) + tuple(g + d * a for g, a in zip(gamma, rs.marks))
+            inside = set()
+            for n0, v, eps in _rho_orbit_terms(nodes, room, free, 0):
+                y = tuple(a + 1 - b for a, b in zip(x, v))
+                if rs.sip_ww(y, y) - 2 * rs.form_scale * lvl * (d - n0) <= rs.sip_ww(top, top):
+                    inside.add((n0, v, eps))
+            kept = _rho_orbit_terms(nodes, room, *_ball(rs, x, d, top, lvl))
+            assert len(kept) == len(inside) and set(kept) == inside, (x, d)
 
 
 @pytest.mark.parametrize(
@@ -213,9 +272,29 @@ def test_partner_index_matches_brute_force(name, fund, depth):
             assert _dominant_partners(index, w1) == expected, w1
 
 
-def test_component_above_the_prv_bound_is_an_invariant_failure(misplaced_affine_reflections):
+def test_component_above_the_prv_bound_is_an_invariant_failure(inflated_top_component):
     rs = build_root_system("A2~")
     with pytest.raises(InvariantError, match="PRV bound"):
+        truncated_tensor(rs, affine_rho(rs), affine_rho(rs), 2)
+
+
+def test_negative_read_off_is_an_invariant_failure(lowered_top_of_product):
+    rs = build_root_system("A2~")
+    with pytest.raises(InvariantError, match=r"negative multiplicity -1 read off at finite part \(2, 2\), depth 0"):
+        truncated_tensor(rs, affine_rho(rs), affine_rho(rs), 2)
+
+
+def test_read_off_off_the_chamber_must_match_its_alcove_point(raised_reflected_entry):
+    rs = build_root_system("A2~")
+    # unperturbed, the sum at (4,4) is -1: (4,4) + rho^ is s_0 of (3,3) + rho^, a component one depth up
+    message = "(finite (4, 4), depth 2, level 6) over A2~ is 0, but its alcove point (finite (3, 3), depth 1) gives -1"
+    with pytest.raises(InvariantError, match=re.escape(message)):
+        truncated_tensor(rs, affine_rho(rs), affine_rho(rs), 2)
+
+
+def test_misplaced_reflections_fail_the_read_off(misplaced_affine_reflections):
+    rs = build_root_system("A2~")
+    with pytest.raises(InvariantError):
         truncated_tensor(rs, affine_rho(rs), affine_rho(rs), 2)
 
 

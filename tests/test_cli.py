@@ -267,9 +267,19 @@ def test_component_outside_the_translated_set_is_exit_3(misplaced_reflections, c
     assert "exceeds the translated weight set" in capsys.readouterr().err
 
 
-def test_component_above_the_prv_bound_is_exit_3(misplaced_affine_reflections, capsys):
+def test_component_above_the_prv_bound_is_exit_3(inflated_top_component, capsys):
     assert run("--no-cache", "affine-decompose", "A2~", "1,1,1", "1,1,1", "--depth", "2") == (EXIT_INTERNAL, "")
     assert "(PRV bound)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "perturbation,message",
+    [("lowered_top_of_product", "negative multiplicity -1"), ("raised_reflected_entry", "alcove point")],
+)
+def test_read_off_failure_is_exit_3(request, capsys, perturbation, message):
+    request.getfixturevalue(perturbation)
+    assert run("--no-cache", "affine-decompose", "A2~", "1,1,1", "1,1,1", "--depth", "2") == (EXIT_INTERNAL, "")
+    assert message in capsys.readouterr().err
 
 
 def test_scan_case_error_is_exit_3(monkeypatch, capsys):
