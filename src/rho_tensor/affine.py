@@ -4,7 +4,10 @@ Affine weights carry r+1 fundamental coordinates over omega_0..omega_r plus
 an integer delta shift. Characters of positive-level irreducibles are
 computed slice-by-slice down to an explicit delta-depth by the Kac-Moody
 Freudenthal recursion (real roots alpha + k delta with multiplicity one,
-imaginary roots k delta with multiplicity rank). The tables live in the memo
+imaginary roots k delta with multiplicity rank), run only at affine-dominant
+weights: every other dominant finite weight of a slice takes the multiplicity
+of its alcove point, the affine-dominant point of its affine Weyl orbit, at a
+shallower depth (:meth:`RootSystem.alcove_point`). The tables live in the memo
 of :mod:`rho_tensor.charcalc`, keyed without the delta shift: one per classical
 highest weight, the deepest computed so far, and views of it serve shallower
 or shifted requests. Truncated tensor products are decomposed on dominant
@@ -77,6 +80,11 @@ class AffineWeight:
 
     def is_dominant(self) -> bool:
         return all(x >= 0 for x in self.fund)
+
+    def __str__(self) -> str:
+        """The CLI's notation: ``1,-1``, or ``0,0:d-1`` with a delta shift."""
+        text = ",".join(map(str, self.fund))
+        return f"{text}:d{self.delta_shift}" if self.delta_shift else text
 
 
 def _require_affine(rs: RootSystem) -> None:
@@ -375,28 +383,6 @@ def _rho_orbit_terms(
     return terms
 
 
-def _alcove_point(rs: RootSystem, v: Weight, d: int, lvl: int) -> tuple[Weight, int, int]:
-    """The affine-dominant point of the affine Weyl orbit of the level-``lvl``
-    weight with finite part ``v`` at depth ``d``: ``(finite part, depth,
-    (-1)^(reflections))``, the sign 0 iff the weight lies on a wall of the
-    affine Weyl group. Between finite reflections to the chamber, ``s_0`` adds
-    ``-v_0 alpha_0`` where ``v_0 = lvl - <v, theta^vee> < 0``: the depth drops
-    by ``-v_0``."""
-    theta = rs.fund_coords_of_root(rs.highest_root)
-    eps = 1
-    while True:
-        v, sign = rs.to_dominant(v)
-        v0 = lvl - theta_pairing(rs, v)
-        if not sign or not v0:
-            return v, d, 0
-        eps *= sign
-        if v0 > 0:
-            return v, d, eps
-        v = tuple(x + v0 * t for x, t in zip(v, theta))
-        d += v0
-        eps = -eps
-
-
 def _ball(rs: RootSystem, x: Weight, d: int, top: Weight, lvl: int) -> tuple[tuple[int, ...], int]:
     """Costs and budget for :func:`_rho_orbit_terms` that keep the terms
     ``x^ + N``, ``N = rho^ - w rho^ = sum_i n_i alpha_i``, with
@@ -461,7 +447,7 @@ def _read_off(
                 if total:
                     components[(x, d)] = total
                 continue
-            point, e, sign = _alcove_point(rs, x_rho, d, lvl + rs.dual_coxeter)
+            point, e, sign = rs.alcove_point(x_rho, d, lvl + rs.dual_coxeter)
             nu = tuple(a - 1 for a in point)
             expected = sign * components.get((nu, e), 0)
             if total != expected:
@@ -502,7 +488,7 @@ def truncated_tensor(
     """
     _require_affine(rs)
     if not (lam.is_dominant() and mu.is_dominant()):
-        raise AlgebraError(f"truncated_tensor requires dominant weights, got {lam}, {mu}")
+        raise AlgebraError(f"truncated_tensor requires dominant weights, got {lam} and {mu}")
     lvl_l, lvl_m = level(rs, lam), level(rs, mu)
     if lvl_l <= 0 or lvl_m <= 0:
         raise AlgebraError(f"truncated_tensor requires positive levels, got {lvl_l}, {lvl_m}")

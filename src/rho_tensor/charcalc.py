@@ -128,6 +128,17 @@ def freudenthal_slices(
     ``alpha`` only), imaginary roots ``k*delta`` multiplicity rank. At depth 0
     only ``k = 0`` enters and the level term of the denominator vanishes, so a
     finite character is the depth-0 call with level 0.
+
+    Only the candidates at depth 0 or in the affine chamber (``<mu, theta^vee>
+    <= lvl``) run the recursion. Any other is read off its alcove point
+    (:meth:`RootSystem.alcove_point`): by affine Weyl invariance (Kac,
+    *Infinite-dimensional Lie algebras*, Prop. 10.1) its multiplicity is that
+    of the point, which is shallower and so already known, or 0 if the point
+    lies above the top. Every candidate that runs the recursion is then a
+    dominant weight below the top, hence a weight (Kac, §12.6): a recursion
+    that finds it multiplicity 0 is an internal failure, as are a denominator
+    ``<= 0`` and a quotient that is not a non-negative integer. Each value is
+    stored in candidate order, so the slice dicts keep that order.
     """
     rank = rs.rank
     marks = rs.marks
@@ -159,13 +170,22 @@ def freudenthal_slices(
 
     slices: list[dict[Weight, int]] = [{} for _ in range(depth + 1)]
     slices[0][lam] = 1
-    # an affine table looks up the same finite weight nu many times (19,909
-    # distinct weights for 262,798 lookups over the affine_products workload
-    # at seed 3), so it reflects each nu once; a finite table repeats less
-    # (E7 V(rho): 230,076 for 361,243), and there a dict would cost memory
-    # without saving time
+    # an affine table looks up the same finite weight nu many times (828
+    # distinct weights, summed over its tables, for 12,445 lookups in one
+    # repeat of the affine_products workload at seed 3), so it reflects each
+    # nu once; a finite table repeats less (E7 V(rho): 230,076 for 361,243),
+    # and there a dict would cost memory without saving time
     dominant_of: dict[Weight, Weight] | None = {} if depth else None
+    dual_marks, alcove_point = rs.dual_marks, rs.alcove_point
     for d, mu, gamma in candidates:
+        if d and sum(map(mul, dual_marks, mu)) > lvl:
+            # off the affine chamber: the multiplicity is that of its alcove point,
+            # shallower (above the top if e < 0), so already known
+            nu, e, _ = alcove_point(mu, d, lvl)
+            m = slices[e].get(nu, 0) if e >= 0 else 0
+            if m:
+                slices[d][mu] = m
+            continue
         room = (d,) + tuple(g + d * a for g, a in zip(gamma, marks))
         total = sum(room)
         num = 0
@@ -199,8 +219,11 @@ def freudenthal_slices(
                 if m:
                     num += rank * m * k * lvl_scaled
         num *= 2
-        if not num and d:
-            continue  # depth > 0: the candidate box holds non-weights, denominator unchecked
+        if not num:
+            raise InvariantError(
+                f"Freudenthal recursion found multiplicity 0 at mu={mu}, depth {d} for highest "
+                f"weight {lam} ({rs.algebra}), but a dominant weight below the top is a weight"
+            )
         mu_rho = tuple(x + 1 for x in mu)
         denom = top - sip_ww(mu_rho, mu_rho) + d * shift_scaled
         if denom <= 0:
@@ -214,8 +237,7 @@ def freudenthal_slices(
                 f"Freudenthal recursion produced non-multiplicity {num}/{denom} "
                 f"at mu={mu}, depth {d}, lam={lam}"
             )
-        if q:
-            slices[d][mu] = q
+        slices[d][mu] = q
     return slices
 
 

@@ -193,6 +193,11 @@ class RootSystem:
     roots in fundamental-weight coordinates and ``positive_coroots`` their
     coroots in simple-coroot coordinates; ``weyl_denominator`` is
     ``prod <rho, alpha^vee>``, the denominator of the Weyl dimension formula.
+    ``coroot_steps`` builds every pairing ``<v, alpha^vee>`` from the simple
+    ones with one addition each: the simple coroots by index come first, then
+    the others by ``(height, coordinates)``, and step ``(j, i)`` pairs the
+    next of them as pairing ``j`` plus ``v_i``, where ``alpha^vee -
+    alpha_i^vee`` (``i`` the least such index) is coroot ``j`` of that order.
     ``dynkin_nodes[i]`` lists what the simple reflection ``s_i`` changes: the
     coordinate ``i`` and those of the Dynkin neighbours of ``i`` (``A[j][i] !=
     0``), nothing else. :meth:`to_dominant` and :func:`weyl_orbit` read only
@@ -215,6 +220,7 @@ class RootSystem:
     positive_roots_fund: tuple[Weight, ...]
     positive_coroots: tuple[RootVector, ...]
     weyl_denominator: int
+    coroot_steps: tuple[tuple[int, int], ...]
     dynkin_nodes: tuple[DynkinNode, ...]
     rho: Weight
     highest_root: RootVector
@@ -264,6 +270,30 @@ class RootSystem:
                 cur[j] -= x * a
             parity = -parity
 
+    def alcove_point(self, v: Weight, d: int, lvl: int) -> tuple[Weight, int, int]:
+        """The affine-dominant point of the affine Weyl orbit of the
+        level-``lvl`` weight with finite part ``v`` at depth ``d``, for
+        ``lvl > 0``: ``(finite part, depth, sign)``. Finite reflections to the
+        dominant chamber alternate with ``s_0``, which adds ``-v_0 alpha_0``
+        where ``v_0 = lvl - <v, theta^vee> < 0``: the finite part drops by
+        ``-v_0 theta`` and the depth by ``-v_0``. The walk goes on through
+        walls; the sign is ``(-1)^(reflections)``, or 0 once any step met a
+        wall, that is iff the weight lies on a wall of the affine Weyl group."""
+        if lvl <= 0:
+            raise AlgebraError(f"alcove_point requires a positive level, got {lvl}")
+        theta = self.positive_roots_fund[-1]  # the highest root comes last, by height
+        dual_marks = self.dual_marks
+        eps = 1
+        while True:
+            v, sign = self.to_dominant(v)
+            eps *= sign
+            v0 = lvl - sum(map(mul, dual_marks, v))
+            if v0 >= 0:
+                return v, d, eps if v0 else 0
+            v = tuple(x + v0 * t for x, t in zip(v, theta))
+            d += v0
+            eps = -eps
+
     def is_dominant(self, w: Weight) -> bool:
         return all(x >= 0 for x in w)
 
@@ -280,12 +310,15 @@ class RootSystem:
     # -- representation-theoretic helpers -----------------------------------
 
     def weyl_dimension(self, lam: Weight) -> int:
-        """dim V(lam) = prod <lam+rho, alpha^vee> / prod <rho, alpha^vee> (finite type)."""
+        """dim V(lam) = prod <lam+rho, alpha^vee> / prod <rho, alpha^vee> (finite type),
+        each pairing one addition by ``coroot_steps``."""
         self._require_finite()
         if not self.is_dominant(lam):
             raise AlgebraError(f"weyl_dimension requires a dominant weight, got {lam}")
-        shifted = tuple(x + 1 for x in lam)
-        num = prod(sum(map(mul, shifted, cv)) for cv in self.positive_coroots)
+        pairings = [x + 1 for x in lam]  # <lam+rho, alpha_i^vee>, then the other coroots'
+        for j, i in self.coroot_steps:
+            pairings.append(pairings[j] + pairings[i])
+        num = prod(pairings)
         q, r = divmod(num, self.weyl_denominator)
         if r:
             raise InvariantError(f"Weyl dimension of {lam} is not integral: {num}/{self.weyl_denominator}")
@@ -357,6 +390,16 @@ def build_root_system(algebra: AlgebraId | str) -> RootSystem:
             raise InvariantError(f"coroot of {r} in {fin} is not integral")
         coroots.append(tuple(q for q, _ in cv))
 
+    # each non-simple positive coroot is a lower one plus a simple coroot
+    order = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    order += sorted((c for c in coroots if sum(c) > 1), key=lambda c: (sum(c), c))
+    where = {c: k for k, c in enumerate(order)}
+    steps = []
+    for c in order[rank:]:
+        lower = [c[:i] + (c[i] - 1,) + c[i + 1 :] for i in range(rank)]
+        i = next(i for i in range(rank) if lower[i] in where)
+        steps.append((where[lower[i]], i))
+
     return RootSystem(
         algebra=algebra,
         cartan=tuple(tuple(row) for row in cartan),
@@ -366,6 +409,7 @@ def build_root_system(algebra: AlgebraId | str) -> RootSystem:
         positive_roots_fund=tuple(posroots_fund),
         positive_coroots=tuple(coroots),
         weyl_denominator=prod(map(sum, coroots)),
+        coroot_steps=tuple(steps),
         dynkin_nodes=_dynkin_nodes(cartan),
         rho=(1,) * rank,
         highest_root=theta,

@@ -139,9 +139,10 @@ def root_datum_by_fractions(algebra: AlgebraId | str) -> RootSystem:
     """The root datum of ``algebra`` with every rational quantity computed as
     a ``Fraction`` first: the symmetrizer from d_0 = 1, the inverse Cartan
     matrix over the rationals, the form and the dual marks as fractions, and
-    ``form_scale`` as the lcm of the denominators of the form and of d. Only
-    the Cartan matrix and the positive roots are shared with the production
-    build."""
+    ``form_scale`` as the lcm of the denominators of the form and of d, and
+    ``coroot_steps`` from the positive roots of the dual root system. Only
+    the Cartan matrix and the positive-root closure are shared with the
+    production build."""
     if isinstance(algebra, str):
         algebra = AlgebraId.parse(algebra)
     fin = algebra.finite()
@@ -183,6 +184,20 @@ def root_datum_by_fractions(algebra: AlgebraId | str) -> RootSystem:
         assert all(x.denominator == 1 for x in cv)
         coroots.append(tuple(map(int, cv)))
 
+    # the positive coroots are the positive roots of the dual system, whose
+    # Cartan matrix is the transpose; _positive_roots sorts by (height, coordinates)
+    dual_roots = _positive_roots([list(col) for col in zip(*cartan)], rank)
+    assert sorted(dual_roots) == sorted(coroots)
+    order = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    order += [c for c in dual_roots if sum(c) > 1]
+    steps = []
+    for c in order[rank:]:
+        for i in range(rank):
+            lower = c[:i] + (c[i] - 1,) + c[i + 1 :]
+            if lower in order:
+                steps.append((order.index(lower), i))
+                break
+
     return RootSystem(
         algebra=algebra,
         cartan=tuple(tuple(row) for row in cartan),
@@ -192,6 +207,7 @@ def root_datum_by_fractions(algebra: AlgebraId | str) -> RootSystem:
         positive_roots_fund=tuple(posroots_fund),
         positive_coroots=tuple(coroots),
         weyl_denominator=prod(map(sum, coroots)),
+        coroot_steps=tuple(steps),
         dynkin_nodes=_dynkin_nodes_by_adjacency(cartan),
         rho=(1,) * rank,
         highest_root=theta,

@@ -36,7 +36,7 @@ from rho_tensor.affine import (
     theta_pairing,
     truncated_tensor,
 )
-from rho_tensor.charcalc import _memo, clear_memory_cache, expand_orbits, freudenthal
+from rho_tensor.charcalc import _memo, clear_memory_cache, expand_orbits, freudenthal, freudenthal_slices
 from rho_tensor.rootdata import AlgebraError, InvariantError, build_root_system, floor_root_coords
 
 from oracles import (
@@ -112,6 +112,12 @@ def test_sl2_rho_slices_frozen(sl2_affine):
         ("G2~", (1, 1, 1), 2),
         ("G2~", (2, 0, 1), 2),
         ("G2~", (0, 1, 0), 3),
+        # most candidates of these lie off the affine chamber
+        ("A1~", (1, 1), 12),
+        ("A1~", (2, 2), 10),
+        ("A1~", (4, 1), 12),
+        ("A2~", (1, 1, 1), 5),
+        ("B2~", (1, 1, 1), 5),
     ],
 )
 def test_against_weyl_kac_oracle(name, fund, depth):
@@ -120,6 +126,38 @@ def test_against_weyl_kac_oracle(name, fund, depth):
     expected = affine_slices_by_weyl_kac(rs, lam, depth)
     got = [expand_orbits(rs, sl) for sl in affine_freudenthal(rs, lam, depth).slices]
     assert got == expected
+
+
+def test_candidate_that_is_not_a_weight_is_an_invariant_failure(sl2_affine):
+    # (0,) at depth 1 is affine-dominant below V(rho^) at level 2, but lies outside
+    # the root-lattice class of the top (1,): the recursion finds it no multiplicity
+    candidates = affine_candidates(sl2_affine, (1,), 1) + [(1, (0,), (0,))]
+    with pytest.raises(InvariantError, match=re.escape("multiplicity 0 at mu=(0,), depth 1")):
+        freudenthal_slices(sl2_affine, (1,), candidates, 1, 2)
+
+
+def test_alcove_walk_goes_on_through_walls(sl3_affine):
+    # at level 1, (2,0) lies on a finite wall but not in the affine chamber
+    # (<(2,0), theta^vee> = 2 > 1): s_0 takes it to (1,-1) one depth up, and
+    # s_2 to (0,1), the alcove point Lambda_2 on the wall of s_0
+    assert sl3_affine.alcove_point((2, 0), 3, 1) == ((0, 1), 2, 0)
+    assert sl3_affine.alcove_point((0, 2), 3, 1) == ((1, 0), 2, 0)
+    with pytest.raises(AlgebraError, match="positive level"):
+        sl3_affine.alcove_point((1, 0), 3, 0)  # at level 0, s_0 would lower the depth forever
+
+
+@pytest.mark.parametrize("name", ["A2~", "B2~", "G2~"])
+def test_alcove_point_is_the_dominant_point_of_the_affine_orbit(name):
+    rs = build_root_system(name)
+    lvl, d = 3, 6
+    for v in iproduct(range(-4, 5), repeat=rs.rank):
+        nu, e, sign = rs.alcove_point(v, d, lvl)
+        point = affinize(rs, nu, lvl, -e)
+        assert point.is_dominant()
+        if sign:
+            assert _signed_affine_orbit(rs, point, d - e, 4)[(v, -d)] == sign
+        else:
+            assert 0 in point.fund
 
 
 @pytest.mark.parametrize(

@@ -171,7 +171,7 @@ DATUM_NAMES = (
 @pytest.mark.parametrize("name", DATUM_NAMES)
 def test_root_datum_against_fraction_build(name):
     rs, expected = build_root_system(name), root_datum_by_fractions(name)
-    assert len(fields(rs)) == 18
+    assert len(fields(rs)) == 19
     for f in fields(rs):
         assert getattr(rs, f.name) == getattr(expected, f.name), f.name
 
