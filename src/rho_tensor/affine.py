@@ -10,18 +10,19 @@ of its alcove point, the affine-dominant point of its affine Weyl orbit, at a
 shallower depth (:meth:`RootSystem.alcove_point`). The tables live in the memo
 of :mod:`rho_tensor.charcalc`, keyed without the delta shift: one per classical
 highest weight, the deepest computed so far, and views of it serve shallower
-or shifted requests. Truncated tensor products are decomposed on dominant
-finite weights only: every slice of a character is invariant under the finite
-Weyl group, so the dominant part of a product determines it. The slice
-convolution therefore forms only the pairs of weights whose sum is dominant,
-which a per-coordinate threshold index of each slice of the second factor
-finds without trying the others. Each component is then read off the product
-with the Weyl-Kac denominator: its multiplicity is a signed sum, over the
-affine Weyl orbit of rho^, of product coefficients at the same depth or
-shallower, so the truncation loses nothing and no table is built beyond the
-two factors'. The sums off the affine chamber are checked against the
-components at their alcove points, and every component against the
-multiplicities of both factors (the PRV bound). Everything is
+or shifted requests. A truncated tensor product is read off finite Klimyk
+passes: multiplying ``ch L ch V(kappa)`` by the Weyl-Kac denominator gives
+``ch L`` times the Weyl-Kac numerator of V(kappa) (Kac, §10.4 and §12.1).
+Grouped by finite cosets, that numerator is a signed sum of finite
+characters ``A_rho ch V(v - rho)``, one per finite-dominant point ``v`` of
+the affine orbit of ``kappa + rho^``, each at its depth; few lie within the
+truncation. Each multiplies a slice of ``L`` in one Klimyk pass, reflecting
+with the finite Weyl group only, and the coefficient at an affine-dominant
+weight is its component. Every term reads a slice at the same depth or
+shallower, so the truncation loses nothing, and no table is built beyond the
+two factors'. The sums off the affine chamber are checked
+against the components at their alcove points, and every component against
+the multiplicities of both factors (the PRV bound). Everything is
 depth-qualified: no claim is made beyond the truncation.
 
 The normalized invariant form follows the standard affine conventions:
@@ -32,22 +33,20 @@ of the Goddard-Kent-Olive coset construction come out as exact rationals.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, itemgetter, sub
+from operator import add, mul, sub
 
 from .charcalc import _memo, _memo_lock, dominant_descent, expand_orbits, freudenthal_slices
 from .rootdata import (
     AlgebraError,
-    DynkinNode,
     InvariantError,
     RootSystem,
     RootVector,
     Weight,
-    _dynkin_nodes,
-    floor_root_coords,
     weyl_orbit,
+    weyl_orbit_size,
 )
 
 DEFAULT_DEPTH = 6
@@ -260,231 +259,120 @@ class TruncatedDecomposition:
         return sorted(best.items(), key=lambda t: (t[1], t[0]))
 
 
-def _partner_index(weights: dict[Weight, int], rank: int) -> list[tuple[int, list[frozenset[Weight]]]]:
-    """Per coordinate ``i``, ``(lo, sets)`` with ``sets[k]`` the frozenset of
-    the ``weights`` whose ``i``-th coordinate is at least ``lo + k``, for
-    ``0 <= k <= hi - lo + 1``: ``lo`` and ``hi`` are the least and greatest
-    ``i``-th coordinates, so ``sets[0]`` is every weight and ``sets[-1]`` none.
-    Each set is a suffix of the weights sorted once by the coordinate."""
-    index = []
-    for i in range(rank):
-        ordered = sorted(weights, key=itemgetter(i))
-        column = [w[i] for w in ordered]
-        lo, hi = (column[0], column[-1]) if column else (0, 0)
-        index.append((lo, [frozenset(ordered[bisect_left(column, t):]) for t in range(lo, hi + 2)]))
-    return index
+def _numerator_terms(rs: RootSystem, start: AffineWeight, depth: int) -> list[tuple[int, Weight, int]]:
+    """``(n, v, eps(u))`` for every ``u`` of the affine Weyl group with ``u
+    start`` finite-dominant at depth ``n <= depth`` below ``start``, ``v``
+    its finite part. ``start`` is a weight ``kappa + rho^``, ``kappa``
+    dominant: every coordinate is positive, so ``start`` is regular, and so
+    is every ``v`` (each coordinate positive).
 
-
-def _dominant_partners(
-    index: list[tuple[int, list[frozenset[Weight]]]], w1: Weight
-) -> frozenset[Weight]:
-    """The indexed weights ``w2`` with ``w1 + w2`` dominant, that is with
-    ``w2_i >= -w1_i`` for every ``i``: the intersection of the threshold sets
-    at ``-w1``, clamped to the ends, smallest first (each ``&`` costs the
-    size of its smaller operand)."""
-    parts = []
-    for x, (lo, sets) in zip(w1, index):
-        k = -x - lo
-        if k > 0:  # else every indexed w2_i >= lo >= -x
-            parts.append(sets[min(k, len(sets) - 1)])
-    if not parts:
-        return index[0][1][0]  # the whole slice
-    parts.sort(key=len)
-    return parts[0].intersection(*parts[1:])
-
-
-def _dominant_convolution(
-    rs: RootSystem, char_l: TruncatedAffineCharacter, char_m: TruncatedAffineCharacter, depth: int
-) -> list[dict[Weight, int]]:
-    """Per depth ``d``, the dominant part of the product of the two characters
-    at ``d`` below their highest weights: the orbit-expanded slices of both,
-    each ``w1`` paired only with its :func:`_dominant_partners`. The expanded
-    slices and the index are dropped on return."""
-    full_l = [expand_orbits(rs, sl) for sl in char_l.slices]
-    full_m = [expand_orbits(rs, sl) for sl in char_m.slices]
-    index_m = [_partner_index(sl, rs.rank) for sl in full_m]
-    product: list[dict[Weight, int]] = [dict() for _ in range(depth + 1)]
-    for d1 in range(depth + 1):
-        for d2 in range(depth + 1 - d1):
-            target = product[d1 + d2]
-            terms, index = full_m[d2], index_m[d2]
-            for w1, m1 in full_l[d1].items():
-                for w2 in _dominant_partners(index, w1):
-                    key = tuple(map(add, w1, w2))
-                    target[key] = target.get(key, 0) + m1 * terms[w2]
-    return product
-
-
-def _affine_nodes(rs: RootSystem) -> tuple[DynkinNode, ...]:
-    """The Dynkin nodes ``0..r`` of the affine Cartan matrix, node 0 the
-    affine root ``alpha_0 = delta - theta``: ``A[j][0] = -<theta, alpha_j^vee>``
-    and ``A[0][i] = -<alpha_i, theta^vee>`` for ``i, j >= 1``."""
-    theta = rs.fund_coords_of_root(rs.highest_root)
-    cartan = [[2] + [-theta_pairing(rs, col) for col in zip(*rs.cartan)]]
-    cartan += [[-t] + list(row) for t, row in zip(theta, rs.cartan)]
-    return _dynkin_nodes(cartan)
-
-
-def _rho_orbit_terms(
-    nodes: tuple[DynkinNode, ...], room: tuple[int, ...], costs: tuple[int, ...], budget: int
-) -> list[tuple[int, Weight, int]]:
-    """``(n_0, v, eps(w))`` for every ``w`` of the affine Weyl group with
-    ``rho^ - w rho^ = sum_i n_i alpha_i``, ``n_i <= room[i]`` for all ``i``
-    and ``sum_i n_i costs[i] <= budget``: ``v`` is the finite part of
-    ``w rho^``, its coordinates ``1..r``.
-
-    Snow's tree of the orbit of ``rho^``, walked down from ``rho^`` in affine
-    fundamental coordinates with the test of :func:`weyl_orbit`, node 0
-    first: the children of ``u`` are the ``s_i u`` with ``u_i > 0`` whose
-    first negative coordinate is ``i``. A child adds ``u_i alpha_i``, so
-    ``n`` only grows down the tree, and with costs ``>= 0`` a subtree is cut
-    where some ``n_i`` passes its room or the cost passes the budget; each
-    step is one reflection, so ``eps`` alternates.
+    These points form the tree of the walk of :meth:`RootSystem.alcove_point`
+    run backwards. The parent of such a ``p`` other than ``start`` is
+    ``q = to_dominant(s_0 p)``, where ``s_0`` reflects in ``<., theta^vee> =
+    lvl``; ``p`` lies ``-p_0 = <p, theta^vee> - lvl`` deeper. Writing
+    ``s_0 p = w q`` with ``w`` finite, ``p = w s q``, where ``s`` reflects in
+    ``<., beta^vee> = lvl`` for the long root ``beta = w^-1 theta``, and ``s q
+    = q + x_0 beta`` with ``x_0 = lvl - <q, beta^vee>``. So the children of
+    ``q`` are found among ``to_dominant(q + x_0 beta)`` over the long roots
+    ``beta`` with ``0 < x_0 <= depth - n``: the ones whose parent is ``q``.
+    A step is the affine reflection ``s`` and then ``w``, so the child's sign
+    is ``-eps sign(w)``.
     """
+    lvl = level(rs, start)
+    to_dominant, theta = rs.to_dominant, rs.positive_roots_fund[-1]
+    long_roots = [
+        (beta, coroot) for beta, coroot in zip(rs.positive_roots_fund, rs.positive_coroots)
+        if rs.sip_ww(beta, beta) == 2 * rs.form_scale
+    ]
+    long_roots += [(tuple(-a for a in beta), tuple(-c for c in coroot)) for beta, coroot in long_roots]
     terms = []
-    stack = [((1,) * len(nodes), room, budget, 1)]  # u, room - n, budget - cost, eps
-    pop, push = stack.pop, stack.append
+    stack = [(start.finite, 0, 1)]
     while stack:
-        u, left, spare, eps = pop()
-        terms.append((room[0] - left[0], u[1:], eps))
-        for f, uf in enumerate(u):  # f stops at the first negative coordinate
-            if uf > 0:
-                if uf <= left[f] and uf * costs[f] <= spare:
-                    child = list(u)
-                    child[f] = -uf
-                    for j, a in nodes[f].neighbours:
-                        child[j] -= uf * a
-                    rest = list(left)
-                    rest[f] -= uf
-                    push((tuple(child), tuple(rest), spare - uf * costs[f], -eps))
-            elif uf < 0:
-                break
-        else:
-            continue
-        for i in nodes[f].later_neighbours:
-            ui = u[i]
-            if 0 < ui <= left[i] and ui * costs[i] <= spare:
-                node = nodes[i]
-                for j in node.earlier_others:
-                    if u[j] < 0:
-                        break
-                else:
-                    for j, a in node.earlier_neighbours:
-                        if u[j] < ui * a:
-                            break
-                    else:
-                        child = list(u)
-                        child[i] = -ui
-                        for j, a in node.neighbours:
-                            child[j] -= ui * a
-                        rest = list(left)
-                        rest[i] -= ui
-                        push((tuple(child), tuple(rest), spare - ui * costs[i], -eps))
+        q, n, eps = stack.pop()
+        terms.append((n, q, eps))
+        for beta, coroot in long_roots:
+            x0 = lvl - sum(map(mul, q, coroot))
+            if 0 < x0 <= depth - n:
+                p, sign = to_dominant(tuple(a + x0 * b for a, b in zip(q, beta)))
+                p0 = lvl - theta_pairing(rs, p)
+                if to_dominant(tuple(a + p0 * t for a, t in zip(p, theta)))[0] == q:
+                    stack.append((p, n + x0, -eps * sign))
     return terms
 
 
-def _ball(rs: RootSystem, x: Weight, d: int, top: Weight, lvl: int) -> tuple[tuple[int, ...], int]:
-    """Costs and budget for :func:`_rho_orbit_terms` that keep the terms
-    ``x^ + N``, ``N = rho^ - w rho^ = sum_i n_i alpha_i``, with
-    ``|x^ + N|^2 <= |top^|^2``: every weight of a module whose components lie
-    below ``top^`` is that short (Kac, Prop. 11.4), where ``x^`` and ``top^``
-    are the level-``lvl`` weights with finite parts ``x`` and ``top`` at
-    depths ``d`` and 0. As ``|w rho^| = |rho^|``, ``|x^ + N|^2 = |x^|^2 +
-    2 (x^ + rho^ | N)``, so the bound reads ``sum_i n_i 2 (x^ + rho^ |
-    alpha_i) <= |top^|^2 - |x^|^2``, scaled by ``form_scale``. For an
-    affine-dominant ``x`` every cost ``2 (x_i + 1) (alpha_i|alpha_i) / 2`` is
-    positive, so the walk may cut a subtree where the budget runs out."""
-    x0 = lvl - theta_pairing(rs, x)
-    costs = (2 * (x0 + 1) * rs.form_scale,) + tuple(2 * (a + 1) * f for a, f in zip(x, rs.form_d))
-    return costs, rs.sip_ww(top, top) - rs.sip_ww(x, x) + 2 * rs.form_scale * lvl * d
+def _weight_count(rs: RootSystem, char: TruncatedAffineCharacter) -> int:
+    """The number of weights in the orbit-expanded slices of ``char``, one
+    orbit size per zero pattern of the dominant weights."""
+    patterns = Counter(tuple(int(x > 0) for x in mu) for sl in char.slices for mu in sl)
+    return sum(k * weyl_orbit_size(rs, p) for p, k in patterns.items())
 
 
-def _read_off(
-    rs: RootSystem, product: list[dict[Weight, int]], top: Weight, lvl: int
-) -> dict[tuple[Weight, int], int]:
-    """The components ``{(finite part, depth): c}`` of the level-``lvl``
-    product whose dominant slices are ``product``, below the highest weight
-    with finite part ``top``, in the order depth, then ``(-height, w)``.
-
-    Multiplying ``P = sum_nu c_nu ch V(nu)`` by the Weyl-Kac denominator
-    ``sum_w eps(w) e^(w rho^ - rho^)`` gives ``sum_nu c_nu sum_w eps(w)
-    e^(w(nu + rho^) - rho^)`` (Kac, *Infinite-dimensional Lie algebras*,
-    §10.4 and §12.1). The coefficient of ``e^x`` on the left is ``S(x, d) =
-    sum_w eps(w) P[d - n_0][to_dominant(x + s_w)]`` over the terms of
-    :func:`_rho_orbit_terms`; the weights of ``P`` lie below the top, so
-    the terms with some ``n_i`` above ``room = (d, gamma + d*marks)``,
-    ``gamma`` the root coordinates of ``top - x``, read zero and are cut, and
-    at an affine-dominant ``x`` so are those outside the ball of
-    :func:`_ball`. Every term is at depth ``d - n_0 <= d``, so the truncation
-    loses nothing. At an affine-dominant ``x`` (``<x, theta^vee> <= lvl``) only ``nu = x``
-    and ``w = 1`` land on the right: ``c_x = S(x, d)``, and a negative one is
-    an internal failure. At any other key, ``x + rho^`` reflects to an alcove
-    point ``nu + rho^`` at a shallower depth, already read off, and ``S(x, d)``
-    must be ``eps(w) c_nu``, or 0 if ``x + rho^`` is on a wall.
-    """
-    nodes = _affine_nodes(rs)
-    marks, to_dominant = rs.marks, rs.to_dominant
-    no_costs = (0,) * (rs.rank + 1)
-    components: dict[tuple[Weight, int], int] = {}
-    for d in range(len(product)):
-        for x in sorted(product[d], key=lambda w: (-rs.height(w), w)):
-            gamma = floor_root_coords(rs, tuple(map(sub, top, x)))
-            room = (d,) + tuple(g + d * a for g, a in zip(gamma, marks))
-            x0 = lvl - theta_pairing(rs, x)
-            costs, budget = _ball(rs, x, d, top, lvl) if x0 >= 0 else (no_costs, 0)
-            x_rho, total = tuple(a + 1 for a in x), 0  # x + rho
-            for n0, v, eps in _rho_orbit_terms(nodes, room, costs, budget):
-                y = tuple(map(sub, x_rho, v))  # x + s_w
-                if min(y) < 0:
-                    y = to_dominant(y)[0]
-                total += eps * product[d - n0].get(y, 0)
-            if x0 >= 0:
-                if total < 0:
-                    raise InvariantError(
-                        f"negative multiplicity {total} read off at finite part {x}, depth {d} "
-                        f"(level {lvl}) over {rs.algebra}"
-                    )
-                if total:
-                    components[(x, d)] = total
+def _numerator_sums(
+    rs: RootSystem, char: TruncatedAffineCharacter, terms: list[tuple[int, Weight, int]], depth: int
+) -> list[dict[Weight, int]]:
+    """Per depth ``d``, ``{x: S(x, d)}`` over the dominant finite ``x`` the
+    sum reaches, where ``S(x, d) = sum eps [L_(d - n_0) (x) V(v - rho) :
+    V(x)]`` over the ``terms`` ``(n_0, v, eps)`` of :func:`_numerator_terms`
+    and ``L_e`` is slice ``e`` of ``char``. Each term is one finite Klimyk
+    pass over the orbit-expanded slice (see :func:`rho_tensor.tensor.klimyk`):
+    a weight ``nu`` adds to ``v + nu`` reflected to the dominant chamber,
+    with the sign of the reflection, or drops out on a wall. Entries that
+    sum to zero are kept."""
+    to_dominant = rs.to_dominant
+    sums: list[dict[Weight, int]] = [dict() for _ in range(depth + 1)]  # keyed by x + rho
+    for e, sl in enumerate(char.slices):
+        weights = expand_orbits(rs, sl)
+        for n0, v, eps in terms:
+            if e + n0 > depth:
                 continue
-            point, e, sign = rs.alcove_point(x_rho, d, lvl + rs.dual_coxeter)
-            nu = tuple(a - 1 for a in point)
-            expected = sign * components.get((nu, e), 0)
-            if total != expected:
-                raise InvariantError(
-                    f"read-off at non-dominant affine weight (finite {x}, depth {d}, level {lvl}) "
-                    f"over {rs.algebra} is {total}, but its alcove point (finite {nu}, depth {e}) "
-                    f"gives {expected}"
-                )
-    return components
+            target = sums[e + n0]
+            for nu, m in weights.items():
+                y = tuple(map(add, v, nu))
+                if min(y) > 0:  # v + nu is dominant: no reflection
+                    target[y] = target.get(y, 0) + eps * m
+                elif 0 in y:
+                    continue  # on a wall: sign 0
+                else:
+                    y, sign = to_dominant(y)
+                    if sign:
+                        target[y] = target.get(y, 0) + sign * eps * m
+    return [{tuple(a - 1 for a in y): s for y, s in sl.items()} for sl in sums]
 
 
 def truncated_tensor(
     rs: RootSystem, lam: AffineWeight, mu: AffineWeight, depth: int
 ) -> TruncatedDecomposition:
     """Decompose the product of two positive-level affine irreducibles up to
-    ``depth``: convolve their dominant slices, then read every component off
-    the product with the Weyl-Kac denominator.
+    ``depth``: finite Klimyk passes of one factor's slices against the
+    Weyl-Kac numerator of the other.
 
-    Both factors are orbit-expanded, and the convolution forms a pair
-    ``(w1, w2)`` only when ``w1 + w2`` is a dominant finite weight, that is
-    when ``w2_i >= -w1_i`` for every coordinate ``i``. Each slice of ``mu``
-    is indexed once per product: per coordinate and threshold ``t``, the
-    frozenset of its weights with ``w2_i >= t`` (see :func:`_partner_index`).
-    Each ``w1`` intersects the sets at ``-w1`` and pairs with the survivors
-    only. Every slice of a character is invariant under the finite Weyl
-    group, so its dominant part determines it.
+    Write ``L`` for the factor with fewer orbit-expanded weights (``mu`` on
+    a tie, as in :func:`rho_tensor.tensor.klimyk`) and ``M = V(kappa)`` for
+    the other. Then ``ch L ch M A^ = ch L sum_w eps(w) e^(w(kappa + rho^) -
+    rho^)`` over the affine Weyl group, ``A^`` the Weyl-Kac denominator
+    (Kac, *Infinite-dimensional Lie algebras*, §10.4 and §12.1). Each ``w``
+    is ``w' u`` with ``w'`` finite and ``u(kappa + rho^)`` finite-dominant,
+    and Weyl's formula sums each finite coset into ``A_rho ch V(v - rho)``,
+    ``v`` the finite part of ``u(kappa + rho^)``. So the coefficient of
+    ``e^x`` at depth ``d`` is ``S(x, d) = sum_u eps(u) [L_(d - n(u)) (x) V(v
+    - rho) : V(x)]`` (see :func:`_numerator_sums`), ``n(u)`` the depth of
+    ``u(kappa + rho^)`` (see :func:`_numerator_terms`). Every term reads a
+    slice at depth ``d`` or shallower, so the truncation loses nothing.
 
-    The multiplicity of each component is a signed sum of product
-    coefficients at the same depth or shallower (see :func:`_read_off`), so
-    no table beyond the two factors is built. A negative multiplicity, or a
-    sum at a key outside the affine chamber that disagrees with the
-    component at its alcove point, is an internal failure. So is a component
-    ``(w, d)`` of multiplicity ``c`` above the multiplicity of ``w - lam`` in
-    slice ``d`` of V(mu), or of ``w - mu`` in slice ``d`` of V(lam): every
-    component V(nu) of V(lam) (x) V(mu) has ``nu - lam`` a weight of V(mu)
-    whose multiplicity is at least that of V(nu) (Parthasarathy, Ranga Rao &
-    Varadarajan 1967).
+    Writing ``ch L ch M = sum_nu c_nu ch V(nu)``, the same coefficient is
+    ``sum_nu c_nu sum_w eps(w) [w(nu + rho^) = x + rho^]``. At an
+    affine-dominant ``x`` (``<x, theta^vee> <= lvl``) only ``nu = x`` and ``w =
+    1`` count: ``c_x = S(x, d)``, and a negative one is an internal failure.
+    At any other key, ``x + rho^`` reflects to an alcove point ``nu + rho^``
+    at a shallower depth (:meth:`RootSystem.alcove_point`), and ``S(x, d)``
+    must be ``eps(w) c_nu``, or 0 if ``x + rho^`` is on a wall. Components
+    come in the order depth, then ``(-height, w)``.
+
+    A component ``(w, d)`` of multiplicity ``c`` above the multiplicity of ``w
+    - lam`` in slice ``d`` of V(mu), or of ``w - mu`` in slice ``d`` of
+    V(lam), is an internal failure too: every component V(nu) of V(lam) (x)
+    V(mu) has ``nu - lam`` a weight of V(mu) whose multiplicity is at least
+    that of V(nu) (Parthasarathy, Ranga Rao & Varadarajan 1967).
     """
     _require_affine(rs)
     if not (lam.is_dominant() and mu.is_dominant()):
@@ -495,8 +383,35 @@ def truncated_tensor(
     if depth < 0:
         raise AlgebraError(f"depth must be non-negative, got {depth}")
     char_l, char_m = affine_freudenthal(rs, lam, depth), affine_freudenthal(rs, mu, depth)
-    product = _dominant_convolution(rs, char_l, char_m, depth)
-    components = _read_off(rs, product, (lam + mu).finite, lvl_l + lvl_m)
+    if _weight_count(rs, char_l) < _weight_count(rs, char_m):
+        small, kappa = char_l, mu
+    else:
+        small, kappa = char_m, lam
+    terms = _numerator_terms(rs, kappa + affine_rho(rs), depth)
+    sums = _numerator_sums(rs, small, terms, depth)
+    lvl = lvl_l + lvl_m
+    components: dict[tuple[Weight, int], int] = {}
+    for d, sl in enumerate(sums):
+        for x in sorted(sl, key=lambda w: (-rs.height(w), w)):
+            total = sl[x]
+            if theta_pairing(rs, x) <= lvl:
+                if total < 0:
+                    raise InvariantError(
+                        f"negative multiplicity {total} read off at finite part {x}, depth {d} "
+                        f"(level {lvl}) over {rs.algebra}"
+                    )
+                if total:
+                    components[(x, d)] = total
+                continue
+            point, e, sign = rs.alcove_point(tuple(a + 1 for a in x), d, lvl + rs.dual_coxeter)
+            nu = tuple(a - 1 for a in point)
+            expected = sign * components.get((nu, e), 0)
+            if total != expected:
+                raise InvariantError(
+                    f"read-off at non-dominant affine weight (finite {x}, depth {d}, level {lvl}) "
+                    f"over {rs.algebra} is {total}, but its alcove point (finite {nu}, depth {e}) "
+                    f"gives {expected}"
+                )
     for (w, d), c in components.items():
         for first, other in ((lam, char_m), (mu, char_l)):
             x = rs.to_dominant(tuple(map(sub, w, first.finite)))[0]

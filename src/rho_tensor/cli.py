@@ -532,3 +532,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -73,51 +73,45 @@ def misplaced_reflections(monkeypatch):
 @pytest.fixture
 def misplaced_affine_reflections(monkeypatch):
     """The same misplaced ``to_dominant``, once both factor tables of A2~
-    ``rho (x) rho`` at depth 2 are memoised: the product then convolves as
-    before, but the read-off looks each off-chamber ``x + s_w`` up at the
-    wrong dominant weight."""
+    ``rho (x) rho`` at depth 2 are memoised: the Klimyk passes against the
+    Weyl-Kac numerator then add each reflected term at the wrong dominant
+    weight."""
     rs = build_root_system("A2~")
     truncated_tensor(rs, affine_rho(rs), affine_rho(rs), 2)
     _misplace_reflections(monkeypatch)
 
 
-def _perturb_product(monkeypatch, d, w, by):
-    convolve = affine._dominant_convolution
+def _perturb_sums(monkeypatch, d, w, by):
+    numerator_sums = affine._numerator_sums
 
     def perturbed(*args):
-        product = convolve(*args)
-        product[d][w] = product[d].get(w, 0) + by
-        return product
+        sums = numerator_sums(*args)
+        sums[d][w] = sums[d].get(w, 0) + by
+        return sums
 
-    monkeypatch.setattr(affine, "_dominant_convolution", perturbed)
+    monkeypatch.setattr(affine, "_numerator_sums", perturbed)
 
 
 @pytest.fixture
 def lowered_top_of_product(monkeypatch):
-    """Take 2 from the top entry of every convolved product: in A2~
-    ``rho (x) rho`` the component ``(2,2)`` at depth 0 then reads off as -1."""
-    _perturb_product(monkeypatch, 0, (2, 2), -2)
+    """Take 2 from the sum ``S`` at ``(2,2)``, depth 0, of every product: in
+    A2~ ``rho (x) rho`` the component ``(2,2)`` at depth 0 then reads off as
+    -1."""
+    _perturb_sums(monkeypatch, 0, (2, 2), -2)
 
 
 @pytest.fixture
 def raised_reflected_entry(monkeypatch):
-    """Add 1 to the entry ``(4,4)`` at depth 2 of every convolved product: in
-    A2~ ``rho (x) rho`` that weight is off the affine chamber, and its sum no
+    """Add 1 to the sum ``S`` at ``(4,4)``, depth 2, of every product: in A2~
+    ``rho (x) rho`` that weight is off the affine chamber, and its sum no
     longer matches the component ``(3,3)`` at depth 1: ``s_0`` takes
     ``(4,4) + rho^`` to ``(3,3) + rho^`` one depth up."""
-    _perturb_product(monkeypatch, 2, (4, 4), 1)
+    _perturb_sums(monkeypatch, 2, (4, 4), 1)
 
 
 @pytest.fixture
 def inflated_top_component(monkeypatch):
-    """Add 1 to the component at the top of every read-off, at depth 0: in
-    A2~ ``rho (x) rho`` the component ``(2,2)`` then has multiplicity 2,
-    above the multiplicity 1 of ``(1,1)`` in ``V(rho)`` (the PRV bound)."""
-    read_off = affine._read_off
-
-    def inflated(rs, product, top, lvl):
-        components = read_off(rs, product, top, lvl)
-        components[(top, 0)] += 1
-        return components
-
-    monkeypatch.setattr(affine, "_read_off", inflated)
+    """Add 1 to the sum ``S`` at ``(2,2)``, depth 0, of every product: in A2~
+    ``rho (x) rho`` the component ``(2,2)`` then has multiplicity 2, above
+    the multiplicity 1 of ``(1,1)`` in ``V(rho)`` (the PRV bound)."""
+    _perturb_sums(monkeypatch, 0, (2, 2), 1)

@@ -10,10 +10,14 @@ as subset sums of positive roots, and the box walks enumerate dominant weights
 and affine Freudenthal candidates over whole simple-root coordinate boxes
 instead of descending by positive roots. The full-weight peel decomposes a
 truncated affine product over every finite weight by subtracting each
-component's character, where the library keeps dominant weights only and
-reads the components off with the Weyl-Kac denominator. The signed affine
-orbit lists the denominator's terms from finite reflections and coroot
-translations, where the library walks the tree of the affine orbit of rho^.
+component's character. The read-off oracle convolves only the pairs of
+dominant slices whose sum is dominant and reads each component off that
+product with the Weyl-Kac denominator, walking the affine orbit of rho^ as
+Snow's tree once per key. The library does neither: it runs finite Klimyk
+passes of one factor's slices against the Weyl-Kac numerator of the other.
+The signed affine orbit lists the terms of numerators and denominators from
+finite reflections and coroot translations, where the library walks the
+finite-dominant points of an affine orbit as a tree of alcove steps.
 The orbit oracle walks a Weyl orbit breadth-first with a seen-set, where the
 production walk climbs the tree of ``to_dominant``. The root-datum oracle builds the symmetrizer, the inverse
 Cartan matrix and the form in ``Fraction`` arithmetic, where the production
@@ -29,23 +33,33 @@ The dense reflection loop and the dense tree walk do the work of
 every step and testing each child built in full, where the library touches
 only the Dynkin neighbours of the reflecting node. The sign
 oracle reflects nothing: it counts the positive coroots that pair negatively
-with a weight. Every reflection here reads ``rs.cartan``, never the library's
+with a weight. These orbit and sign oracles read ``rs.cartan``, never the library's
 ``dynkin_nodes``, and the Fraction build makes that field from its own Cartan
 matrix, so no oracle checks the sparse code against itself.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import product as iproduct
 from math import lcm, prod
-from operator import mul, sub
+from operator import add, itemgetter, mul, sub
 
-from rho_tensor.affine import AffineWeight, affine_freudenthal, affine_rho, affinize, level, theta_pairing
-from rho_tensor.charcalc import dominant_weights_below, freudenthal
+from rho_tensor.affine import (
+    AffineWeight,
+    TruncatedAffineCharacter,
+    affine_freudenthal,
+    affine_rho,
+    affinize,
+    level,
+    theta_pairing,
+)
+from rho_tensor.charcalc import dominant_weights_below, expand_orbits, freudenthal
 from rho_tensor.rootdata import (
     AlgebraId,
     DynkinNode,
+    InvariantError,
     RootSystem,
     RootVector,
     Weight,
@@ -396,6 +410,221 @@ def truncated_tensor_by_full_peel(
             components[(w, d)] = c
     assert not any(residual), "extraction left a nonzero residual"
     return components
+
+
+# -- affine: the dominant convolution and the per-key Weyl-Kac read-off -------
+
+
+def _partner_index(weights: dict[Weight, int], rank: int) -> list[tuple[int, list[frozenset[Weight]]]]:
+    """Per coordinate ``i``, ``(lo, sets)`` with ``sets[k]`` the frozenset of
+    the ``weights`` whose ``i``-th coordinate is at least ``lo + k``, for
+    ``0 <= k <= hi - lo + 1``: ``lo`` and ``hi`` are the least and greatest
+    ``i``-th coordinates, so ``sets[0]`` is every weight and ``sets[-1]`` none.
+    Each set is a suffix of the weights sorted once by the coordinate."""
+    index = []
+    for i in range(rank):
+        ordered = sorted(weights, key=itemgetter(i))
+        column = [w[i] for w in ordered]
+        lo, hi = (column[0], column[-1]) if column else (0, 0)
+        index.append((lo, [frozenset(ordered[bisect_left(column, t):]) for t in range(lo, hi + 2)]))
+    return index
+
+
+def _dominant_partners(
+    index: list[tuple[int, list[frozenset[Weight]]]], w1: Weight
+) -> frozenset[Weight]:
+    """The indexed weights ``w2`` with ``w1 + w2`` dominant, that is with
+    ``w2_i >= -w1_i`` for every ``i``: the intersection of the threshold sets
+    at ``-w1``, clamped to the ends, smallest first (each ``&`` costs the
+    size of its smaller operand)."""
+    parts = []
+    for x, (lo, sets) in zip(w1, index):
+        k = -x - lo
+        if k > 0:  # else every indexed w2_i >= lo >= -x
+            parts.append(sets[min(k, len(sets) - 1)])
+    if not parts:
+        return index[0][1][0]  # the whole slice
+    parts.sort(key=len)
+    return parts[0].intersection(*parts[1:])
+
+
+def _dominant_convolution(
+    rs: RootSystem, char_l: TruncatedAffineCharacter, char_m: TruncatedAffineCharacter, depth: int
+) -> list[dict[Weight, int]]:
+    """Per depth ``d``, the dominant part of the product of the two characters
+    at ``d`` below their highest weights: the orbit-expanded slices of both,
+    each ``w1`` paired only with its :func:`_dominant_partners`. The expanded
+    slices and the index are dropped on return."""
+    full_l = [expand_orbits(rs, sl) for sl in char_l.slices]
+    full_m = [expand_orbits(rs, sl) for sl in char_m.slices]
+    index_m = [_partner_index(sl, rs.rank) for sl in full_m]
+    product: list[dict[Weight, int]] = [dict() for _ in range(depth + 1)]
+    for d1 in range(depth + 1):
+        for d2 in range(depth + 1 - d1):
+            target = product[d1 + d2]
+            terms, index = full_m[d2], index_m[d2]
+            for w1, m1 in full_l[d1].items():
+                for w2 in _dominant_partners(index, w1):
+                    key = tuple(map(add, w1, w2))
+                    target[key] = target.get(key, 0) + m1 * terms[w2]
+    return product
+
+
+def _affine_nodes(rs: RootSystem) -> tuple[DynkinNode, ...]:
+    """The Dynkin nodes ``0..r`` of the affine Cartan matrix, node 0 the
+    affine root ``alpha_0 = delta - theta``: ``A[j][0] = -<theta, alpha_j^vee>``
+    and ``A[0][i] = -<alpha_i, theta^vee>`` for ``i, j >= 1``."""
+    theta = rs.fund_coords_of_root(rs.highest_root)
+    cartan = [[2] + [-theta_pairing(rs, col) for col in zip(*rs.cartan)]]
+    cartan += [[-t] + list(row) for t, row in zip(theta, rs.cartan)]
+    return _dynkin_nodes_by_adjacency(cartan)
+
+
+def _rho_orbit_terms(
+    nodes: tuple[DynkinNode, ...], room: tuple[int, ...], costs: tuple[int, ...], budget: int
+) -> list[tuple[int, Weight, int]]:
+    """``(n_0, v, eps(w))`` for every ``w`` of the affine Weyl group with
+    ``rho^ - w rho^ = sum_i n_i alpha_i``, ``n_i <= room[i]`` for all ``i``
+    and ``sum_i n_i costs[i] <= budget``: ``v`` is the finite part of
+    ``w rho^``, its coordinates ``1..r``.
+
+    Snow's tree of the orbit of ``rho^``, walked down from ``rho^`` in affine
+    fundamental coordinates with the test of :func:`weyl_orbit`, node 0
+    first: the children of ``u`` are the ``s_i u`` with ``u_i > 0`` whose
+    first negative coordinate is ``i``. A child adds ``u_i alpha_i``, so
+    ``n`` only grows down the tree, and with costs ``>= 0`` a subtree is cut
+    where some ``n_i`` passes its room or the cost passes the budget; each
+    step is one reflection, so ``eps`` alternates.
+    """
+    terms = []
+    stack = [((1,) * len(nodes), room, budget, 1)]  # u, room - n, budget - cost, eps
+    pop, push = stack.pop, stack.append
+    while stack:
+        u, left, spare, eps = pop()
+        terms.append((room[0] - left[0], u[1:], eps))
+        for f, uf in enumerate(u):  # f stops at the first negative coordinate
+            if uf > 0:
+                if uf <= left[f] and uf * costs[f] <= spare:
+                    child = list(u)
+                    child[f] = -uf
+                    for j, a in nodes[f].neighbours:
+                        child[j] -= uf * a
+                    rest = list(left)
+                    rest[f] -= uf
+                    push((tuple(child), tuple(rest), spare - uf * costs[f], -eps))
+            elif uf < 0:
+                break
+        else:
+            continue
+        for i in nodes[f].later_neighbours:
+            ui = u[i]
+            if 0 < ui <= left[i] and ui * costs[i] <= spare:
+                node = nodes[i]
+                for j in node.earlier_others:
+                    if u[j] < 0:
+                        break
+                else:
+                    for j, a in node.earlier_neighbours:
+                        if u[j] < ui * a:
+                            break
+                    else:
+                        child = list(u)
+                        child[i] = -ui
+                        for j, a in node.neighbours:
+                            child[j] -= ui * a
+                        rest = list(left)
+                        rest[i] -= ui
+                        push((tuple(child), tuple(rest), spare - ui * costs[i], -eps))
+    return terms
+
+
+def _ball(rs: RootSystem, x: Weight, d: int, top: Weight, lvl: int) -> tuple[tuple[int, ...], int]:
+    """Costs and budget for :func:`_rho_orbit_terms` that keep the terms
+    ``x^ + N``, ``N = rho^ - w rho^ = sum_i n_i alpha_i``, with
+    ``|x^ + N|^2 <= |top^|^2``: every weight of a module whose components lie
+    below ``top^`` is that short (Kac, Prop. 11.4), where ``x^`` and ``top^``
+    are the level-``lvl`` weights with finite parts ``x`` and ``top`` at
+    depths ``d`` and 0. As ``|w rho^| = |rho^|``, ``|x^ + N|^2 = |x^|^2 +
+    2 (x^ + rho^ | N)``, so the bound reads ``sum_i n_i 2 (x^ + rho^ |
+    alpha_i) <= |top^|^2 - |x^|^2``, scaled by ``form_scale``. For an
+    affine-dominant ``x`` every cost ``2 (x_i + 1) (alpha_i|alpha_i) / 2`` is
+    positive, so the walk may cut a subtree where the budget runs out."""
+    x0 = lvl - theta_pairing(rs, x)
+    costs = (2 * (x0 + 1) * rs.form_scale,) + tuple(2 * (a + 1) * f for a, f in zip(x, rs.form_d))
+    return costs, rs.sip_ww(top, top) - rs.sip_ww(x, x) + 2 * rs.form_scale * lvl * d
+
+
+def _read_off(
+    rs: RootSystem, product: list[dict[Weight, int]], top: Weight, lvl: int
+) -> dict[tuple[Weight, int], int]:
+    """The components ``{(finite part, depth): c}`` of the level-``lvl``
+    product whose dominant slices are ``product``, below the highest weight
+    with finite part ``top``, in the order depth, then ``(-height, w)``.
+
+    Multiplying ``P = sum_nu c_nu ch V(nu)`` by the Weyl-Kac denominator
+    ``sum_w eps(w) e^(w rho^ - rho^)`` gives ``sum_nu c_nu sum_w eps(w)
+    e^(w(nu + rho^) - rho^)`` (Kac, *Infinite-dimensional Lie algebras*,
+    §10.4 and §12.1). The coefficient of ``e^x`` on the left is ``S(x, d) =
+    sum_w eps(w) P[d - n_0][to_dominant(x + s_w)]`` over the terms of
+    :func:`_rho_orbit_terms`; the weights of ``P`` lie below the top, so
+    the terms with some ``n_i`` above ``room = (d, gamma + d*marks)``,
+    ``gamma`` the root coordinates of ``top - x``, read zero and are cut, and
+    at an affine-dominant ``x`` so are those outside the ball of
+    :func:`_ball`. Every term is at depth ``d - n_0 <= d``, so the truncation
+    loses nothing. At an affine-dominant ``x`` (``<x, theta^vee> <= lvl``) only ``nu = x``
+    and ``w = 1`` land on the right: ``c_x = S(x, d)``, and a negative one is
+    an internal failure. At any other key, ``x + rho^`` reflects to an alcove
+    point ``nu + rho^`` at a shallower depth, already read off, and ``S(x, d)``
+    must be ``eps(w) c_nu``, or 0 if ``x + rho^`` is on a wall.
+    """
+    nodes = _affine_nodes(rs)
+    marks, to_dominant = rs.marks, rs.to_dominant
+    no_costs = (0,) * (rs.rank + 1)
+    components: dict[tuple[Weight, int], int] = {}
+    for d in range(len(product)):
+        for x in sorted(product[d], key=lambda w: (-rs.height(w), w)):
+            gamma = floor_root_coords(rs, tuple(map(sub, top, x)))
+            room = (d,) + tuple(g + d * a for g, a in zip(gamma, marks))
+            x0 = lvl - theta_pairing(rs, x)
+            costs, budget = _ball(rs, x, d, top, lvl) if x0 >= 0 else (no_costs, 0)
+            x_rho, total = tuple(a + 1 for a in x), 0  # x + rho
+            for n0, v, eps in _rho_orbit_terms(nodes, room, costs, budget):
+                y = tuple(map(sub, x_rho, v))  # x + s_w
+                if min(y) < 0:
+                    y = to_dominant(y)[0]
+                total += eps * product[d - n0].get(y, 0)
+            if x0 >= 0:
+                if total < 0:
+                    raise InvariantError(
+                        f"negative multiplicity {total} read off at finite part {x}, depth {d} "
+                        f"(level {lvl}) over {rs.algebra}"
+                    )
+                if total:
+                    components[(x, d)] = total
+                continue
+            point, e, sign = rs.alcove_point(x_rho, d, lvl + rs.dual_coxeter)
+            nu = tuple(a - 1 for a in point)
+            expected = sign * components.get((nu, e), 0)
+            if total != expected:
+                raise InvariantError(
+                    f"read-off at non-dominant affine weight (finite {x}, depth {d}, level {lvl}) "
+                    f"over {rs.algebra} is {total}, but its alcove point (finite {nu}, depth {e}) "
+                    f"gives {expected}"
+                )
+    return components
+
+
+def truncated_tensor_by_read_off(
+    rs: RootSystem, lam: AffineWeight, mu: AffineWeight, depth: int
+) -> dict[tuple[Weight, int], int]:
+    """Components ``{(finite dominant part, depth): mult}`` of the truncated
+    product V(lam) (x) V(mu), in the order depth, then ``(-height, w)``:
+    convolve the dominant slices (:func:`_dominant_convolution`), then read
+    each component off the product with the Weyl-Kac denominator
+    (:func:`_read_off`)."""
+    char_l, char_m = affine_freudenthal(rs, lam, depth), affine_freudenthal(rs, mu, depth)
+    product = _dominant_convolution(rs, char_l, char_m, depth)
+    return _read_off(rs, product, (lam + mu).finite, level(rs, lam) + level(rs, mu))
 
 
 # -- affine: truncated Weyl-Kac numerator/denominator ------------------------

@@ -13,12 +13,7 @@ from rho_tensor.affine import (
     GAP_AT_ONE,
     UNBROKEN,
     AffineWeight,
-    _affine_nodes,
-    _ball,
-    _dominant_convolution,
-    _dominant_partners,
-    _partner_index,
-    _rho_orbit_terms,
+    _numerator_terms,
     affine_bilinear,
     affine_candidates,
     affine_freudenthal,
@@ -40,10 +35,17 @@ from rho_tensor.charcalc import _memo, clear_memory_cache, expand_orbits, freude
 from rho_tensor.rootdata import AlgebraError, InvariantError, build_root_system, floor_root_coords
 
 from oracles import (
+    _affine_nodes,
+    _ball,
+    _dominant_convolution,
+    _dominant_partners,
+    _partner_index,
+    _rho_orbit_terms,
     _signed_affine_orbit,
     affine_candidates_by_box,
     affine_slices_by_weyl_kac,
     truncated_tensor_by_full_peel,
+    truncated_tensor_by_read_off,
 )
 
 # frozen from the truncated Weyl-Kac oracle (re-derived live below)
@@ -236,6 +238,8 @@ def test_truncated_tensor_leaves_the_memo_unchanged(sl3_affine):
         ("C3~", 1, 1, 1),
         ("B3~", 1, 1, 1),
         pytest.param("A3~", (2, 1, 0, 1), (1, 0, 1, 0), 3, id="A3~-2101-1010-3"),
+        pytest.param("A1~", (1, 0), (0, 1), 6, id="A1~-10-01-6"),
+        pytest.param("B2~", (0, 0, 1), (0, 0, 1), 4, id="B2~-001-001-4"),
     ],
 )
 def test_truncated_tensor_matches_full_peel(name, m, n, depth):
@@ -246,12 +250,20 @@ def test_truncated_tensor_matches_full_peel(name, m, n, depth):
     assert dec.components == truncated_tensor_by_full_peel(rs, lam, mu, depth)
 
 
+def _finite_dominant_terms(orbit, depth):
+    """``{(v, n): eps}`` over the terms of a signed affine orbit whose finite
+    part ``v`` is dominant, at depth ``n <= depth``."""
+    return {(v, -u): eps for (v, u), eps in orbit.items() if u >= -depth and min(v) > 0}
+
+
 @pytest.mark.parametrize("name", ["A1~", "A2~", "B2~", "G2~", "A3~", "C3~"])
 def test_rho_orbit_terms_match_the_signed_affine_orbit(name):
-    """With no bound on the finite room, the walk yields every ``w`` with
-    ``n_0 <= D``: the terms ``e^(w rho^)`` of the Weyl-Kac denominator down to
-    depth ``D``, with their signs. Translations up to 3 coroot steps reach
-    every such term for ``D <= 3`` on these algebras (as at 2 or 4 steps)."""
+    """With no bound on the finite room, the read-off oracle's walk yields
+    every ``w`` with ``n_0 <= D``: the terms ``e^(w rho^)`` of the Weyl-Kac
+    denominator down to depth ``D``, with their signs. From ``rho^`` the
+    library's numerator walk yields those of them with a dominant finite
+    part. Translations up to 3 coroot steps reach every such term for ``D <=
+    3`` on these algebras (as at 2 or 4 steps)."""
     rs = build_root_system(name)
     nodes = _affine_nodes(rs)
     orbit = _signed_affine_orbit(rs, affine_rho(rs), 3, 3)
@@ -260,6 +272,50 @@ def test_rho_orbit_terms_match_the_signed_affine_orbit(name):
         found = {(v, -n0): eps for n0, v, eps in terms}
         assert len(found) == len(terms)
         assert found == {k: eps for k, eps in orbit.items() if k[1] >= -depth}
+        terms = _numerator_terms(rs, affine_rho(rs), depth)
+        found = {(v, n): eps for n, v, eps in terms}
+        assert len(found) == len(terms)
+        assert found == _finite_dominant_terms(orbit, depth)
+
+
+@pytest.mark.parametrize(
+    "name,fund",
+    [("A1~", (1, 0)), ("A1~", (3, 0)), ("A2~", (1, 2, 0)), ("B2~", (2, 0, 1)), ("G2~", (0, 1, 0))],
+)
+def test_numerator_terms_match_the_signed_affine_orbit(name, fund):
+    """From ``lam^ + rho^``, the walk yields every ``u`` with ``u(lam^ +
+    rho^)`` finite-dominant at depth ``<= D``, with its sign: the finite
+    cosets of the Weyl-Kac numerator of V(lam^)."""
+    rs = build_root_system(name)
+    start = AffineWeight(fund) + affine_rho(rs)
+    orbit = _signed_affine_orbit(rs, start, 3, 4)
+    for depth in range(4):
+        terms = _numerator_terms(rs, start, depth)
+        found = {(v, n): eps for n, v, eps in terms}
+        assert len(found) == len(terms)
+        assert found == _finite_dominant_terms(orbit, depth)
+
+
+@pytest.mark.parametrize(
+    "name,lam,mu,depth",
+    [
+        ("D4~", (1, 1, 1, 1, 1), (1, 1, 1, 1, 1), 1),
+        ("A4~", (1, 1, 1, 1, 1), (1, 1, 1, 1, 1), 1),
+        ("B3~", (1, 1, 1, 1), (1, 1, 1, 1), 2),
+        ("C3~", (1, 1, 1, 1), (1, 1, 1, 1), 2),
+        ("E6~", (1, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0), 1),
+        ("E6~", (0, 1, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0), 1),
+    ],
+    ids=["D4~-rho-1", "A4~-rho-1", "B3~-rho-2", "C3~-rho-2", "E6~-w0-w1-1", "E6~-w1-w0-1"],
+)
+def test_truncated_tensor_matches_read_off(name, lam, mu, depth):
+    """The components, in order, against the dominant convolution and
+    per-key read-off."""
+    rs = build_root_system(name)
+    lam, mu = AffineWeight(lam), AffineWeight(mu)
+    components = truncated_tensor(rs, lam, mu, depth).components
+    expected = truncated_tensor_by_read_off(rs, lam, mu, depth)
+    assert list(components.items()) == list(expected.items())
 
 
 @pytest.mark.parametrize(

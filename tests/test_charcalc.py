@@ -62,6 +62,21 @@ def test_against_weyl_formula_oracle(name, lam):
     assert freudenthal(rs, lam).mults == dominant_part
 
 
+def _small_weights(name):
+    """Dominant weights with coordinates up to 2 at rank 2 and up to 1 at
+    rank 3, where the oracle's division stays small."""
+    rank = build_root_system(name).rank
+    return st.tuples(st.just(name), st.tuples(*[st.integers(0, 2 if rank == 2 else 1)] * rank))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["A2", "B2", "G2", "A3", "B3", "C3"]).flatmap(_small_weights))
+def test_freudenthal_matches_weyl_formula_on_small_weights(case):
+    name, lam = case
+    rs = build_root_system(name)
+    assert freudenthal(rs, lam).full_weights(rs) == character_by_weyl_formula(rs, lam)
+
+
 def test_dimension_conservation(systems):
     for name, rs in systems.items():
         lam = (2,) * rs.rank

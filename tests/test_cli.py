@@ -556,18 +556,32 @@ def test_main_builds_the_subparsers_it_needs(monkeypatch, capsys, argv, built):
     assert len(names) == built
 
 
-@pytest.mark.parametrize(
-    "argv", [["--no-cache", "weights", "B2", "1,1"], ["weights", "B2", "1,1", "extra"]], ids=" ".join
-)
-def test_entrypoint_reads_the_command_word_from_sys_argv(tmp_path, argv):
+def _subprocess_env(tmp_path) -> dict[str, str]:
     src = str(Path(rho_tensor.__file__).parents[1])
-    env = {
+    return {
         **os.environ,
         "COLUMNS": "80",
         "RHO_TENSOR_CACHE": str(tmp_path / "cache"),
         "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
     }
+
+
+@pytest.mark.parametrize(
+    "argv", [["--no-cache", "weights", "B2", "1,1"], ["weights", "B2", "1,1", "extra"]], ids=" ".join
+)
+def test_entrypoint_reads_the_command_word_from_sys_argv(tmp_path, argv):
     script = "from rho_tensor.cli import entrypoint; entrypoint()"
-    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], env=_subprocess_env(tmp_path), capture_output=True, text=True
+    )
     golden = golden_error(argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (golden["exit"], golden["stdout"], golden["stderr"])
+
+
+@pytest.mark.parametrize("module", ["rho_tensor", "rho_tensor.cli"])
+@pytest.mark.parametrize("argv", [["--no-cache", "weights", "B2", "1,1"], ["decompose", "A2", "1,1"]], ids=" ".join)
+def test_python_m_runs_the_command_line(tmp_path, module, argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", module, *argv], env=_subprocess_env(tmp_path), capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stdout) == run(*argv)
