@@ -33,12 +33,11 @@ of the Goddard-Kent-Olive coset construction come out as exact rationals.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, sub
 
-from .charcalc import _memo, _memo_lock, dominant_descent, expand_orbits, freudenthal_slices
+from .charcalc import _memo, _memo_lock, dominant_descent, expand_orbits, freudenthal_slices, root_strings
 from .rootdata import (
     AlgebraError,
     InvariantError,
@@ -46,7 +45,6 @@ from .rootdata import (
     RootVector,
     Weight,
     weyl_orbit,
-    weyl_orbit_size,
 )
 
 DEFAULT_DEPTH = 6
@@ -302,9 +300,9 @@ def _numerator_terms(rs: RootSystem, start: AffineWeight, depth: int) -> list[tu
 
 def _weight_count(rs: RootSystem, char: TruncatedAffineCharacter) -> int:
     """The number of weights in the orbit-expanded slices of ``char``, one
-    orbit size per zero pattern of the dominant weights."""
-    patterns = Counter(tuple(int(x > 0) for x in mu) for sl in char.slices for mu in sl)
-    return sum(k * weyl_orbit_size(rs, p) for p, k in patterns.items())
+    memoised orbit size per support pattern of the dominant weights."""
+    orbit_size = root_strings(rs).orbit_size
+    return sum(orbit_size(tuple(map(bool, mu))) for sl in char.slices for mu in sl)
 
 
 def _numerator_sums(

@@ -14,15 +14,16 @@ from __future__ import annotations
 
 import os
 import threading
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import compress
 from operator import add, mul, sub
 from pathlib import Path
 from typing import Iterable
 
 from .rootdata import (
     AlgebraError,
+    AlgebraId,
     InvariantError,
     RootSystem,
     RootVector,
@@ -57,11 +58,9 @@ class DominantCharacter:
         return expand_orbits(rs, self.mults)
 
     def dimension(self, rs: RootSystem) -> int:
-        """``sum mult * |W mu|``, one orbit size per zero pattern of ``mu``."""
-        by_pattern: Counter[Weight] = Counter()
-        for mu, m in self.mults.items():
-            by_pattern[tuple(int(x > 0) for x in mu)] += m
-        return sum(m * weyl_orbit_size(rs, p) for p, m in by_pattern.items())
+        """``sum mult * |W mu|``, one memoised orbit size per zero pattern of ``mu``."""
+        orbit_size = root_strings(rs).orbit_size
+        return sum(m * orbit_size(tuple(map(bool, mu))) for mu, m in self.mults.items())
 
 
 def expand_orbits(rs: RootSystem, table: dict[Weight, int]) -> dict[Weight, int]:
@@ -108,6 +107,116 @@ def dominant_weights_below(rs: RootSystem, lam: Weight) -> list[Weight]:
     return sorted(below, key=lambda mu: (sum(below[mu]), mu))
 
 
+class RootStrings:
+    """The real-root strings :func:`freudenthal_slices` walks, for one
+    algebra, grouped by the stabilisers of dominant weights, each table
+    memoised. A dominant ``mu`` is fixed by the parabolic subgroup ``W_J`` on
+    its zero coordinates ``J`` and by nothing else of ``W``; the tables are
+    keyed by ``tuple(map(bool, mu))``. Roots are indexed as
+    ``rs.positive_roots`` followed by their negatives."""
+
+    def __init__(self, rs: RootSystem):
+        self.rs = rs
+        self._every: dict[int, list[tuple]] = {}
+        self._orbits: dict[tuple[tuple[bool, ...], int], list[tuple]] = {}
+        self._sizes: dict[tuple[bool, ...], int] = {}
+
+    def every(self, k: int) -> list[tuple]:
+        """``(fund, form_rc, s_aa, supp)`` per root ``alpha``, for ``alpha +
+        k*delta`` (the positive roots only at ``k = 0``). ``(mu|alpha)`` is
+        one dot product of ``mu`` with ``form_rc``, and ``s_aa`` is
+        ``(alpha|alpha)``, both scaled by ``form_scale``. Over the affine
+        simple roots ``alpha_0..alpha_r`` the root is ``(k, rc + k*marks)``,
+        and ``supp`` lists its nonzero coordinates: its string through ``mu -
+        d*delta`` stays below the top while these fit into ``(d, gamma +
+        d*marks)``."""
+        strings = self._every.get(k)
+        if strings is None:
+            rs = self.rs
+            roots = list(zip(rs.positive_roots, rs.positive_roots_fund))
+            if k:
+                roots += [(tuple(-x for x in rc), tuple(-x for x in fund)) for rc, fund in roots]
+            strings = self._every[k] = []
+            for rc, fund in roots:
+                form_rc = tuple(map(mul, rs.form_d, rc))
+                coords = (k,) + tuple(r + k * a for r, a in zip(rc, rs.marks))
+                supp = tuple((i, x) for i, x in enumerate(coords) if x > 0)
+                strings.append((fund, form_rc, sum(map(mul, fund, form_rc)), supp))
+        return strings
+
+    def root_orbits(self, nonzero: tuple[bool, ...]) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """The ``W_J``-orbits of the roots, ``J`` the nodes where ``nonzero``
+        is false, as ``(positive, every)``: the orbits on the positive roots
+        modulo sign, and those on all roots, each as the index of its
+        ``J``-dominant (highest) root and its length.
+
+        ``W_J`` keeps the coordinates of a root off ``J`` (its shape) and its
+        length. The roots of one nonzero shape are the weights of one
+        irreducible module of the Levi subalgebra on ``J`` (Azad, Barry and
+        Seitz, *On the structure of parabolic subgroups*, Comm. Algebra 1990),
+        and the weights of one length in it form one orbit, that of its highest
+        weight. The roots of shape zero make up ``Phi_J``, one orbit of both
+        signs per component of ``J`` and length. The negative orbit of a
+        nonzero shape is listed by the negative of its positive orbit's lowest
+        root."""
+        rs = self.rs
+        component = {}  # node of J -> first node of its connected component in J
+        for i, f in enumerate(nonzero):
+            if not f and i not in component:
+                component[i] = i
+                stack = [i]
+                while stack:
+                    for j, _ in rs.dynkin_nodes[stack.pop()].neighbours:
+                        if not nonzero[j] and j not in component:
+                            component[j] = i
+                            stack.append(j)
+        groups: dict[tuple, list[int]] = {}
+        for t, (rc, string) in enumerate(zip(rs.positive_roots, self.every(0))):
+            shape = tuple(compress(rc, nonzero))
+            where = None if any(shape) else component[next(i for i, x in enumerate(rc) if x)]
+            groups.setdefault((shape, string[2], where), []).append(t)
+        npos = len(rs.positive_roots)
+        positive, every = [], []
+        for (_, _, where), members in groups.items():  # each by height, as positive_roots
+            top, n = members[-1], len(members)
+            positive.append((top, n))
+            if where is None:
+                every += [(top, n), (npos + members[0], n)]
+            else:
+                every.append((top, 2 * n))
+        return positive, every
+
+    def orbit_strings(self, nonzero: tuple[bool, ...], k: int) -> list[tuple]:
+        """:meth:`every` at ``k`` with the length of the orbit appended, one
+        string per orbit of :meth:`root_orbits`: on the positive roots modulo
+        sign at ``k = 0``, on all roots at ``k >= 1``."""
+        key = (nonzero, k)
+        strings = self._orbits.get(key)
+        if strings is None:
+            every = self.every(k)
+            strings = self._orbits[key] = [every[t] + (n,) for t, n in self.root_orbits(nonzero)[bool(k)]]
+        return strings
+
+    def orbit_size(self, nonzero: tuple[bool, ...]) -> int:
+        """:func:`weyl_orbit_size` of a dominant weight with this support."""
+        size = self._sizes.get(nonzero)
+        if size is None:
+            size = self._sizes[nonzero] = weyl_orbit_size(self.rs, tuple(map(int, nonzero)))
+        return size
+
+
+# per algebra: the root data above, which depends on no highest weight
+_root_strings: dict[AlgebraId, RootStrings] = {}
+
+
+def root_strings(rs: RootSystem) -> RootStrings:
+    """The memoised :class:`RootStrings` of ``rs.algebra``."""
+    data = _root_strings.get(rs.algebra)
+    if data is None:
+        data = _root_strings[rs.algebra] = RootStrings(rs)
+    return data
+
+
 def freudenthal_slices(
     rs: RootSystem,
     lam: Weight,
@@ -129,6 +238,20 @@ def freudenthal_slices(
     only ``k = 0`` enters and the level term of the denominator vanishes, so a
     finite character is the depth-0 call with level 0.
 
+    The real-root strings are summed over orbits of the stabiliser ``W_J`` of
+    ``mu``, the parabolic subgroup on its zero coordinates ``J`` (Moody and
+    Patera, *Fast recursion formula for weight multiplicities*, Bull. AMS
+    1982). For ``w`` in ``W_J`` the string of ``w alpha + k*delta`` is ``w``
+    applied to that of ``alpha + k*delta``: ``w`` fixes ``mu`` and ``delta``,
+    multiplicities are ``W``-invariant and the form is, so both strings add
+    the same. At ``k >= 1`` the roots are grouped by ``W_J``-orbits of all of
+    ``Phi``. At ``k = 0`` only positive roots enter; ``W_J`` permutes those
+    off ``Phi_J``, and for ``alpha`` in ``Phi_J`` the strings of ``alpha`` and
+    ``-alpha`` add the same, as ``s_alpha`` fixes ``mu``; so the positive
+    roots are grouped by orbits modulo sign. One string per orbit is walked,
+    from the orbit's ``J``-dominant root, and counted times the orbit's length
+    (see :meth:`RootStrings.root_orbits`).
+
     Only the candidates at depth 0 or in the affine chamber (``<mu, theta^vee>
     <= lvl``) run the recursion. Any other is read off its alcove point
     (:meth:`RootSystem.alcove_point`): by affine Weyl invariance (Kac,
@@ -145,24 +268,8 @@ def freudenthal_slices(
     scale = rs.form_scale
     to_dominant = rs.to_dominant
     sip_ww = rs.sip_ww
-    # (mu|alpha) is one dot product of mu with form_d * rc
-    pos = []
-    for rc, fund in zip(rs.positive_roots, rs.positive_roots_fund):
-        form_rc = tuple(map(mul, rs.form_d, rc))
-        pos.append((rc, fund, form_rc, sum(map(mul, fund, form_rc))))
-    real = pos + [
-        (tuple(-x for x in rc), tuple(-x for x in fund), tuple(-x for x in form_rc), s_aa)
-        for rc, fund, form_rc, s_aa in pos
-    ]
-    # a real root alpha + k*delta over the affine simple roots alpha_0..alpha_r
-    # is (k, rc + k*marks); its string through mu - d*delta stays in the
-    # weights below lam while those coordinates fit into (d, gamma + d*marks)
-    strings = []
-    for k in range(depth + 1):
-        strings.append([])
-        for rc, fund, form_rc, s_aa in real if k else pos:
-            coords = (k,) + tuple(r + k * a for r, a in zip(rc, marks))
-            strings[k].append((fund, form_rc, s_aa, tuple((i, x) for i, x in enumerate(coords) if x > 0)))
+    orbit_strings = root_strings(rs).orbit_strings
+    strings_of: dict[tuple[bool, ...], list[list[tuple]]] = {}
     lam_rho = tuple(x + 1 for x in lam)
     top = sip_ww(lam_rho, lam_rho)
     lvl_scaled = lvl * scale
@@ -170,10 +277,10 @@ def freudenthal_slices(
 
     slices: list[dict[Weight, int]] = [{} for _ in range(depth + 1)]
     slices[0][lam] = 1
-    # an affine table looks up the same finite weight nu many times (828
-    # distinct weights, summed over its tables, for 12,445 lookups in one
+    # an affine table looks up the same finite weight nu many times (620
+    # distinct weights, summed over its tables, for 9,901 lookups in one
     # repeat of the affine_products workload at seed 3), so it reflects each
-    # nu once; a finite table repeats less (E7 V(rho): 230,076 for 361,243),
+    # nu once; a finite table repeats less (E7 V(rho): 39,621 for 76,821),
     # and there a dict would cost memory without saving time
     dominant_of: dict[Weight, Weight] | None = {} if depth else None
     dual_marks, alcove_point = rs.dual_marks, rs.alcove_point
@@ -186,11 +293,15 @@ def freudenthal_slices(
             if m:
                 slices[d][mu] = m
             continue
+        nonzero = tuple(map(bool, mu))
+        strings = strings_of.get(nonzero)
+        if strings is None:
+            strings = strings_of[nonzero] = [orbit_strings(nonzero, k) for k in range(depth + 1)]
         room = (d,) + tuple(g + d * a for g, a in zip(gamma, marks))
         total = sum(room)
         num = 0
         for k in range(d + 1):
-            for fund, form_rc, s_aa, supp in strings[k]:
+            for fund, form_rc, s_aa, supp, length in strings[k]:
                 jmax = total  # bounds every room[i] // x
                 for i, x in supp:
                     q = room[i] // x
@@ -202,6 +313,7 @@ def freudenthal_slices(
                     continue
                 base = sum(map(mul, mu, form_rc)) + k * lvl_scaled
                 nu = mu
+                string = 0
                 for j in range(1, jmax + 1):
                     nu = tuple(map(add, nu, fund))
                     if dominant_of is None:
@@ -212,7 +324,8 @@ def freudenthal_slices(
                             dom = dominant_of[nu] = to_dominant(nu)[0]
                     m = slices[d - k * j].get(dom, 0)
                     if m:
-                        num += m * (base + j * s_aa)
+                        string += m * (base + j * s_aa)
+                num += length * string
         for k in range(1, d + 1):
             for j in range(1, d // k + 1):
                 m = slices[d - k * j].get(mu, 0)
@@ -260,6 +373,12 @@ def freudenthal(rs: RootSystem, lam: Weight, cache: "CharCache | None" = None) -
             for mu in dominant_weights_below(rs, lam)[1:]
         ]
         mults = freudenthal_slices(rs, lam, candidates, 0, 0)[0]
+        dim = DominantCharacter(str(rs.algebra), lam, mults).dimension(rs)
+        if dim != rs.weyl_dimension(lam):
+            raise InvariantError(
+                f"Freudenthal table of {lam} ({rs.algebra}) has dimension {dim}, "
+                f"but the Weyl dimension is {rs.weyl_dimension(lam)}"
+            )
         if cache is not None:
             cache.store(rs, lam, mults)
     char = DominantCharacter(str(rs.algebra), lam, mults)
@@ -269,9 +388,11 @@ def freudenthal(rs: RootSystem, lam: Weight, cache: "CharCache | None" = None) -
 
 
 def clear_memory_cache() -> None:
-    """Drop every memoised table, finite and affine."""
+    """Drop every memoised table, finite and affine, and the memoised orbit
+    sizes and root strings."""
     with _memo_lock:
         _memo.clear()
+        _root_strings.clear()
 
 
 class CharCache:

@@ -18,6 +18,9 @@ passes of one factor's slices against the Weyl-Kac numerator of the other.
 The signed affine orbit lists the terms of numerators and denominators from
 finite reflections and coroot translations, where the library walks the
 finite-dominant points of an affine orbit as a tree of alcove steps.
+The all-roots kernel is Freudenthal's recursion walking every real-root
+string on its own, where the library walks one string per orbit of the
+stabiliser of each weight and counts it times the orbit's length.
 The orbit oracle walks a Weyl orbit breadth-first with a seen-set, where the
 production walk climbs the tree of ``to_dominant``. The root-datum oracle builds the symmetrizer, the inverse
 Cartan matrix and the form in ``Fraction`` arithmetic, where the production
@@ -45,6 +48,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from math import lcm, prod
 from operator import add, itemgetter, mul, sub
+from typing import Iterable
 
 from rho_tensor.affine import (
     AffineWeight,
@@ -69,6 +73,113 @@ from rho_tensor.rootdata import (
     weyl_orbit,
 )
 from rho_tensor.tensor import Decomposition
+
+
+def freudenthal_slices_by_all_roots(
+    rs: RootSystem,
+    lam: Weight,
+    candidates: Iterable[tuple[int, Weight, RootVector]],
+    depth: int,
+    lvl: int,
+) -> list[dict[Weight, int]]:
+    """:func:`rho_tensor.charcalc.freudenthal_slices` without the stabiliser
+    grouping: the same candidates, order, checks and messages, but every
+    real-root string walked on its own, over all positive roots at ``k = 0``
+    and all roots at ``k >= 1``."""
+    rank = rs.rank
+    marks = rs.marks
+    scale = rs.form_scale
+    to_dominant = rs.to_dominant
+    sip_ww = rs.sip_ww
+    # (mu|alpha) is one dot product of mu with form_d * rc
+    pos = []
+    for rc, fund in zip(rs.positive_roots, rs.positive_roots_fund):
+        form_rc = tuple(map(mul, rs.form_d, rc))
+        pos.append((rc, fund, form_rc, sum(map(mul, fund, form_rc))))
+    real = pos + [
+        (tuple(-x for x in rc), tuple(-x for x in fund), tuple(-x for x in form_rc), s_aa)
+        for rc, fund, form_rc, s_aa in pos
+    ]
+    # a real root alpha + k*delta over the affine simple roots alpha_0..alpha_r
+    # is (k, rc + k*marks); its string through mu - d*delta stays in the
+    # weights below lam while those coordinates fit into (d, gamma + d*marks)
+    strings = []
+    for k in range(depth + 1):
+        strings.append([])
+        for rc, fund, form_rc, s_aa in real if k else pos:
+            coords = (k,) + tuple(r + k * a for r, a in zip(rc, marks))
+            strings[k].append((fund, form_rc, s_aa, tuple((i, x) for i, x in enumerate(coords) if x > 0)))
+    lam_rho = tuple(x + 1 for x in lam)
+    top = sip_ww(lam_rho, lam_rho)
+    lvl_scaled = lvl * scale
+    shift_scaled = 2 * (lvl + rs.dual_coxeter) * scale
+
+    slices: list[dict[Weight, int]] = [{} for _ in range(depth + 1)]
+    slices[0][lam] = 1
+    dominant_of: dict[Weight, Weight] | None = {} if depth else None
+    dual_marks, alcove_point = rs.dual_marks, rs.alcove_point
+    for d, mu, gamma in candidates:
+        if d and sum(map(mul, dual_marks, mu)) > lvl:
+            # off the affine chamber: the multiplicity is that of its alcove point,
+            # shallower (above the top if e < 0), so already known
+            nu, e, _ = alcove_point(mu, d, lvl)
+            m = slices[e].get(nu, 0) if e >= 0 else 0
+            if m:
+                slices[d][mu] = m
+            continue
+        room = (d,) + tuple(g + d * a for g, a in zip(gamma, marks))
+        total = sum(room)
+        num = 0
+        for k in range(d + 1):
+            for fund, form_rc, s_aa, supp in strings[k]:
+                jmax = total  # bounds every room[i] // x
+                for i, x in supp:
+                    q = room[i] // x
+                    if q < jmax:
+                        jmax = q
+                        if not q:
+                            break
+                if not jmax:
+                    continue
+                base = sum(map(mul, mu, form_rc)) + k * lvl_scaled
+                nu = mu
+                for j in range(1, jmax + 1):
+                    nu = tuple(map(add, nu, fund))
+                    if dominant_of is None:
+                        dom = to_dominant(nu)[0]
+                    else:
+                        dom = dominant_of.get(nu)
+                        if dom is None:
+                            dom = dominant_of[nu] = to_dominant(nu)[0]
+                    m = slices[d - k * j].get(dom, 0)
+                    if m:
+                        num += m * (base + j * s_aa)
+        for k in range(1, d + 1):
+            for j in range(1, d // k + 1):
+                m = slices[d - k * j].get(mu, 0)
+                if m:
+                    num += rank * m * k * lvl_scaled
+        num *= 2
+        if not num:
+            raise InvariantError(
+                f"Freudenthal recursion found multiplicity 0 at mu={mu}, depth {d} for highest "
+                f"weight {lam} ({rs.algebra}), but a dominant weight below the top is a weight"
+            )
+        mu_rho = tuple(x + 1 for x in mu)
+        denom = top - sip_ww(mu_rho, mu_rho) + d * shift_scaled
+        if denom <= 0:
+            raise InvariantError(
+                f"Freudenthal denominator {denom} <= 0 at mu={mu}, depth {d} "
+                f"for highest weight {lam} ({rs.algebra})"
+            )
+        q, r = divmod(num, denom)
+        if r != 0 or q < 0:
+            raise InvariantError(
+                f"Freudenthal recursion produced non-multiplicity {num}/{denom} "
+                f"at mu={mu}, depth {d}, lam={lam}"
+            )
+        slices[d][mu] = q
+    return slices
 
 
 def _signed_orbit(rs: RootSystem, w: Weight) -> dict[Weight, int]:

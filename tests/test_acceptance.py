@@ -223,7 +223,7 @@ def test_criterion_10_exceptional_conjecture_scans():
 
 
 def test_criterion_11_exceptional_rho_tables():
-    with criterion(11, "E6 V(rho) over its 226 dominant weights, zero weight 13,697,920; E7 rho has 1,464"):
+    with criterion(11, "E6 V(rho) over its 226 dominant weights, zero weight 13,697,920; E7 V(rho) over 1,464, dim 2^63"):
         e6 = build_root_system("E6")
         below = dominant_weights_below(e6, e6.rho)
         assert len(below) == 226
@@ -231,4 +231,8 @@ def test_criterion_11_exceptional_rho_tables():
         assert sorted(char.mults) == sorted(below)
         assert char.mults[(0,) * 6] == 13_697_920
         e7 = build_root_system("E7")
-        assert len(dominant_weights_below(e7, e7.rho)) == 1464
+        below = dominant_weights_below(e7, e7.rho)
+        assert len(below) == 1464
+        char = freudenthal(e7, e7.rho)
+        assert sorted(char.mults) == sorted(below)
+        assert char.dimension(e7) == 2**63

@@ -44,6 +44,7 @@ from oracles import (
     _signed_affine_orbit,
     affine_candidates_by_box,
     affine_slices_by_weyl_kac,
+    freudenthal_slices_by_all_roots,
     truncated_tensor_by_full_peel,
     truncated_tensor_by_read_off,
 )
@@ -128,6 +129,24 @@ def test_against_weyl_kac_oracle(name, fund, depth):
     expected = affine_slices_by_weyl_kac(rs, lam, depth)
     got = [expand_orbits(rs, sl) for sl in affine_freudenthal(rs, lam, depth).slices]
     assert got == expected
+
+
+@pytest.mark.parametrize(
+    "name,fund,depth",
+    [
+        ("B2~", (1, 1, 1), 3), ("B2~", (2, 0, 1), 3), ("B2~", (1, 0, 0), 3),
+        ("G2~", (1, 1, 1), 3), ("G2~", (0, 2, 0), 3),
+        ("A3~", (1, 1, 1, 1), 2), ("A3~", (2, 0, 1, 0), 3), ("A3~", (1, 0, 0, 0), 3),
+        ("D4~", (1, 1, 1, 1, 1), 2), ("D4~", (2, 0, 1, 0, 0), 2),
+    ],
+)
+def test_orbit_grouped_slices_match_the_all_roots_oracle(name, fund, depth):
+    rs = build_root_system(name)
+    lam = AffineWeight(fund)
+    candidates = affine_candidates(rs, lam.finite, depth)
+    expected = freudenthal_slices_by_all_roots(rs, lam.finite, candidates, depth, level(rs, lam))
+    got = freudenthal_slices(rs, lam.finite, candidates, depth, level(rs, lam))
+    assert [list(sl.items()) for sl in got] == [list(sl.items()) for sl in expected]
 
 
 def test_candidate_that_is_not_a_weight_is_an_invariant_failure(sl2_affine):

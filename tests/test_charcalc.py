@@ -2,6 +2,7 @@
 
 import threading
 import time
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -13,12 +14,14 @@ from rho_tensor.charcalc import (
     dominant_weights_below,
     freudenthal,
     freudenthal_slices,
+    root_strings,
 )
-from rho_tensor.rootdata import AlgebraError, build_root_system
+from rho_tensor.rootdata import AlgebraError, InvariantError, build_root_system, floor_root_coords
 
 from oracles import (
     character_by_weyl_formula,
     dominant_weights_by_box,
+    freudenthal_slices_by_all_roots,
     rho_character_by_product,
     simple_reflection,
 )
@@ -190,6 +193,80 @@ def test_evaluation_order_independence(b2, g2):
                 rng.shuffle(layer)
                 candidates += layer
             assert freudenthal_slices(rs, lam, candidates, 0, 0) == [reference]
+
+
+def _orbit_by_bfs(rs, root, zeros):
+    """The orbit of a root (fundamental coordinates) under the simple
+    reflections on the nodes ``zeros``."""
+    seen, todo = {root}, [root]
+    for u in todo:
+        for i in zeros:
+            v = simple_reflection(rs, u, i)
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G2", "D4", "F4"])
+def test_stabiliser_root_orbits_partition_the_roots(name):
+    rs = build_root_system(name)
+    positive = set(rs.positive_roots_fund)
+    roots = positive | {tuple(-x for x in r) for r in positive}
+    indexed = list(rs.positive_roots_fund) + [tuple(-x for x in r) for r in rs.positive_roots_fund]
+    for size in range(rs.rank + 1):
+        for zeros in combinations(range(rs.rank), size):
+            modulo_sign, every = root_strings(rs).root_orbits(tuple(i not in zeros for i in range(rs.rank)))
+            for orbits, universe, fold in ((every, roots, False), (modulo_sign, positive, True)):
+                covered = set()
+                for t, length in orbits:
+                    top = indexed[t]
+                    assert top in universe and all(top[i] >= 0 for i in zeros), (name, zeros, top)
+                    orbit = _orbit_by_bfs(rs, top, zeros)
+                    if fold:  # {alpha, -alpha} counted once, as its positive member
+                        orbit = {r if r in positive else tuple(-x for x in r) for r in orbit}
+                    assert len(orbit) == length and not orbit & covered, (name, zeros, top)
+                    covered |= orbit
+                assert covered == universe, (name, zeros)
+                assert sum(length for _, length in orbits) == len(universe)
+
+
+EXCEPTIONAL_E6_WEIGHTS = [
+    (1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0),
+    (1, 0, 1, 0, 0, 0), (2, 0, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 1),
+    (0, 1, 1, 0, 0, 0), (1, 0, 0, 0, 1, 0), (0, 2, 0, 0, 0, 0), (1, 0, 0, 1, 0, 0),
+]
+
+
+@pytest.mark.parametrize(
+    "name,lam",
+    [("E6", w) for w in EXCEPTIONAL_E6_WEIGHTS]
+    + [("E6", (1,) * 6), ("D4", (2, 2, 2, 2)), ("F4", (1, 1, 1, 1)),
+       ("B4", (0, 0, 0, 4)), ("B4", (2, 0, 0, 1)), ("C4", (0, 3, 0, 0)), ("C4", (2, 0, 0, 1)),
+       ("D5", (0, 2, 0, 0, 0)), ("D5", (1, 0, 0, 0, 2))],
+)
+def test_orbit_grouped_kernel_matches_the_all_roots_oracle(name, lam):
+    rs = build_root_system(name)
+    candidates = [
+        (0, mu, floor_root_coords(rs, tuple(a - b for a, b in zip(lam, mu))))
+        for mu in dominant_weights_below(rs, lam)[1:]
+    ]
+    (expected,) = freudenthal_slices_by_all_roots(rs, lam, candidates, 0, 0)
+    (table,) = freudenthal_slices(rs, lam, candidates, 0, 0)
+    assert list(table.items()) == list(expected.items())
+
+
+def test_a_computed_table_is_checked_against_the_weyl_dimension(monkeypatch, b2):
+    def dropping(rs, lam, candidates, depth, lvl):
+        slices = freudenthal_slices(rs, lam, candidates, depth, lvl)
+        del slices[0][(0, 0)]
+        return slices
+
+    clear_memory_cache()
+    monkeypatch.setattr("rho_tensor.charcalc.freudenthal_slices", dropping)
+    with pytest.raises(InvariantError, match=r"dimension 76, but the Weyl dimension is 81"):
+        freudenthal(b2, (2, 2))
+    clear_memory_cache()
 
 
 def test_ckm_shift_equivalence(systems):
