@@ -12,18 +12,14 @@ of :mod:`rho_tensor.charcalc`, keyed without the delta shift: one per classical
 highest weight, the deepest computed so far, and views of it serve shallower
 or shifted requests. A truncated tensor product is read off finite Klimyk
 passes: multiplying ``ch L ch V(kappa)`` by the Weyl-Kac denominator gives
-``ch L`` times the Weyl-Kac numerator of V(kappa) (Kac, §10.4 and §12.1).
-Grouped by finite cosets, that numerator is a signed sum of finite
-characters ``A_rho ch V(v - rho)``, one per finite-dominant point ``v`` of
-the affine orbit of ``kappa + rho^``, each at its depth; few lie within the
-truncation. Each multiplies a slice of ``L`` in one Klimyk pass, reflecting
-with the finite Weyl group only, and the coefficient at an affine-dominant
-weight is its component. Every term reads a slice at the same depth or
-shallower, so the truncation loses nothing, and no table is built beyond the
-two factors'. The sums off the affine chamber are checked
-against the components at their alcove points, and every component against
-the multiplicities of both factors (the PRV bound). Everything is
-depth-qualified: no claim is made beyond the truncation.
+``ch L`` times the Weyl-Kac numerator of V(kappa) (Kac, §10.4 and §12.1), a
+signed sum of finite characters ``A_rho ch V(v - rho)``, few within the
+truncation. Each slice of ``L`` runs one :func:`rho_tensor.tensor.klimyk_pass`
+against them, and the coefficient at an affine-dominant weight is its
+component. The sums off the affine chamber are checked against the components
+at their alcove points, and every component against the multiplicities of both
+factors (the PRV bound). Everything is depth-qualified: no claim is made
+beyond the truncation.
 
 The normalized invariant form follows the standard affine conventions:
 (delta|delta) = 0, (delta|Lambda) = level(Lambda), and on classical parts it
@@ -37,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, sub
 
-from .charcalc import _memo, _memo_lock, dominant_descent, expand_orbits, freudenthal_slices, root_strings
+from .charcalc import _memo, _memo_lock, dominant_descent, freudenthal_slices, root_strings
 from .rootdata import (
     AlgebraError,
     InvariantError,
@@ -46,6 +42,7 @@ from .rootdata import (
     Weight,
     weyl_orbit,
 )
+from .tensor import klimyk_pass
 
 DEFAULT_DEPTH = 6
 
@@ -309,32 +306,16 @@ def _numerator_sums(
     rs: RootSystem, char: TruncatedAffineCharacter, terms: list[tuple[int, Weight, int]], depth: int
 ) -> list[dict[Weight, int]]:
     """Per depth ``d``, ``{x: S(x, d)}`` over the dominant finite ``x`` the
-    sum reaches, where ``S(x, d) = sum eps [L_(d - n_0) (x) V(v - rho) :
-    V(x)]`` over the ``terms`` ``(n_0, v, eps)`` of :func:`_numerator_terms`
-    and ``L_e`` is slice ``e`` of ``char``. Each term is one finite Klimyk
-    pass over the orbit-expanded slice (see :func:`rho_tensor.tensor.klimyk`):
-    a weight ``nu`` adds to ``v + nu`` reflected to the dominant chamber,
-    with the sign of the reflection, or drops out on a wall. Entries that
-    sum to zero are kept."""
-    to_dominant = rs.to_dominant
+    sum reaches, ``S(x, d) = sum eps [L_(d - n_0) (x) V(v - rho) : V(x)]``
+    over the ``terms`` ``(n_0, v, eps)`` of :func:`_numerator_terms`, ``L_e``
+    slice ``e`` of ``char``: one :func:`rho_tensor.tensor.klimyk_pass` per
+    slice. Entries that sum to zero are kept."""
     sums: list[dict[Weight, int]] = [dict() for _ in range(depth + 1)]  # keyed by x + rho
     for e, sl in enumerate(char.slices):
-        weights = expand_orbits(rs, sl)
-        for n0, v, eps in terms:
-            if e + n0 > depth:
-                continue
-            target = sums[e + n0]
-            for nu, m in weights.items():
-                y = tuple(map(add, v, nu))
-                if min(y) > 0:  # v + nu is dominant: no reflection
-                    target[y] = target.get(y, 0) + eps * m
-                elif 0 in y:
-                    continue  # on a wall: sign 0
-                else:
-                    y, sign = to_dominant(y)
-                    if sign:
-                        target[y] = target.get(y, 0) + sign * eps * m
-    return [{tuple(a - 1 for a in y): s for y, s in sl.items()} for sl in sums]
+        orbits = ((m, weyl_orbit(rs, mu)) for mu, m in sl.items())
+        klimyk_pass(rs, orbits, [(v, eps, sums[e + n0]) for n0, v, eps in terms if e + n0 <= depth])
+    rho = (1,) * rs.rank
+    return [{tuple(map(sub, y, rho)): s for y, s in sl.items()} for sl in sums]
 
 
 def truncated_tensor(
@@ -487,12 +468,21 @@ def gko_l0_scalar(rs: RootSystem, lam: AffineWeight, mu: AffineWeight, nu: Affin
     """Scalar by which the coset L_0 acts on the V(nu) isotypic piece of
     V(lam) (x) V(mu)."""
     _require_affine(rs)
-    h = rs.dual_coxeter
+    for w in (lam, mu, nu):
+        if not w.is_dominant():
+            raise AlgebraError(f"gko_l0_scalar requires dominant weights, got {w}")
     ll, lm = level(rs, lam), level(rs, mu)
     if ll <= 0 or lm <= 0:
         raise AlgebraError(f"gko_l0_scalar requires positive levels, got {ll}, {lm}")
     if level(rs, nu) != ll + lm:
         raise AlgebraError(f"nu must have level {ll + lm}, got {level(rs, nu)}")
+    return _l0_scalar(rs, lam, mu, nu)
+
+
+def _l0_scalar(rs: RootSystem, lam: AffineWeight, mu: AffineWeight, nu: AffineWeight) -> Fraction:
+    """The formula of :func:`gko_l0_scalar` at any weights of positive level."""
+    h = rs.dual_coxeter
+    ll, lm = level(rs, lam), level(rs, mu)
     rho2 = 2 * affine_rho(rs)
 
     def casimir(w: AffineWeight, lv: int) -> Fraction:
@@ -535,7 +525,7 @@ def gko_positivity_certificate(rs: RootSystem, m: int, n: int, beta: AffineWeigh
         )
     denominator = Fraction(2 * h * (m + 1) * (n + 1) * (m + n + 1))
     scalar = sum(terms) / denominator
-    verify = gko_l0_scalar(rs, rho_m, rho_n, rho_m + beta)
+    verify = _l0_scalar(rs, rho_m, rho_n, rho_m + beta)  # m rho + beta need not be dominant
     if scalar != verify:
         raise InvariantError(
             f"certificate sum {scalar} disagrees with direct L_0 scalar {verify} "
@@ -569,15 +559,16 @@ def kac_wakimoto_check(
     """Least k <= depth with V(nu - k delta) a component of the truncated
     decomposition, or None if none within the truncation (never a refutation)."""
     _require_affine(rs)
+    if not nu.is_dominant():
+        raise AlgebraError(f"kac_wakimoto_check requires a dominant nu, got {nu}")
     if not in_affine_root_lattice(rs, lam + mu - nu):
         raise AlgebraError(
             "kac_wakimoto_check precondition violated: lam + mu - nu is not in the affine root lattice"
         )
     dec = truncated_tensor(rs, lam, mu, depth)
-    dom = rs.to_dominant(nu.finite)[0]
     base = -nu.delta_shift  # depth position of nu itself relative to lam+mu
     for k in range(depth + 1):
         d = base + k
-        if 0 <= d <= depth and (dom, d) in dec.components:
+        if 0 <= d <= depth and (nu.finite, d) in dec.components:
             return k
     return None

@@ -347,6 +347,8 @@ def _cmd_gko(args, cache, out) -> int:
     if args.depth < 0:
         raise AlgebraError(f"depth must be non-negative, got {args.depth}")
     lam = None if args.lam is None else _parse_affine_weight(rs, args.lam)
+    if lam is not None and not lam.is_dominant():
+        raise AlgebraError(f"gko requires a dominant --lambda, got {lam}")
     h = rs.dual_coxeter
     # every line is built before the first is written, so an error leaves no output
     lines = [f"central charge: {aff.gko_central_charge(rs, m * h, n * h)}"]

@@ -1,19 +1,18 @@
 """Exact tensor product decomposition of finite-type irreducibles.
 
-The production path is the Klimyk algorithm: iterate over the weights ``nu``
-of the smaller factor, reflect ``big + nu + rho`` to the dominant chamber
-tracking the sign (0 on a wall, which drops out), and accumulate. A term with
-``big + nu`` already dominant needs no reflection. Those terms make up the
-translated set ``{big + nu} & P+``, which must contain every component: each
-component of V(lam) (x) V(mu) is lam plus a weight of V(mu). ``oracle_decompose``
-is an independent check that multiplies full characters as formal weight sums
-and peels highest weights; the two must agree everywhere.
+The production path is the Klimyk algorithm, one :func:`klimyk_pass` (shared
+with :mod:`rho_tensor.affine`) over the weights ``nu`` of the smaller factor:
+``big + nu + rho`` reflected to the dominant chamber with its sign (0 on a
+wall) accumulates. The unreflected terms, ``big + nu`` dominant, make up the
+translated set, which must contain every component: each component of V(lam)
+(x) V(mu) is lam plus a weight of V(mu). ``oracle_decompose`` multiplies full
+characters as formal weight sums and peels highest weights; the two must agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import add
+from operator import add, sub
 
 from .charcalc import CharCache, freudenthal
 from .rootdata import AlgebraError, InvariantError, RootSystem, Weight
@@ -62,14 +61,36 @@ def _check_decomposition(rs: RootSystem, dec: Decomposition) -> None:
         )
 
 
+def klimyk_pass(rs: RootSystem, orbits, terms) -> set[Weight]:
+    """For every weight ``nu`` of every ``(m, orbit)`` in ``orbits`` (``orbit``
+    a list, walked once per term) and every term ``(v, eps, target)``, add
+    ``eps * m`` times the sign of the reflection into ``target`` at ``y``,
+    ``v + nu`` reflected to the dominant chamber. Each ``v`` is a weight plus
+    rho, so ``y`` is keyed as a dominant weight plus rho, and a ``y`` on a wall
+    drops out. Sums that cancel to zero are kept. Returns the ``y`` added
+    without a reflection."""
+    to_dominant = rs.to_dominant
+    unreflected: set[Weight] = set()
+    for m, orbit in orbits:
+        for v, eps, target in terms:
+            c = eps * m
+            for nu in orbit:
+                y = tuple(map(add, v, nu))
+                if min(y) > 0:  # v + nu is dominant: no reflection
+                    unreflected.add(y)
+                    target[y] = target.get(y, 0) + c
+                elif 0 not in y:  # else on a wall: sign 0
+                    y, sign = to_dominant(y)
+                    if sign:
+                        target[y] = target.get(y, 0) + sign * c
+    return unreflected
+
+
 def klimyk(rs: RootSystem, lam: Weight, mu: Weight, cache: CharCache | None = None) -> Decomposition:
-    """Decompose V(lam) (x) V(mu) by signed reflection over the weights of
-    the smaller-dimensional factor ``small`` (ties toward ``mu``), the other
-    factor being ``big``. A weight ``nu`` with ``big + rho + nu`` on a wall
-    has sign 0 and drops out, before any reflection when a coordinate is
-    already zero and in ``to_dominant`` otherwise; one with ``big + nu``
-    dominant adds with sign +1 as it stands and joins ``translated``, which
-    must hold the support."""
+    """Decompose V(lam) (x) V(mu) by one :func:`klimyk_pass` of ``big + rho``
+    over the weights of the smaller-dimensional factor ``small`` (ties toward
+    ``mu``), the other factor being ``big``. The terms added without a
+    reflection form ``translated``, which must hold the support."""
     rs._require_finite()
     for w in (lam, mu):
         if not rs.is_dominant(w):
@@ -79,42 +100,26 @@ def klimyk(rs: RootSystem, lam: Weight, mu: Weight, cache: CharCache | None = No
     else:
         big, small = lam, mu
     char = freudenthal(rs, small, cache)
-    to_dominant = rs.to_dominant
-    shifted = tuple(x + 1 for x in big)  # big + rho
-    components: dict[Weight, int] = {}
-    translated: set[Weight] = set()
-    for wt, m in char.mults.items():
-        for nu in rs.orbit(wt):
-            y = tuple(map(add, shifted, nu))
-            if min(y) > 0:  # big + nu is dominant: no reflection, sign +1
-                key = tuple(map(add, big, nu))
-                translated.add(key)
-                acc = components.get(key, 0) + m
-            elif 0 in y:
-                continue  # big + rho + nu lies on a wall: sign 0
-            else:
-                dom, sign = to_dominant(y)
-                if not sign:
-                    continue  # big + rho + nu meets a wall while reflecting
-                key = tuple(x - 1 for x in dom)
-                acc = components.get(key, 0) + m * sign
-            if acc:
-                components[key] = acc
-            else:
-                components.pop(key, None)
+    rho = (1,) * rs.rank
+    sums: dict[Weight, int] = {}  # keyed by x + rho
+    orbits = zip(char.mults.values(), map(rs.orbit, char.mults))
+    unreflected = klimyk_pass(rs, orbits, [(tuple(map(add, big, rho)), 1, sums)])
+    down = {y: tuple(map(sub, y, rho)) for y in unreflected}  # x + rho -> x, the translated set
     # before the sign check, so that a misplaced term is named whatever its sign
-    extra = components.keys() - translated
+    extra = [tuple(map(sub, y, rho)) for y, s in sums.items() if s and y not in down]
     if extra:
         raise InvariantError(
             f"{rs.algebra} {lam} (x) {mu}: decomposition support exceeds the translated weight set: "
             f"{sorted(extra)}"
         )
+    components = {down[y]: s for y, s in sums.items() if s}
+    translated = frozenset(down.values())
     if any(m < 0 for m in components.values()):
         raise InvariantError(
             f"Klimyk accumulation went negative for {lam} (x) {mu}: "
             f"{ {k: v for k, v in components.items() if v < 0} }"
         )
-    dec = Decomposition(str(rs.algebra), lam, mu, components, frozenset(translated))
+    dec = Decomposition(str(rs.algebra), lam, mu, components, translated)
     _check_decomposition(rs, dec)
     return dec
 

@@ -13,6 +13,7 @@ from rho_tensor.affine import (
     GAP_AT_ONE,
     UNBROKEN,
     AffineWeight,
+    _numerator_sums,
     _numerator_terms,
     affine_bilinear,
     affine_candidates,
@@ -33,6 +34,7 @@ from rho_tensor.affine import (
 )
 from rho_tensor.charcalc import _memo, clear_memory_cache, expand_orbits, freudenthal, freudenthal_slices
 from rho_tensor.rootdata import AlgebraError, InvariantError, build_root_system, floor_root_coords
+from rho_tensor.tensor import klimyk
 
 from oracles import (
     _affine_nodes,
@@ -313,6 +315,48 @@ def test_numerator_terms_match_the_signed_affine_orbit(name, fund):
         found = {(v, n): eps for n, v, eps in terms}
         assert len(found) == len(terms)
         assert found == _finite_dominant_terms(orbit, depth)
+
+
+@pytest.mark.parametrize(
+    "name,lam,mu,depth",
+    [
+        ("A2~", (1, 1, 1), (1, 1, 1), 2),
+        ("B2~", (2, 0, 1), (1, 1, 1), 3),
+        ("G2~", (0, 1, 0), (1, 1, 1), 2),
+        ("A3~", (1, 2, 0, 1), (1, 0, 1, 0), 1),
+        ("E6~", (1, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0), 1),
+    ],
+    ids=["A2~-rho-2", "B2~-201-rho-3", "G2~-010-rho-2", "A3~-1201-1010-1", "E6~-w0-w1-1"],
+)
+def test_numerator_sums_at_depth_zero_are_the_finite_klimyk_product(name, lam, mu, depth):
+    """At depth 0 the only numerator term is ``v = lam + rho``, so the sums
+    there are the components of the finite product of the classical parts."""
+    rs = build_root_system(name)
+    lam, mu = AffineWeight(lam), AffineWeight(mu)
+    terms = _numerator_terms(rs, lam + affine_rho(rs), depth)
+    sums = _numerator_sums(rs, affine_freudenthal(rs, mu, depth), terms, depth)[0]
+    finite = klimyk(build_root_system(name.rstrip("~")), lam.finite, mu.finite).components
+    assert {x: s for x, s in sums.items() if s} == finite
+
+
+@pytest.mark.parametrize("name,lam,mu,depth", [("A2~", (1, 1, 1), (1, 1, 1), 2), ("B2~", (2, 0, 1), (1, 1, 1), 3)])
+def test_numerator_sums_keep_the_keys_whose_terms_cancel(name, lam, mu, depth):
+    """Every key a term reflects to, zero sums included, against one plain
+    ``to_dominant`` per weight and term of the orbit-expanded slices."""
+    rs = build_root_system(name)
+    lam, mu = AffineWeight(lam), AffineWeight(mu)
+    char = affine_freudenthal(rs, mu, depth)
+    terms = _numerator_terms(rs, lam + affine_rho(rs), depth)
+    expected = [{} for _ in range(depth + 1)]
+    for e, sl in enumerate(char.slices):
+        for nu, m in expand_orbits(rs, sl).items():
+            for n0, v, eps in terms:
+                dom, sign = rs.to_dominant(tuple(map(add, v, nu)))
+                if e + n0 <= depth and sign:
+                    x = tuple(a - 1 for a in dom)
+                    expected[e + n0][x] = expected[e + n0].get(x, 0) + sign * eps * m
+    assert _numerator_sums(rs, char, terms, depth) == expected
+    assert any(0 in sl.values() for sl in expected)
 
 
 @pytest.mark.parametrize(
@@ -612,3 +656,22 @@ def test_kac_wakimoto_check(sl2_affine):
     assert kac_wakimoto_check(rs, lam, mu, affinize(rs, (5,), 6).shifted(8), 2) is None
     with pytest.raises(AlgebraError):
         kac_wakimoto_check(rs, lam, mu, affinize(rs, (4,), 6), 4)  # wrong coset
+
+
+def test_kac_wakimoto_check_rejects_a_non_dominant_nu(sl2_affine):
+    rho = affine_rho(sl2_affine)
+    # (7,-1) is off the chamber: it is not answered for its reflection (5,1)
+    with pytest.raises(AlgebraError, match=re.escape("requires a dominant nu, got 7,-1")):
+        kac_wakimoto_check(sl2_affine, 2 * rho, rho, AffineWeight((7, -1)), 6)
+    assert kac_wakimoto_check(sl2_affine, 2 * rho, rho, AffineWeight((5, 1)), 6) == 0
+
+
+def test_gko_l0_scalar_rejects_non_dominant_weights(sl2_affine):
+    rho = affine_rho(sl2_affine)
+    nu = AffineWeight((7, -1), -1)
+    for args in [(2 * rho, rho, nu), (AffineWeight((5, -1)), rho, 3 * rho), (2 * rho, AffineWeight((3, -1)), 3 * rho)]:
+        with pytest.raises(AlgebraError, match="gko_l0_scalar requires dominant weights"):
+            gko_l0_scalar(sl2_affine, *args)
+    # the certificate still checks its sum at a non-dominant m rho + beta
+    beta = nu - 2 * rho
+    assert gko_positivity_certificate(sl2_affine, 2, 1, beta).l0_scalar > 0
