@@ -476,13 +476,7 @@ def gko_l0_scalar(rs: RootSystem, lam: AffineWeight, mu: AffineWeight, nu: Affin
         raise AlgebraError(f"gko_l0_scalar requires positive levels, got {ll}, {lm}")
     if level(rs, nu) != ll + lm:
         raise AlgebraError(f"nu must have level {ll + lm}, got {level(rs, nu)}")
-    return _l0_scalar(rs, lam, mu, nu)
-
-
-def _l0_scalar(rs: RootSystem, lam: AffineWeight, mu: AffineWeight, nu: AffineWeight) -> Fraction:
-    """The formula of :func:`gko_l0_scalar` at any weights of positive level."""
     h = rs.dual_coxeter
-    ll, lm = level(rs, lam), level(rs, mu)
     rho2 = 2 * affine_rho(rs)
 
     def casimir(w: AffineWeight, lv: int) -> Fraction:
@@ -496,7 +490,8 @@ def gko_positivity_certificate(rs: RootSystem, m: int, n: int, beta: AffineWeigh
     2 h (m+1)(n+1)(m+n+1), is the L_0 scalar on V(m rho + beta).
 
     ``beta`` must be a weight of V(n rho), handed over as an affine weight
-    whose delta shift records its depth below n rho.
+    whose delta shift records its depth below n rho, with m rho + beta
+    dominant: otherwise there is no such component.
     """
     _require_affine(rs)
     if m < n or n < 1:
@@ -504,10 +499,12 @@ def gko_positivity_certificate(rs: RootSystem, m: int, n: int, beta: AffineWeigh
     h = rs.dual_coxeter
     rho_aff = affine_rho(rs)
     rho_n, rho_m = n * rho_aff, m * rho_aff
+    if not (rho_m + beta).is_dominant():
+        raise AlgebraError(f"certificate requires a dominant m rho + beta, got {rho_m + beta}")
     depth_needed = -beta.delta_shift
-    if depth_needed < 0 or affine_freudenthal(rs, rho_n, depth_needed).multiplicity(
-        rs, beta.finite, depth_needed
-    ) == 0:
+    if depth_needed < 0 or level(rs, beta) != n * h or affine_freudenthal(
+        rs, rho_n, depth_needed
+    ).multiplicity(rs, beta.finite, depth_needed) == 0:
         raise AlgebraError(f"beta {beta} is not a weight of V({n} rho) at its recorded shift")
     gamma = rho_n - beta
 
@@ -525,7 +522,7 @@ def gko_positivity_certificate(rs: RootSystem, m: int, n: int, beta: AffineWeigh
         )
     denominator = Fraction(2 * h * (m + 1) * (n + 1) * (m + n + 1))
     scalar = sum(terms) / denominator
-    verify = _l0_scalar(rs, rho_m, rho_n, rho_m + beta)  # m rho + beta need not be dominant
+    verify = gko_l0_scalar(rs, rho_m, rho_n, rho_m + beta)
     if scalar != verify:
         raise InvariantError(
             f"certificate sum {scalar} disagrees with direct L_0 scalar {verify} "

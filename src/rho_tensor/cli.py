@@ -3,15 +3,12 @@ prints the result. The commands cover decompositions, characters, the
 conjecture reports and scans, affine truncated products, GKO data, and cache
 administration.
 
-Every ``--format`` result goes through one renderer: JSON documents carry
-``meta: {kind, version}``; ``decompose``, ``weights``, finite ``conjecture``,
-``scan``, ``naive-scan``, ``affine-decompose`` and ``delta-max`` write CSV,
-while ``schur-compare`` and affine ``conjecture`` print their table for
-``--format csv``.
+Every ``--format`` result is written by the output layer, ``render``.
 
-Every parser comes from one table, ``COMMANDS``. ``main`` builds the subparser
-of the command word (the first argument not starting with ``-``) alone; bare
-``--help``, an unknown command and usage errors go to the full parser.
+Every command line is read from one table, ``COMMANDS``. ``main`` reads a
+plain, valid line (see ``_read_command_line``) straight from the table, with
+no argparse parser; help, usage errors and every other form go to the parser
+``build_parser`` builds from the same table, which prints and exits.
 
 Exit codes: 0 success / verified; 1 verified-negative (a conjecture case
 fails, dominance fails, or a depth-limited scan has missing weights);
@@ -21,8 +18,6 @@ fails, dominance fails, or a depth-limited scan has missing weights);
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 
 from . import affine as aff
@@ -37,9 +32,12 @@ from .harness import (
     verify_affine_conjecture,
     verify_conjecture,
 )
+from .render import (
+    affine_conjecture_lines, conjecture_lines, conjecture_rows, fmt_weight, meta, render, render_multiplicities,
+    weight_columns,
+)
 from .rootdata import (
-    AlgebraError, AlgebraId, InvariantError, RootSystem, Weight, build_root_system, parse_integer,
-    parse_weight,
+    AlgebraError, AlgebraId, InvariantError, RootSystem, build_root_system, parse_integer, parse_weight,
 )
 from .tensor import klimyk, saturation_check, schur_compare
 
@@ -63,89 +61,6 @@ def _parse_affine_weight(rs: RootSystem, text: str) -> aff.AffineWeight:
     return aff.AffineWeight(coords, shift)
 
 
-def _fmt_weight(w: Weight) -> str:
-    return "(" + ",".join(str(c) for c in w) + ")"
-
-
-def _weight_columns(rank: int) -> list[str]:
-    return [f"w{i + 1}" for i in range(rank)]
-
-
-# -- the output layer ---------------------------------------------------------
-
-
-def _meta(kind: str) -> dict:
-    return {"kind": kind, "version": 1}
-
-
-def _render(out, fmt: str, kind: str, doc, lines, rows=None) -> None:
-    """Write one result in ``fmt``, building only that form. ``doc()`` is the
-    JSON document (tuples are written as arrays), which gets ``meta`` of
-    ``kind``; ``lines()`` the table lines; ``rows()`` the CSV rows, header
-    first. A result without ``rows`` prints its table for ``--format csv``."""
-    if fmt == "json":
-        json.dump({**doc(), "meta": _meta(kind)}, out, indent=2, sort_keys=True)
-        out.write("\n")
-    elif fmt == "csv" and rows is not None:
-        csv.writer(out).writerows(rows())
-    else:
-        out.writelines(line + "\n" for line in lines())
-
-
-def _render_multiplicities(out, fmt: str, kind: str, rank: int, head: dict, key: str, items, depth=False):
-    """The weight -> multiplicity listing of ``decompose``, ``weights`` and
-    ``affine-decompose``. ``items`` are sorted ``(weight, d, mult)``; the
-    delta-depth ``d`` is shown only when ``depth`` is set. The JSON document
-    is ``head`` with the entries under ``key``."""
-
-    def entry(w, d, m):
-        return {"weight": w, "depth": d, "mult": str(m)} if depth else {"weight": w, "mult": str(m)}
-
-    def lines():
-        for w, d, m in items:
-            yield f"{m} x {_fmt_weight(w)} at delta-depth {d}" if depth else f"{m} x {_fmt_weight(w)}"
-
-    def rows():
-        yield _weight_columns(rank) + (["depth", "mult"] if depth else ["mult"])
-        for w, d, m in items:
-            yield [*w, d, m] if depth else [*w, m]
-
-    _render(out, fmt, kind, lambda: {**head, key: [entry(*t) for t in items]}, lines, rows)
-
-
-def _conjecture_lines(rep):
-    yield (
-        f"{rep.algebra}  m={rep.m} n={rep.n}  verdict={rep.verdict}  "
-        f"predicted={len(rep.predicted)} present={len(rep.present)} missing={len(rep.missing)}"
-    )
-    if rep.missing:
-        yield "missing components:"
-        yield from (f"  {_fmt_weight(w)}" for w in rep.missing)
-    if rep.error:
-        yield f"error: {rep.error}"
-
-
-def _conjecture_rows(rep):
-    yield ["weight", "status"]
-    missing = set(rep.missing)
-    for w in rep.predicted:
-        yield [" ".join(str(c) for c in w), "missing" if w in missing else "present"]
-
-
-def _affine_conjecture_lines(rep):
-    yield (
-        f"{rep.algebra}  m={rep.m} n={rep.n} depth={rep.depth}  "
-        f"verdict={rep.verdict}  predicted={len(rep.predicted)} "
-        f"present={len(rep.present)} missing={len(rep.missing)} "
-        f"unexpected={len(rep.unexpected)}"
-    )
-    for e in rep.missing:
-        note = "beta dominant" if e["beta_dominant"] else "beta non-dominant"
-        yield f"  missing: {_fmt_weight(e['weight'])} at depth {e['depth']} ({note})"
-    for e in rep.unexpected:
-        yield f"  unexpected delta-maximal component: {_fmt_weight(e['weight'])} at depth {e['depth']}"
-
-
 # -- command implementations -------------------------------------------------
 
 
@@ -157,7 +72,7 @@ def _cmd_decompose(args, cache, out) -> int:
     dec = klimyk(rs, lam, mu, cache)
     head = {"algebra": dec.algebra, "lhs": dec.lhs, "rhs": dec.rhs}
     items = [(nu, None, m) for nu, m in dec.sorted_items()]
-    _render_multiplicities(out, args.format, "decomposition", rs.rank, head, "components", items)
+    render_multiplicities(out, args.format, "decomposition", rs.rank, head, "components", items)
     return EXIT_OK
 
 
@@ -168,7 +83,7 @@ def _cmd_weights(args, cache, out) -> int:
     char = freudenthal(rs, lam, cache)
     head = {"algebra": char.algebra, "highest": char.highest}
     items = [(w, None, m) for w, m in sorted(char.mults.items())]
-    _render_multiplicities(out, args.format, "character", rs.rank, head, "weights", items)
+    render_multiplicities(out, args.format, "character", rs.rank, head, "weights", items)
     return EXIT_OK
 
 
@@ -180,15 +95,17 @@ def _cmd_conjecture(args, cache, out) -> int:
     # the report's fields are the JSON document
     if aid.affine:
         rep = verify_affine_conjecture(rs, args.m, args.n, args.depth)
-        _render(
+        render(
             out, args.format, "affine-conjecture-report",
-            lambda: vars(rep), lambda: _affine_conjecture_lines(rep),
+            lambda: vars(rep), lambda: affine_conjecture_lines(rep),
         )
         return EXIT_NEGATIVE if rep.missing or rep.unexpected else EXIT_OK
+    if args.depth < 0:  # unused on a finite type, but checked as on an affine one
+        raise AlgebraError(f"depth must be non-negative, got {args.depth}")
     rep = verify_conjecture(rs, args.m, args.n, cache)
-    _render(
+    render(
         out, args.format, "conjecture-report",
-        lambda: vars(rep), lambda: _conjecture_lines(rep), lambda: _conjecture_rows(rep),
+        lambda: vars(rep), lambda: conjecture_lines(rep), lambda: conjecture_rows(rep),
     )
     return EXIT_OK if rep.verdict == HOLDS else EXIT_NEGATIVE
 
@@ -199,7 +116,7 @@ def _cmd_scan(args, cache, out) -> int:
     reports = scan_all(args.algebras, args.max_sum, cache)
 
     def doc():
-        return {"reports": [{**vars(r), "meta": _meta("conjecture-report")} for r in reports]}
+        return {"reports": [{**vars(r), "meta": meta("conjecture-report")} for r in reports]}
 
     def lines():
         for r in reports:
@@ -213,7 +130,7 @@ def _cmd_scan(args, cache, out) -> int:
         for r in reports:
             yield [r.algebra, r.m, r.n, r.verdict, len(r.predicted), len(r.missing)]
 
-    _render(out, args.format, "scan", doc, lines, rows)
+    render(out, args.format, "scan", doc, lines, rows)
     errors = [r for r in reports if r.verdict == ERROR]
     for r in errors:
         print(f"error: {r.algebra} m={r.m} n={r.n}: {r.error}", file=sys.stderr)
@@ -232,9 +149,9 @@ def _cmd_naive_scan(args, cache, out) -> int:
     def lines():
         yield f"{len(missing)} dominant weights below (m+n) rho missing from the product:"
         for w in missing:
-            yield f"  {_fmt_weight(w)}"
+            yield f"  {fmt_weight(w)}"
 
-    _render(out, args.format, "naive-scan", doc, lines, lambda: [_weight_columns(rs.rank), *missing])
+    render(out, args.format, "naive-scan", doc, lines, lambda: [weight_columns(rs.rank), *missing])
     return EXIT_OK
 
 
@@ -257,9 +174,9 @@ def _cmd_schur_compare(args, cache, out) -> int:
             return
         yield "dominance FAILS at:"
         for w, ma, mb in rep.witnesses:
-            yield f"  {_fmt_weight(w)}: {ma} vs {mb}"
+            yield f"  {fmt_weight(w)}: {ma} vs {mb}"
 
-    _render(out, args.format, "schur-compare", doc, lines)
+    render(out, args.format, "schur-compare", doc, lines)
     return EXIT_OK if rep.dominates else EXIT_NEGATIVE
 
 
@@ -274,7 +191,7 @@ def _cmd_support_contain(args, cache, out) -> int:
         return EXIT_OK
     out.write("support containment FAILS at:\n")
     for w in rep.witnesses:
-        out.write(f"  {_fmt_weight(w)}\n")
+        out.write(f"  {fmt_weight(w)}\n")
     return EXIT_NEGATIVE
 
 
@@ -286,8 +203,8 @@ def _cmd_saturate(args, cache, out) -> int:
     nu = parse_weight(args.component, rs.rank)
     ok = saturation_check(rs, lam, mu, nu, args.d, cache)
     out.write(
-        f"V({args.d}*{_fmt_weight(nu)}) {'IS' if ok else 'is NOT'} a component of "
-        f"V({args.d}*{_fmt_weight(lam)}) (x) V({args.d}*{_fmt_weight(mu)})\n"
+        f"V({args.d}*{fmt_weight(nu)}) {'IS' if ok else 'is NOT'} a component of "
+        f"V({args.d}*{fmt_weight(lam)}) (x) V({args.d}*{fmt_weight(mu)})\n"
     )
     return EXIT_OK if ok else EXIT_NEGATIVE
 
@@ -305,7 +222,7 @@ def _cmd_affine_decompose(args, cache, out) -> int:
         "depth": args.depth,
     }
     items = [(w, d, m) for (w, d), m in sorted(dec.components.items(), key=lambda t: (t[0][1], t[0][0]))]
-    _render_multiplicities(
+    render_multiplicities(
         out, args.format, "affine-decomposition", rs.rank, head, "components", items, depth=True
     )
     return EXIT_OK
@@ -327,14 +244,14 @@ def _cmd_delta_max(args, cache, out) -> int:
 
     def lines():
         for w, d in entries:
-            yield f"{_fmt_weight(w)} at delta-depth {d}"
+            yield f"{fmt_weight(w)} at delta-depth {d}"
 
     def rows():
-        yield _weight_columns(rs.rank) + ["depth"]
+        yield weight_columns(rs.rank) + ["depth"]
         for w, d in entries:
             yield [*w, d]
 
-    _render(out, args.format, "delta-max", doc, lines, rows)
+    render(out, args.format, "delta-max", doc, lines, rows)
     return EXIT_OK
 
 
@@ -367,7 +284,7 @@ def _cmd_gko(args, cache, out) -> int:
         lam_fin = tuple(m + b for b in beta.finite)
         terms = " + ".join(str(t) for t in rep.certificate_terms)
         lines.append(
-            f"lambda={_fmt_weight(lam_fin)} shift={beta.delta_shift}: "
+            f"lambda={fmt_weight(lam_fin)} shift={beta.delta_shift}: "
             f"L0 scalar {rep.l0_scalar} = ({terms}) / {rep.denominator}"
         )
         if rep.l0_scalar <= 0:
@@ -405,7 +322,7 @@ def _cmd_cache(args, cache, out) -> int:
     for lam in dominant_weights_below(rs, bound):
         freudenthal(rs, lam, cache)
         count += 1
-    out.write(f"warmed {count} character tables for {rs.algebra} up to {_fmt_weight(bound)}\n")
+    out.write(f"warmed {count} character tables for {rs.algebra} up to {fmt_weight(bound)}\n")
     return EXIT_OK
 
 
@@ -476,43 +393,101 @@ COMMANDS = {
 }
 
 
-class _RaisingParser(argparse.ArgumentParser):
-    """Raises a usage error where ``ArgumentParser`` prints it and exits."""
+def _arguments(specs):
+    """The ``(flags, kwargs)`` of each argument in a command's specs."""
+    for spec in specs:
+        yield from map(_arg, spec.split()) if isinstance(spec, str) else [spec]
 
-    def error(self, message):
-        raise argparse.ArgumentError(None, message)
 
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``rho-tensor`` parser of every command in ``COMMANDS``, or of
-    ``command`` alone. Both parse a valid command line to the same namespace.
-    A usage line of the one-command parser would list one command, so it
-    raises ``argparse.ArgumentError`` where the full parser prints and exits."""
-    parser = (argparse.ArgumentParser if command is None else _RaisingParser)(
+def build_parser() -> argparse.ArgumentParser:
+    """The ``rho-tensor`` parser of every command in ``COMMANDS``. ``main``
+    reads a plain command line without it (see ``_read_command_line``); it
+    takes help, usage errors and every other form that argparse accepts."""
+    parser = argparse.ArgumentParser(
         prog="rho-tensor",
         description="Exact tensor decompositions of V(m rho) (x) V(n rho) and related scans.",
     )
     parser.add_argument("--no-cache", action="store_true", help="disable the on-disk character cache")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS if command is None else [command]:
-        help_, func, *specs = COMMANDS[name]
+    for name, (help_, func, *specs) in COMMANDS.items():
         p = sub.add_parser(name, help=help_)
-        for spec in specs:
-            for flags, kwargs in map(_arg, spec.split()) if isinstance(spec, str) else [spec]:
-                p.add_argument(*flags, **kwargs)
+        for flags, kwargs in _arguments(specs):
+            p.add_argument(*flags, **kwargs)
         p.set_defaults(func=func)
     return parser
 
 
+def _value(kwargs: dict, text: str):
+    """``text`` through an argument's ``type`` and ``choices``, as argparse
+    takes it; ``None`` where argparse would reject it."""
+    try:
+        value = kwargs["type"](text) if "type" in kwargs else text
+    except argparse.ArgumentTypeError:
+        return None
+    return None if "choices" in kwargs and value not in kwargs["choices"] else value
+
+
+def _dest(flag: str, kwargs: dict) -> str:
+    """The namespace attribute of an option, named as argparse names it."""
+    return kwargs.get("dest", flag[2:].replace("-", "_"))
+
+
+def _read_command_line(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` gives a plain, valid
+    command line, read straight from ``COMMANDS``; ``None`` for any other line.
+
+    A plain line is an optional leading ``--no-cache``, a command word, its
+    positionals, then its options: each option an exact flag of the command,
+    given once and followed by a value that does not begin with ``-``. Every
+    value must pass its ``type`` and ``choices`` and every required option be
+    present. Help, ``--``, abbreviations, ``--flag=value``, options before
+    positionals, negative values and repeated flags are left to argparse."""
+    no_cache = argv[:1] == ["--no-cache"]
+    word, *rest = argv[no_cache:] or [None]
+    if word not in COMMANDS:
+        return None
+    _, func, *specs = COMMANDS[word]
+    ns = {"no_cache": no_cache, "command": word, "func": func}
+    positionals, options = [], {}
+    for flags, kwargs in _arguments(specs):
+        if flags[0].startswith("-"):
+            options[flags[0]] = kwargs
+        else:
+            positionals.append((flags[0], kwargs))
+    split = next((i for i, a in enumerate(rest) if a.startswith("-")), len(rest))
+    values, given = rest[:split], rest[split:]
+    # each positional takes what argparse's greedy match gives it
+    for i, (dest, kwargs) in enumerate(positionals):
+        nargs = kwargs.get("nargs")
+        spare = len(values) - sum("nargs" not in k for _, k in positionals[i + 1:])
+        take = {None: 1, "?": min(1, spare), "*": spare}[nargs]
+        if not 0 <= take <= spare:
+            return None
+        taken = [_value(kwargs, v) for v in values[:take]]
+        if None in taken:
+            return None
+        values = values[take:]
+        ns[dest] = taken if nargs == "*" else taken[0] if taken else kwargs.get("default")
+    if values or len(given) % 2:
+        return None
+    for flag, text in zip(given[::2], given[1::2]):
+        kwargs = options.pop(flag, None)
+        value = None if kwargs is None or text.startswith("-") else _value(kwargs, text)
+        if value is None:
+            return None
+        ns[_dest(flag, kwargs)] = value
+    for flag, kwargs in options.items():
+        if kwargs.get("required"):
+            return None
+        ns[_dest(flag, kwargs)] = kwargs.get("default")
+    return argparse.Namespace(**ns)
+
+
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse with the command word's parser; the full one takes what it rejects."""
-    command = next((a for a in argv if not a.startswith("-")), None)
-    if command in COMMANDS:
-        try:
-            return build_parser(command).parse_args(argv)
-        except argparse.ArgumentError:
-            pass  # the full parser reports it
-    return build_parser().parse_args(argv)
+    """Read a plain command line from ``COMMANDS``; argparse takes the rest,
+    printing help or a usage error and exiting as it does."""
+    ns = _read_command_line(argv)
+    return build_parser().parse_args(argv) if ns is None else ns
 
 
 def main(argv: list[str] | None = None, out=None) -> int:

@@ -613,23 +613,33 @@ def test_gko_certificate_exhaustive_delta_max(sl2_affine):
     rs = sl2_affine
     m, n = 2, 1
     char = affine_freudenthal(rs, affine_rho(rs), 6)
-    count = 0
+    certified, refused = [], []
     for beta_dom, d in delta_max_weights(char):
         for sign in (1, -1):
             beta_fin = (sign * beta_dom[0],)
             beta = affinize(rs, beta_fin, 2 * n, -d)
+            if not (m * affine_rho(rs) + beta).is_dominant():
+                # no component V(m rho + beta) to certify
+                with pytest.raises(AlgebraError, match="requires a dominant m rho \\+ beta"):
+                    gko_positivity_certificate(rs, m, n, beta)
+                refused.append(str(beta))
+                continue
             rep = gko_positivity_certificate(rs, m, n, beta)
             assert all(t >= 0 for t in rep.certificate_terms)
             assert rep.certificate_terms[3] > 0
             assert rep.l0_scalar > 0
-            count += 1
-    assert count >= 6
+            certified.append(str(beta))
+    assert len(certified) == 3
+    assert sorted(refused) == sorted(["5,-3:d-1", "-3,5:d-3", "7,-5:d-3", "-5,7:d-6", "9,-7:d-6"])
 
 
 def test_gko_certificate_rejects_non_weight(sl2_affine):
     beta = affinize(sl2_affine, (5,), 2)  # not a weight of V(rho) at shift 0
     with pytest.raises(AlgebraError):
         gko_positivity_certificate(sl2_affine, 2, 1, beta)
+    # the finite part (1) is a weight of V(rho) at shift 0, but the level is 5, not 2
+    with pytest.raises(AlgebraError, match="not a weight of V\\(1 rho\\)"):
+        gko_positivity_certificate(sl2_affine, 1, 1, AffineWeight((4, 1)))
 
 
 def test_delta_string_classify():
@@ -672,6 +682,7 @@ def test_gko_l0_scalar_rejects_non_dominant_weights(sl2_affine):
     for args in [(2 * rho, rho, nu), (AffineWeight((5, -1)), rho, 3 * rho), (2 * rho, AffineWeight((3, -1)), 3 * rho)]:
         with pytest.raises(AlgebraError, match="gko_l0_scalar requires dominant weights"):
             gko_l0_scalar(sl2_affine, *args)
-    # the certificate still checks its sum at a non-dominant m rho + beta
+    # so does the certificate, at a non-dominant m rho + beta
     beta = nu - 2 * rho
-    assert gko_positivity_certificate(sl2_affine, 2, 1, beta).l0_scalar > 0
+    with pytest.raises(AlgebraError, match="requires a dominant m rho \\+ beta, got 7,-1:d-1"):
+        gko_positivity_certificate(sl2_affine, 2, 1, beta)

@@ -1,15 +1,18 @@
 """Command-line surface: formats, exit codes, schema round-trips, cache admin."""
 
 import argparse
+import contextlib
 import dataclasses
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from oracles import decomposition_from_json_dict
 
 import rho_tensor
@@ -20,6 +23,8 @@ from rho_tensor.cli import (
     EXIT_NEGATIVE,
     EXIT_OK,
     EXIT_USAGE,
+    _arguments,
+    _read_command_line,
     build_parser,
     main,
 )
@@ -519,27 +524,87 @@ def test_sample_argv_cover_every_command():
     assert sorted({next(a for a in argv if not a.startswith("-")) for argv in SAMPLE_ARGV}) == sorted(COMMANDS)
 
 
-@pytest.mark.parametrize("argv", SAMPLE_ARGV, ids=" ".join)
-def test_one_command_parser_parses_like_the_full_parser(argv):
-    command = next(a for a in argv if not a.startswith("-"))
-    assert vars(build_parser(command).parse_args(argv)) == vars(build_parser().parse_args(argv))
+def full_parse(argv):
+    """``vars`` of the full parser's namespace, or ``None`` where it exits."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(build_parser().parse_args(argv))
+    except SystemExit:
+        return None
 
 
-def test_one_command_parser_raises_where_the_full_parser_prints(capsys):
-    with pytest.raises(argparse.ArgumentError, match="unrecognized arguments: extra"):
-        build_parser("weights").parse_args(["weights", "B2", "1,1", "extra"])
-    assert capsys.readouterr() == ("", "")
+def assert_read_like_the_full_parser(argv):
+    ns = _read_command_line(argv)
+    expected = full_parse(argv)
+    assert ns is None or vars(ns) == expected, argv
+    return ns, expected
+
+
+# every sample and golden line, once each
+READER_LINES = [
+    list(argv) for argv in dict.fromkeys(
+        tuple(argv)
+        for argv in SAMPLE_ARGV + [shlex.split(line) for line in sorted(GOLDEN_CLI)] + [g["argv"] for g in GOLDEN_ERRORS]
+    )
+]
+
+
+@pytest.mark.parametrize("argv", READER_LINES, ids=lambda argv: " ".join(argv) or "<empty>")
+def test_command_line_reader_parses_like_the_full_parser(argv):
+    ns, expected = assert_read_like_the_full_parser(argv)
+    # help and usage errors are left to argparse; of the lines it accepts,
+    # only the one with a negative value is not plain
+    assert (ns is None) == (expected is None or "-5" in argv)
+
+
+# any word or flag of the table, and tokens argparse treats apart
+_NOISE = st.sampled_from(
+    [*COMMANDS, "--no-cache", *(flags[0] for _, _, *specs in COMMANDS.values() for flags, _ in _arguments(specs))]
+    + ["-1", "x", "1_0", "+1", "", "--", "-h", "--form", "--format=json"]
+)
+
+
+def _token(kwargs):
+    """Mostly a value the argument takes, sometimes noise."""
+    good = st.sampled_from(kwargs.get("choices") or (["0", "2"] if "type" in kwargs else ["B2", "1,1"]))
+    return st.one_of(good, good, good, _NOISE)
+
+
+def _command_line(word):
+    """Lines of ``word``: its positionals, then some of its options, each
+    with a value, in this order or shuffled."""
+    args = list(_arguments(COMMANDS[word][2:]))
+    counts = {None: (1, 1), "?": (0, 1), "*": (0, 2)}
+    positionals = [
+        st.lists(_token(kw), min_size=counts[kw.get("nargs")][0], max_size=counts[kw.get("nargs")][1])
+        for flags, kw in args if not flags[0].startswith("-")
+    ]
+    options = [st.tuples(st.just(flags[0]), _token(kw)) for flags, kw in args if flags[0].startswith("-")]
+    line = st.builds(
+        lambda head, values, pairs: [*head, word, *(v for vs in values for v in vs), *(t for p in pairs for t in p)],
+        st.sampled_from([[], ["--no-cache"]]),
+        st.tuples(*positionals),
+        st.lists(st.one_of(options), max_size=len(options) + 1) if options else st.just([]),
+    )
+    return st.one_of(line, line.flatmap(st.permutations))
+
+
+@example(["scan", "3", "--max-sum", "0", "clear", "schur-compare", "x", "json"])
+@given(st.sampled_from(list(COMMANDS)).flatmap(_command_line))
+@settings(max_examples=400, deadline=None)
+def test_command_line_reader_never_reads_what_argparse_rejects(argv):
+    assert_read_like_the_full_parser(argv)
 
 
 @pytest.mark.parametrize(
     "argv,built",
     [
-        (["--no-cache", "weights", "B2", "1,1"], 1),
-        (["weights", "-h"], 1),
+        (["--no-cache", "weights", "B2", "1,1"], 0),
+        (["weights", "-h"], 12),
         (["--help"], 12),
         (["bogus"], 12),
         ([], 12),
-        (["weights", "B2", "1,1", "extra"], 1 + 12),  # the error is reported by the full parser
+        (["weights", "B2", "1,1", "extra"], 12),
     ],
 )
 def test_main_builds_the_subparsers_it_needs(monkeypatch, capsys, argv, built):
