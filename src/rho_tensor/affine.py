@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, sub
+from typing import Iterable
 
 from .charcalc import _memo, _memo_lock, dominant_descent, freudenthal_slices, root_strings
 from .rootdata import (
@@ -142,14 +143,6 @@ class TruncatedAffineCharacter:
             raise AlgebraError(f"depth {d} outside computed range 0..{self.depth}")
         return self.slices[d].get(rs.to_dominant(finite_w)[0], 0)
 
-    def min_depth(self, rs: RootSystem, finite_w: Weight) -> int | None:
-        """First slice where the finite weight appears, within the truncation."""
-        dom = rs.to_dominant(finite_w)[0]
-        for d in range(self.depth + 1):
-            if dom in self.slices[d]:
-                return d
-        return None
-
 
 def affine_candidates(rs: RootSystem, lam_fin: Weight, depth: int) -> list[tuple[int, Weight, RootVector]]:
     """The ``(d, mu, gamma)`` below ``lam_fin`` down to ``depth``, in increasing
@@ -208,16 +201,24 @@ def affine_freudenthal(rs: RootSystem, lam: AffineWeight, depth: int) -> Truncat
     return char
 
 
+def first_depths(keys: Iterable[tuple[Weight, int]]) -> list[tuple[Weight, int]]:
+    """``(w, least d)`` over the ``(w, d)`` pairs of ``keys``, sorted by ``(d, w)``:
+    each weight at the first depth where it occurs."""
+    first: dict[Weight, int] = {}
+    for w, d in keys:
+        first[w] = min(d, first.get(w, d))
+    return sorted(first.items(), key=lambda t: (t[1], t[0]))
+
+
 def delta_max_weights(char: TruncatedAffineCharacter) -> list[tuple[Weight, int]]:
     """Dominant representatives (finite weight, depth) that start their
-    delta-string: positive multiplicity at the depth, zero one slice up."""
-    out = []
-    for d in range(char.depth + 1):
-        for w in char.slices[d]:
-            if d == 0 or w not in char.slices[d - 1]:
-                out.append((w, d))
-    out.sort(key=lambda t: (t[1], t[0]))
-    return out
+    delta-string: each weight at the first depth where it occurs. The slices
+    are nested, since multiplicities along a delta-string never decrease at
+    positive level (a negative-degree element of the homogeneous Heisenberg
+    subalgebra acts injectively; Kac, *Infinite-dimensional Lie algebras*),
+    so that depth is the one with the weight in its slice and not in the
+    slice one up."""
+    return first_depths((w, d) for d, sl in enumerate(char.slices) for w in sl)
 
 
 def predicted_components(rs: RootSystem, m: int, n: int, depth: int):
@@ -247,11 +248,7 @@ class TruncatedDecomposition:
     components: dict[tuple[Weight, int], int]
 
     def delta_max_components(self) -> list[tuple[Weight, int]]:
-        best: dict[Weight, int] = {}
-        for (w, d) in self.components:
-            if w not in best or d < best[w]:
-                best[w] = d
-        return sorted(best.items(), key=lambda t: (t[1], t[0]))
+        return first_depths(self.components)
 
 
 def _numerator_terms(rs: RootSystem, start: AffineWeight, depth: int) -> list[tuple[int, Weight, int]]:
@@ -430,7 +427,7 @@ def sl2_delta_max_rule(
     for big, other in ((rho_m, rho_n), (rho_n, rho_m)):
         beta_fin = tuple(a - b for a, b in zip(lam.finite, big.finite))
         char = affine_freudenthal(rs, other, depth)
-        dmin = char.min_depth(rs, beta_fin)
+        dmin = dict(delta_max_weights(char)).get(rs.to_dominant(beta_fin)[0])
         if dmin is None:
             raise AlgebraError(
                 f"lam - {'m' if big is rho_m else 'n'} rho is not a weight of the complementary "

@@ -7,7 +7,7 @@ Character tables store dominant representatives only; orbit expansion happens
 on demand. Within one run, weights are processed by decreasing dominance
 (increasing height of ``lam - mu``), so every multiplicity the recursion
 references is already known; weights in the same height layer are independent
-of one another and may be evaluated in any order (or concurrently).
+of one another and may be evaluated in any order.
 """
 
 from __future__ import annotations

@@ -436,49 +436,40 @@ def _read_command_line(argv: list[str]) -> argparse.Namespace | None:
     """The namespace ``build_parser().parse_args(argv)`` gives a plain, valid
     command line, read straight from ``COMMANDS``; ``None`` for any other line.
 
-    A plain line is an optional leading ``--no-cache``, a command word, its
-    positionals, then its options: each option an exact flag of the command,
-    given once and followed by a value that does not begin with ``-``. Every
-    value must pass its ``type`` and ``choices`` and every required option be
-    present. Help, ``--``, abbreviations, ``--flag=value``, options before
-    positionals, negative values and repeated flags are left to argparse."""
+    A plain line is an optional leading ``--no-cache``, a command word, one
+    value for each of its positionals, then its options: each option an exact
+    flag of the command, given once and followed by a value. No value may
+    begin with ``-``, and every value must pass its ``type`` and ``choices``.
+    A command with an ``nargs`` or ``required`` argument (``scan``,
+    ``cache``) is left to argparse, as are help, ``--``, abbreviations,
+    ``--flag=value``, options before positionals, negative values and
+    repeated flags."""
     no_cache = argv[:1] == ["--no-cache"]
     word, *rest = argv[no_cache:] or [None]
     if word not in COMMANDS:
         return None
     _, func, *specs = COMMANDS[word]
-    ns = {"no_cache": no_cache, "command": word, "func": func}
-    positionals, options = [], {}
-    for flags, kwargs in _arguments(specs):
-        if flags[0].startswith("-"):
-            options[flags[0]] = kwargs
-        else:
-            positionals.append((flags[0], kwargs))
-    split = next((i for i, a in enumerate(rest) if a.startswith("-")), len(rest))
-    values, given = rest[:split], rest[split:]
-    # each positional takes what argparse's greedy match gives it
-    for i, (dest, kwargs) in enumerate(positionals):
-        nargs = kwargs.get("nargs")
-        spare = len(values) - sum("nargs" not in k for _, k in positionals[i + 1:])
-        take = {None: 1, "?": min(1, spare), "*": spare}[nargs]
-        if not 0 <= take <= spare:
-            return None
-        taken = [_value(kwargs, v) for v in values[:take]]
-        if None in taken:
-            return None
-        values = values[take:]
-        ns[dest] = taken if nargs == "*" else taken[0] if taken else kwargs.get("default")
-    if values or len(given) % 2:
+    args = list(_arguments(specs))
+    if any("nargs" in kwargs or "required" in kwargs for _, kwargs in args):
         return None
+    options = {flags[0]: kwargs for flags, kwargs in args if flags[0].startswith("-")}
+    positionals = [(flags[0], kwargs) for flags, kwargs in args if flags[0] not in options]
+    values, given = rest[: len(positionals)], rest[len(positionals):]
+    if len(values) < len(positionals) or len(given) % 2:
+        return None
+    fields = list(zip(positionals, values))
     for flag, text in zip(given[::2], given[1::2]):
         kwargs = options.pop(flag, None)
-        value = None if kwargs is None or text.startswith("-") else _value(kwargs, text)
+        if kwargs is None:
+            return None
+        fields.append(((_dest(flag, kwargs), kwargs), text))
+    ns = {"no_cache": no_cache, "command": word, "func": func}
+    for (dest, kwargs), text in fields:
+        value = None if text.startswith("-") else _value(kwargs, text)
         if value is None:
             return None
-        ns[_dest(flag, kwargs)] = value
+        ns[dest] = value
     for flag, kwargs in options.items():
-        if kwargs.get("required"):
-            return None
         ns[_dest(flag, kwargs)] = kwargs.get("default")
     return argparse.Namespace(**ns)
 

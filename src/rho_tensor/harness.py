@@ -46,23 +46,24 @@ def _rho_multiple(rs: RootSystem, k: int) -> Weight:
     return (k,) * rs.rank
 
 
-def _predicted_product(rs: RootSystem, m: int, n: int, cache: CharCache | None) -> Decomposition:
+def _predicted_product(rs: RootSystem, m: int, n: int, cache: CharCache | None, caller: str) -> Decomposition:
     """V(m rho) (x) V(n rho), whose ``translated`` set is the predicted set:
-    for m >= n, Klimyk's big factor is m rho (ties go to ``lam``)."""
+    for m >= n, Klimyk's big factor is m rho (ties go to ``lam``). ``caller``
+    names the operation in the error for other ``m``, ``n``."""
     if m < n or n < 0:
-        raise AlgebraError(f"predicted_weights requires m >= n >= 0, got m={m}, n={n}")
+        raise AlgebraError(f"{caller} requires m >= n >= 0, got m={m}, n={n}")
     return klimyk(rs, _rho_multiple(rs, m), _rho_multiple(rs, n), cache)
 
 
 def predicted_weights(rs: RootSystem, m: int, n: int, cache: CharCache | None = None) -> list[Weight]:
     """All dominant lam whose translate lam - m rho is a weight of V(n rho),
     in lexicographic order."""
-    return sorted(_predicted_product(rs, m, n, cache).translated)
+    return sorted(_predicted_product(rs, m, n, cache, "predicted_weights").translated)
 
 
 def verify_conjecture(rs: RootSystem, m: int, n: int, cache: CharCache | None = None) -> ConjectureReport:
     """Decompose V(m rho) (x) V(n rho) and compare support with prediction."""
-    dec = _predicted_product(rs, m, n, cache)
+    dec = _predicted_product(rs, m, n, cache, "conjecture")
     predicted = sorted(dec.translated)
     present = sorted(dec.components)
     missing = sorted(dec.translated - dec.components.keys())
@@ -92,11 +93,14 @@ class AffineConjectureReport:
 
 
 def verify_affine_conjecture(rs: RootSystem, m: int, n: int, depth: int) -> AffineConjectureReport:
-    """Decompose V(m rho) (x) V(n rho) within ``depth`` and compare it with the
-    components predicted from the delta-maximal weights of V(n rho)."""
+    """Decompose V(m rho) (x) V(n rho), m >= n >= 1, within ``depth`` and
+    compare it with the components predicted from the delta-maximal weights
+    of V(n rho)."""
     _require_affine(rs)
     if n < 1:
         raise AlgebraError(f"conjecture on an affine type requires n >= 1, got n={n}")
+    if m < n:
+        raise AlgebraError(f"conjecture on an affine type requires m >= n >= 1, got m={m}, n={n}")
     nh = n * rs.dual_coxeter
     predicted = []
     for lam, beta, beta_dom, d in predicted_components(rs, m, n, depth):

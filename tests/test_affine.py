@@ -468,6 +468,22 @@ def test_affine_freudenthal_rejects_bad_input(sl2_affine):
         affine_freudenthal(fin, affine_rho(sl2_affine), 2)
 
 
+@pytest.mark.parametrize("name,depth", [("A1~", 12), ("A2~", 6), ("B2~", 5), ("G2~", 5), ("A3~", 3)])
+def test_slices_are_nested(name, depth):
+    """Multiplicities along a delta-string never decrease at positive level, so
+    a weight's first depth is the slice it is in and the slice above is not."""
+    rs = build_root_system(name)
+    for fund in iproduct(range(4), repeat=rs.rank + 1):
+        if 1 <= sum(fund) <= 3:
+            char = affine_freudenthal(rs, AffineWeight(fund), depth)
+            slices = char.slices
+            for d in range(1, depth + 1):
+                for w, mult in slices[d - 1].items():
+                    assert mult <= slices[d].get(w, 0), (fund, d, w)
+            starts = [(w, d) for d, sl in enumerate(slices) for w in sl if d == 0 or w not in slices[d - 1]]
+            assert delta_max_weights(char) == sorted(starts, key=lambda t: (t[1], t[0]))
+
+
 def test_delta_max_weights(sl2_affine):
     rs = sl2_affine
     char = affine_freudenthal(rs, affine_rho(rs), 3)

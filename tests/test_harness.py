@@ -2,6 +2,7 @@
 
 import pytest
 
+from rho_tensor import harness
 from rho_tensor.charcalc import dominant_weights_below
 from rho_tensor.harness import (
     DEPTH_LIMITED,
@@ -37,8 +38,8 @@ def test_predicted_weights_g2_reference(g2):
 
 def test_predicted_weights_requires_m_ge_n(b2):
     for m, n in [(1, 2), (1, -1)]:
-        for fn in (predicted_weights, verify_conjecture):
-            with pytest.raises(AlgebraError, match="requires m >= n >= 0"):
+        for fn, name in ((predicted_weights, "predicted_weights"), (verify_conjecture, "conjecture")):
+            with pytest.raises(AlgebraError, match=f"^{name} requires m >= n >= 0"):
                 fn(b2, m, n)
 
 
@@ -78,6 +79,17 @@ def test_verify_affine_conjecture_checks_its_arguments(a1, sl2_affine):
         verify_affine_conjecture(sl2_affine, 1, 0, 4)
     with pytest.raises(AlgebraError, match="requires an untwisted affine algebra"):
         verify_affine_conjecture(a1, 2, 1, 4)
+
+
+@pytest.mark.parametrize("name,m,n,depth", [("A2~", 1, 2, 2), ("B2~", 1, 2, 2), ("G2~", 1, 2, 1), ("A1~", 0, 1, 4)])
+def test_verify_affine_conjecture_rejects_m_below_n_before_any_work(monkeypatch, name, m, n, depth):
+    def no_work(*args):
+        raise AssertionError("the arguments are checked before any work")
+
+    monkeypatch.setattr(harness, "predicted_components", no_work)
+    monkeypatch.setattr(harness, "truncated_tensor", no_work)
+    with pytest.raises(AlgebraError, match=rf"^conjecture on an affine type requires m >= n >= 1, got m={m}, n={n}$"):
+        verify_affine_conjecture(build_root_system(name), m, n, depth)
 
 
 def test_naive_scan_b2_counterexample_list(b2):
