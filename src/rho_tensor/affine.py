@@ -7,10 +7,12 @@ Freudenthal recursion (real roots alpha + k delta with multiplicity one,
 imaginary roots k delta with multiplicity rank), run only at affine-dominant
 weights: every other dominant finite weight of a slice takes the multiplicity
 of its alcove point, the affine-dominant point of its affine Weyl orbit, at a
-shallower depth (:meth:`RootSystem.alcove_point`). The tables live in the memo
-of :mod:`rho_tensor.charcalc`, keyed without the delta shift: one per classical
-highest weight, the deepest computed so far, and views of it serve shallower
-or shifted requests. A truncated tensor product is read off finite Klimyk
+shallower depth, walked once per point and level
+(:meth:`rho_tensor.charcalc.RootStrings.alcove_point`). The tables live in
+the memo of :mod:`rho_tensor.charcalc`, keyed without the delta shift: one per
+classical highest weight, the deepest computed so far. Views of it serve
+shallower or shifted requests, and a deeper request extends its slices with
+the deeper candidates only. A truncated tensor product is read off finite Klimyk
 passes: multiplying ``ch L ch V(kappa)`` by the Weyl-Kac denominator gives
 ``ch L`` times the Weyl-Kac numerator of V(kappa) (Kac, §10.4 and §12.1), a
 signed sum of finite characters ``A_rho ch V(v - rho)``, few within the
@@ -176,7 +178,9 @@ def affine_freudenthal(rs: RootSystem, lam: AffineWeight, depth: int) -> Truncat
     :func:`freudenthal_slices` never reads. Another depth or shift gets a view
     of its own ``highest`` and ``depth`` whose slices are a prefix of that
     table: the candidates and multiplicities at depth ``d`` do not depend on
-    the truncation depth.
+    the truncation depth. For the same reason a deeper request starts from
+    the slices of the table held and runs only the candidates deeper than
+    it; those slices stay shared, so views handed out before are unchanged.
     """
     _require_affine(rs)
     if depth < 0:
@@ -189,12 +193,15 @@ def affine_freudenthal(rs: RootSystem, lam: AffineWeight, depth: int) -> Truncat
     key = (str(rs.algebra), lam.fund)
     with _memo_lock:
         hit = _memo.get(key)
-    if hit is not None and hit.depth >= depth:
-        if hit.depth == depth and hit.highest == lam:
-            return hit
-        return TruncatedAffineCharacter(hit.algebra, lam, depth, hit.slices[: depth + 1])
-
-    slices = freudenthal_slices(rs, lam.finite, affine_candidates(rs, lam.finite, depth), depth, lvl)
+    known, shallow = (), -1
+    if hit is not None:
+        if hit.depth >= depth:
+            if hit.depth == depth and hit.highest == lam:
+                return hit
+            return TruncatedAffineCharacter(hit.algebra, lam, depth, hit.slices[: depth + 1])
+        known, shallow = hit.slices, hit.depth
+    candidates = [c for c in affine_candidates(rs, lam.finite, depth) if c[0] > shallow]
+    slices = freudenthal_slices(rs, lam.finite, candidates, depth, lvl, known)
     char = TruncatedAffineCharacter(str(rs.algebra), lam, depth, tuple(slices))
     with _memo_lock:
         _memo[key] = char  # deeper than any table held before
@@ -340,9 +347,9 @@ def truncated_tensor(
     affine-dominant ``x`` (``<x, theta^vee> <= lvl``) only ``nu = x`` and ``w =
     1`` count: ``c_x = S(x, d)``, and a negative one is an internal failure.
     At any other key, ``x + rho^`` reflects to an alcove point ``nu + rho^``
-    at a shallower depth (:meth:`RootSystem.alcove_point`), and ``S(x, d)``
-    must be ``eps(w) c_nu``, or 0 if ``x + rho^`` is on a wall. Components
-    come in the order depth, then ``(-height, w)``.
+    at a shallower depth (:meth:`rho_tensor.charcalc.RootStrings.alcove_point`),
+    and ``S(x, d)`` must be ``eps(w) c_nu``, or 0 if ``x + rho^`` is on a wall.
+    Components come in the order depth, then ``(-height, w)``.
 
     A component ``(w, d)`` of multiplicity ``c`` above the multiplicity of ``w
     - lam`` in slice ``d`` of V(mu), or of ``w - mu`` in slice ``d`` of
@@ -366,6 +373,7 @@ def truncated_tensor(
     terms = _numerator_terms(rs, kappa + affine_rho(rs), depth)
     sums = _numerator_sums(rs, small, terms, depth)
     lvl = lvl_l + lvl_m
+    alcove_point = root_strings(rs).alcove_point
     components: dict[tuple[Weight, int], int] = {}
     for d, sl in enumerate(sums):
         for x in sorted(sl, key=lambda w: (-rs.height(w), w)):
@@ -379,7 +387,7 @@ def truncated_tensor(
                 if total:
                     components[(x, d)] = total
                 continue
-            point, e, sign = rs.alcove_point(tuple(a + 1 for a in x), d, lvl + rs.dual_coxeter)
+            point, e, sign = alcove_point(tuple(a + 1 for a in x), d, lvl + rs.dual_coxeter)
             nu = tuple(a - 1 for a in point)
             expected = sign * components.get((nu, e), 0)
             if total != expected:

@@ -113,13 +113,15 @@ class RootStrings:
     memoised. A dominant ``mu`` is fixed by the parabolic subgroup ``W_J`` on
     its zero coordinates ``J`` and by nothing else of ``W``; the tables are
     keyed by ``tuple(map(bool, mu))``. Roots are indexed as
-    ``rs.positive_roots`` followed by their negatives."""
+    ``rs.positive_roots`` followed by their negatives. The alcove points of
+    the affine candidates off the chamber are memoised here too."""
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
         self._every: dict[int, list[tuple]] = {}
         self._orbits: dict[tuple[tuple[bool, ...], int], list[tuple]] = {}
         self._sizes: dict[tuple[bool, ...], int] = {}
+        self._alcove: dict[tuple[Weight, int], tuple[Weight, int, int]] = {}
 
     def every(self, k: int) -> list[tuple]:
         """``(fund, form_rc, s_aa, supp)`` per root ``alpha``, for ``alpha +
@@ -204,6 +206,17 @@ class RootStrings:
             size = self._sizes[nonzero] = weyl_orbit_size(self.rs, tuple(map(int, nonzero)))
         return size
 
+    def alcove_point(self, v: Weight, d: int, lvl: int) -> tuple[Weight, int, int]:
+        """:meth:`RootSystem.alcove_point`, one walk per ``(v, lvl)``: the
+        walk's point and sign do not depend on ``d``, which it lowers by a
+        fixed drop, so each is held as ``(point, drop, sign)``."""
+        hit = self._alcove.get((v, lvl))
+        if hit is None:
+            point, e, sign = self.rs.alcove_point(v, 0, lvl)
+            hit = self._alcove[(v, lvl)] = (point, -e, sign)
+        point, drop, sign = hit
+        return point, d - drop, sign
+
 
 # per algebra: the root data above, which depends on no highest weight
 _root_strings: dict[AlgebraId, RootStrings] = {}
@@ -223,6 +236,7 @@ def freudenthal_slices(
     candidates: Iterable[tuple[int, Weight, RootVector]],
     depth: int,
     lvl: int,
+    known: tuple[dict[Weight, int], ...] = (),
 ) -> list[dict[Weight, int]]:
     """Freudenthal's recursion over the root strings of a highest weight.
 
@@ -232,6 +246,12 @@ def freudenthal_slices(
     candidate. Candidates must come in increasing height ``d + sum(gamma) +
     d*sum(marks)``, so every multiplicity a candidate references is already
     known. Returns the multiplicity table of each depth ``0..depth``.
+
+    ``known`` holds the slices of a shallower run for the same ``lam`` and
+    ``lvl``; they are returned as they are (read, never written), and the
+    candidates must then all lie deeper. Slice ``d`` reads only slices
+    ``0..d``, so it is the same whatever the depth it is computed to, and a
+    table deepens from ``known`` with the deeper candidates alone.
 
     Real roots ``alpha + k*delta`` have multiplicity one (``k = 0`` for positive
     ``alpha`` only), imaginary roots ``k*delta`` multiplicity rank. At depth 0
@@ -254,7 +274,8 @@ def freudenthal_slices(
 
     Only the candidates at depth 0 or in the affine chamber (``<mu, theta^vee>
     <= lvl``) run the recursion. Any other is read off its alcove point
-    (:meth:`RootSystem.alcove_point`): by affine Weyl invariance (Kac,
+    (:meth:`RootStrings.alcove_point`, one walk per point and level, shared
+    by every table of the algebra): by affine Weyl invariance (Kac,
     *Infinite-dimensional Lie algebras*, Prop. 10.1) its multiplicity is that
     of the point, which is shallower and so already known, or 0 if the point
     lies above the top. Every candidate that runs the recursion is then a
@@ -268,22 +289,23 @@ def freudenthal_slices(
     scale = rs.form_scale
     to_dominant = rs.to_dominant
     sip_ww = rs.sip_ww
-    orbit_strings = root_strings(rs).orbit_strings
+    memo = root_strings(rs)
+    orbit_strings, alcove_point = memo.orbit_strings, memo.alcove_point
     strings_of: dict[tuple[bool, ...], list[list[tuple]]] = {}
     lam_rho = tuple(x + 1 for x in lam)
     top = sip_ww(lam_rho, lam_rho)
     lvl_scaled = lvl * scale
     shift_scaled = 2 * (lvl + rs.dual_coxeter) * scale
 
-    slices: list[dict[Weight, int]] = [{} for _ in range(depth + 1)]
-    slices[0][lam] = 1
+    slices: list[dict[Weight, int]] = list(known) or [{lam: 1}]
+    slices += [{} for _ in range(len(slices), depth + 1)]
     # an affine table looks up the same finite weight nu many times (620
     # distinct weights, summed over its tables, for 9,901 lookups in one
     # repeat of the affine_products workload at seed 3), so it reflects each
     # nu once; a finite table repeats less (E7 V(rho): 39,621 for 76,821),
     # and there a dict would cost memory without saving time
     dominant_of: dict[Weight, Weight] | None = {} if depth else None
-    dual_marks, alcove_point = rs.dual_marks, rs.alcove_point
+    dual_marks = rs.dual_marks
     for d, mu, gamma in candidates:
         if d and sum(map(mul, dual_marks, mu)) > lvl:
             # off the affine chamber: the multiplicity is that of its alcove point,
@@ -389,7 +411,7 @@ def freudenthal(rs: RootSystem, lam: Weight, cache: "CharCache | None" = None) -
 
 def clear_memory_cache() -> None:
     """Drop every memoised table, finite and affine, and the memoised orbit
-    sizes and root strings."""
+    sizes, root strings and alcove points."""
     with _memo_lock:
         _memo.clear()
         _root_strings.clear()

@@ -153,7 +153,8 @@ def scan_all(
     cache: CharCache | None = None,
 ) -> list[ConjectureReport]:
     """verify_conjecture for every listed type and every m >= n >= 0 with
-    m + n <= max_sum. Per-case failures are recorded, never raised."""
+    m + n <= max_sum, each type's root system built once. Per-case failures
+    are recorded, never raised."""
     if max_sum < 0:
         raise AlgebraError(f"max_sum must be non-negative, got {max_sum}")
     cases = []
@@ -166,9 +167,13 @@ def scan_all(
                 cases.append((aid, total - n, n))
 
     reports = []
+    systems: dict[AlgebraId, RootSystem] = {}
     for aid, m, n in cases:
         try:
-            reports.append(verify_conjecture(build_root_system(aid), m, n, cache))
+            rs = systems.get(aid)
+            if rs is None:
+                rs = systems[aid] = build_root_system(aid)
+            reports.append(verify_conjecture(rs, m, n, cache))
         except Exception as exc:  # recorded, not raised
             reports.append(ConjectureReport(str(aid), m, n, [], [], [], ERROR, error=str(exc)))
     reports.sort(key=lambda r: (r.algebra, r.m + r.n, r.m, r.n))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple
@@ -278,7 +279,11 @@ class RootSystem:
         where ``v_0 = lvl - <v, theta^vee> < 0``: the finite part drops by
         ``-v_0 theta`` and the depth by ``-v_0``. The walk goes on through
         walls; the sign is ``(-1)^(reflections)``, or 0 once any step met a
-        wall, that is iff the weight lies on a wall of the affine Weyl group."""
+        wall, that is iff the weight lies on a wall of the affine Weyl group.
+        The point and sign depend on ``(v, lvl)`` only, and the depth drops
+        by an amount fixed by them: the affine tables read the walk through
+        :meth:`rho_tensor.charcalc.RootStrings.alcove_point`, once per
+        ``(v, lvl)``."""
         if lvl <= 0:
             raise AlgebraError(f"alcove_point requires a positive level, got {lvl}")
         theta = self.positive_roots_fund[-1]  # the highest root comes last, by height
@@ -324,9 +329,14 @@ class RootSystem:
             raise InvariantError(f"Weyl dimension of {lam} is not integral: {num}/{self.weyl_denominator}")
         return q
 
+    @cached_property
+    def height_row(self) -> tuple[int, ...]:
+        """The column sums of ``cartan_inverse``, so that :meth:`height` is one dot product."""
+        return tuple(map(sum, zip(*self.cartan_inverse)))
+
     def height(self, v: Weight) -> int:
         """``lattice_index`` times the sum of simple-root coordinates of ``v``."""
-        return sum(self.root_coords(v))
+        return sum(map(mul, self.height_row, v))
 
     def _require_finite(self):
         if self.algebra.affine:

@@ -32,7 +32,7 @@ from rho_tensor.affine import (
     theta_pairing,
     truncated_tensor,
 )
-from rho_tensor.charcalc import _memo, clear_memory_cache, expand_orbits, freudenthal, freudenthal_slices
+from rho_tensor.charcalc import _memo, clear_memory_cache, expand_orbits, freudenthal, freudenthal_slices, root_strings
 from rho_tensor.rootdata import AlgebraError, InvariantError, build_root_system, floor_root_coords
 from rho_tensor.tensor import klimyk
 
@@ -212,12 +212,66 @@ def test_memo_serves_shallow_requests_from_deep_tables(name, fund):
         assert [c.depth for c in _memo.values()] == [4]
 
 
+@pytest.mark.parametrize(
+    "name,fund,shallow,deep",
+    [("A1~", (1, 1), 3, 10), ("A1~", (2, 2), 0, 6), ("A2~", (1, 1, 1), 1, 4),
+     ("B2~", (1, 1, 1), 1, 3), ("G2~", (1, 1, 1), 0, 3)],
+)
+def test_deeper_request_resumes_from_the_memoised_table(monkeypatch, name, fund, shallow, deep):
+    import rho_tensor.affine as af
+
+    rs = build_root_system(name)
+    lam = AffineWeight(fund)
+    clear_memory_cache()
+    fresh = [list(sl.items()) for sl in affine_freudenthal(rs, lam, deep).slices]
+    clear_memory_cache()
+    held = affine_freudenthal(rs, lam, shallow)
+    view = affine_freudenthal(rs, lam.shifted(1), shallow)
+    before = [list(sl.items()) for sl in held.slices]
+    ran = []
+
+    def recording_slices(rs, lam_fin, candidates, depth, lvl, known=()):
+        candidates = list(candidates)
+        ran.extend(d for d, _, _ in candidates)
+        return freudenthal_slices(rs, lam_fin, candidates, depth, lvl, known)
+
+    monkeypatch.setattr(af, "freudenthal_slices", recording_slices)
+    deeper = affine_freudenthal(rs, lam, deep)
+    assert ran and min(ran) == shallow + 1
+    # insertion order counts: a resumed slice is filled as a fresh one is
+    assert [list(sl.items()) for sl in deeper.slices] == fresh
+    for char in (held, view):
+        assert char.depth == shallow and [list(sl.items()) for sl in char.slices] == before
+    assert deeper.slices[: shallow + 1] == held.slices
+    assert [c.depth for c in _memo.values()] == [deep]
+
+
+@pytest.mark.parametrize("name", ["A2~", "B2~", "G2~"])
+def test_alcove_memo_matches_the_walk(name):
+    rs = build_root_system(name)
+    clear_memory_cache()
+    memo = root_strings(rs)
+    for v in iproduct(range(-5, 6), repeat=rs.rank):
+        for lvl in (1, 2, 4):
+            # each depth twice: the second read is a memo hit
+            for d in (0, 3, 7, 3, 0, 7):
+                assert memo.alcove_point(v, d, lvl) == rs.alcove_point(v, d, lvl), (v, d, lvl)
+    assert len(memo._alcove) == 11 ** rs.rank * 3
+    assert any(sign == 0 for _, _, sign in memo._alcove.values())
+    with pytest.raises(AlgebraError, match="positive level"):
+        memo.alcove_point((1, 0), 3, 0)
+
+
 def test_clear_memory_cache_drops_affine_tables(sl2_affine):
     rho = affine_rho(sl2_affine)
+    clear_memory_cache()
     char = affine_freudenthal(sl2_affine, rho, 3)
     assert affine_freudenthal(sl2_affine, rho, 3) is char
+    memo = root_strings(sl2_affine)
+    assert memo._alcove  # (3,) at depth 1 lies off the level-2 chamber
     clear_memory_cache()
     assert not _memo
+    assert root_strings(sl2_affine) is not memo and not root_strings(sl2_affine)._alcove
     assert affine_freudenthal(sl2_affine, rho, 3) is not char
 
 

@@ -154,3 +154,30 @@ def test_scan_all_records_per_case_errors(monkeypatch):
     monkeypatch.setattr(hn, "verify_conjecture", boom)
     reports = hn.scan_all(["A1"], 1)
     assert all(r.verdict == "ERROR" and r.error == "synthetic failure" for r in reports)
+
+
+def test_scan_all_builds_each_root_system_once(monkeypatch):
+    import rho_tensor.harness as hn
+
+    built = []
+
+    def counting_build(aid):
+        built.append(str(aid))
+        return build_root_system(aid)
+
+    monkeypatch.setattr(hn, "build_root_system", counting_build)
+    reports = hn.scan_all(["A1", "B2"], 3)
+    assert len(reports) == 12 and all(r.verdict == HOLDS for r in reports)
+    assert built == ["A1", "B2"]
+
+
+def test_scan_all_records_a_failed_build_per_case(monkeypatch):
+    import rho_tensor.harness as hn
+
+    def broken_build(aid):
+        raise RuntimeError(f"no datum for {aid}")
+
+    monkeypatch.setattr(hn, "build_root_system", broken_build)
+    reports = hn.scan_all(["A1"], 2)
+    assert [(r.m, r.n) for r in reports] == [(0, 0), (1, 0), (1, 1), (2, 0)]
+    assert all(r.verdict == "ERROR" and r.error == "no datum for A1" for r in reports)
