@@ -36,12 +36,11 @@ from fractions import Fraction
 from operator import add, mul, sub
 from typing import Iterable
 
-from .charcalc import _memo, _memo_lock, dominant_descent, freudenthal_slices, root_strings
+from .charcalc import _memo, _memo_lock, freudenthal_slices, root_strings
 from .rootdata import (
     AlgebraError,
     InvariantError,
     RootSystem,
-    RootVector,
     Weight,
     weyl_orbit,
 )
@@ -146,30 +145,6 @@ class TruncatedAffineCharacter:
         return self.slices[d].get(rs.to_dominant(finite_w)[0], 0)
 
 
-def affine_candidates(rs: RootSystem, lam_fin: Weight, depth: int) -> list[tuple[int, Weight, RootVector]]:
-    """The ``(d, mu, gamma)`` below ``lam_fin`` down to ``depth``, in increasing
-    affine height ``d + sum(gamma) + d*sum(marks)`` (the highest weight left out):
-    dominant ``mu`` with ``gamma = lam_fin - mu`` in simple roots and
-    ``gamma >= -d*marks``.
-
-    These are the dominant weights below ``lam_fin + depth*theta``, found by one
-    positive-root descent (Stembridge 1998, see :func:`dominant_descent`). With
-    ``g = gamma + depth*marks``, ``mu`` is a candidate at every depth ``d`` with
-    ``depth - min_i g_i // marks_i <= d <= depth``.
-    """
-    marks = rs.marks
-    top = tuple(a + depth * t for a, t in zip(lam_fin, rs.fund_coords_of_root(rs.highest_root)))
-    todo = []
-    for mu, g in dominant_descent(rs, top).items():
-        gamma = tuple(x - depth * a for x, a in zip(g, marks))
-        for d in range(max(0, depth - min(x // a for x, a in zip(g, marks))), depth + 1):
-            height = d + sum(x + d * a for x, a in zip(gamma, marks))
-            if height:
-                todo.append((height, d, mu, gamma))
-    todo.sort()
-    return [t[1:] for t in todo]
-
-
 def affine_freudenthal(rs: RootSystem, lam: AffineWeight, depth: int) -> TruncatedAffineCharacter:
     """Delta-depth-truncated character of the affine irreducible V(lam).
 
@@ -178,9 +153,10 @@ def affine_freudenthal(rs: RootSystem, lam: AffineWeight, depth: int) -> Truncat
     :func:`freudenthal_slices` never reads. Another depth or shift gets a view
     of its own ``highest`` and ``depth`` whose slices are a prefix of that
     table: the candidates and multiplicities at depth ``d`` do not depend on
-    the truncation depth. For the same reason a deeper request starts from
-    the slices of the table held and runs only the candidates deeper than
-    it; those slices stay shared, so views handed out before are unchanged.
+    the truncation depth. For the same reason a deeper request hands the
+    slices of the table held to :func:`freudenthal_slices` as ``known``, which
+    runs only the candidates deeper than them; those slices stay shared, so
+    views handed out before are unchanged.
     """
     _require_affine(rs)
     if depth < 0:
@@ -193,15 +169,14 @@ def affine_freudenthal(rs: RootSystem, lam: AffineWeight, depth: int) -> Truncat
     key = (str(rs.algebra), lam.fund)
     with _memo_lock:
         hit = _memo.get(key)
-    known, shallow = (), -1
+    known = ()
     if hit is not None:
         if hit.depth >= depth:
             if hit.depth == depth and hit.highest == lam:
                 return hit
             return TruncatedAffineCharacter(hit.algebra, lam, depth, hit.slices[: depth + 1])
-        known, shallow = hit.slices, hit.depth
-    candidates = [c for c in affine_candidates(rs, lam.finite, depth) if c[0] > shallow]
-    slices = freudenthal_slices(rs, lam.finite, candidates, depth, lvl, known)
+        known = hit.slices
+    slices = freudenthal_slices(rs, lam.finite, depth, lvl, known)
     char = TruncatedAffineCharacter(str(rs.algebra), lam, depth, tuple(slices))
     with _memo_lock:
         _memo[key] = char  # deeper than any table held before

@@ -4,10 +4,11 @@ recursion kernel also computes the delta-truncated affine characters of
 :mod:`rho_tensor.affine`, and the memo holds those tables too.
 
 Character tables store dominant representatives only; orbit expansion happens
-on demand. Within one run, weights are processed by decreasing dominance
-(increasing height of ``lam - mu``), so every multiplicity the recursion
-references is already known; weights in the same height layer are independent
-of one another and may be evaluated in any order.
+on demand. One routine, :func:`freudenthal_candidates`, lists the weights a
+finite or affine table runs, by decreasing dominance (increasing height of
+``lam - mu``), so every multiplicity the recursion references is already
+known; weights in the same height layer are independent of one another and
+may be evaluated in any order.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import compress
-from operator import add, mul, sub
+from operator import add, floordiv, mul, sub
 from pathlib import Path
-from typing import Iterable
 
 from .rootdata import (
     AlgebraError,
@@ -73,38 +73,55 @@ def expand_orbits(rs: RootSystem, table: dict[Weight, int]) -> dict[Weight, int]
     return out
 
 
-def dominant_descent(rs: RootSystem, top: Weight) -> dict[Weight, RootVector]:
-    """``{mu: simple-root coordinates of top - mu}`` over the dominant weights
-    ``mu <= top`` of a dominant ``top``, by breadth-first descent subtracting
-    positive roots and keeping only dominant results. This reaches every one:
-    in the dominance order on dominant weights each cover differs by a positive
-    root (Stembridge, *The partial order of dominant weights*, Adv. Math. 1998).
-    """
-    steps = list(zip(rs.positive_roots_fund, rs.positive_roots))
-    seen = {top: (0,) * rs.rank}
-    frontier = [top]
+def dominant_weights_below(rs: RootSystem, lam: Weight) -> list[Weight]:
+    """All dominant mu with lam - mu a non-negative integer combination of
+    simple roots, by increasing height of lam - mu; for an affine ``rs``, those
+    of its finite part. A breadth-first descent subtracting positive roots and
+    keeping only dominant results reaches every one: in the dominance order on
+    dominant weights each cover differs by a positive root (Stembridge, *The
+    partial order of dominant weights*, Adv. Math. 1998)."""
+    if not rs.is_dominant(lam):
+        raise AlgebraError(f"dominant_weights_below requires a dominant weight, got {lam}")
+    steps = [(fund, sum(rc)) for fund, rc in zip(rs.positive_roots_fund, rs.positive_roots)]
+    height = {lam: 0}
+    frontier = [lam]
     while frontier:
         nxt = []
         for mu in frontier:
-            g = seen[mu]
-            for fund, rc in steps:
+            h = height[mu]
+            for fund, ht in steps:
                 nu = tuple(map(sub, mu, fund))
-                if min(nu) >= 0 and nu not in seen:
-                    seen[nu] = tuple(map(add, g, rc))
+                if min(nu) >= 0 and nu not in height:
+                    height[nu] = h + ht
                     nxt.append(nu)
         frontier = nxt
-    return seen
+    return sorted(height, key=lambda mu: (height[mu], mu))
 
 
-def dominant_weights_below(rs: RootSystem, lam: Weight) -> list[Weight]:
-    """All dominant mu with lam - mu a non-negative integer combination of
-    simple roots, by increasing height of lam - mu (the positive-root descent
-    of :func:`dominant_descent`)."""
-    rs._require_finite()
-    if not rs.is_dominant(lam):
-        raise AlgebraError(f"dominant_weights_below requires a dominant weight, got {lam}")
-    below = dominant_descent(rs, lam)
-    return sorted(below, key=lambda mu: (sum(below[mu]), mu))
+def freudenthal_candidates(
+    rs: RootSystem, lam: Weight, depth: int, start: int
+) -> list[tuple[int, Weight, RootVector]]:
+    """The ``(d, mu, gamma)`` below the highest weight ``lam`` at the depths
+    ``start..depth``, in increasing height ``d + sum(gamma) + d*sum(marks)``
+    (the highest weight left out): dominant ``mu`` with ``gamma = lam - mu`` in
+    simple roots and ``gamma >= -d*marks``.
+
+    These are the dominant weights below ``lam + depth*theta``: ``mu`` is a
+    candidate at every depth ``d`` with ``-min_i gamma_i // marks_i <= d <=
+    depth``. A finite table is the one at depth 0."""
+    marks = rs.marks
+    step = 1 + sum(marks)
+    top = tuple(a + depth * t for a, t in zip(lam, rs.positive_roots_fund[-1]))
+    todo = []
+    for mu in dominant_weights_below(rs, top):
+        gamma = floor_root_coords(rs, tuple(map(sub, lam, mu)))
+        low = sum(gamma)
+        for d in range(max(start, -min(map(floordiv, gamma, marks))), depth + 1):
+            height = low + d * step
+            if height:
+                todo.append((height, d, mu, gamma))
+    todo.sort()
+    return [t[1:] for t in todo]
 
 
 class RootStrings:
@@ -233,7 +250,6 @@ def root_strings(rs: RootSystem) -> RootStrings:
 def freudenthal_slices(
     rs: RootSystem,
     lam: Weight,
-    candidates: Iterable[tuple[int, Weight, RootVector]],
     depth: int,
     lvl: int,
     known: tuple[dict[Weight, int], ...] = (),
@@ -241,17 +257,16 @@ def freudenthal_slices(
     """Freudenthal's recursion over the root strings of a highest weight.
 
     ``lam`` is the (classical part of the) highest weight, ``lvl`` its level.
-    Each candidate ``(d, mu, gamma)`` names the dominant weight ``mu - d*delta``
-    with ``lam - mu = sum gamma_i alpha_i``; the highest weight itself is not a
-    candidate. Candidates must come in increasing height ``d + sum(gamma) +
-    d*sum(marks)``, so every multiplicity a candidate references is already
-    known. Returns the multiplicity table of each depth ``0..depth``.
+    Returns the multiplicity table of each depth ``0..depth``. The recursion
+    runs over the candidates ``(d, mu, gamma)`` of
+    :func:`freudenthal_candidates`, each the dominant weight ``mu - d*delta``
+    with ``lam - mu = sum gamma_i alpha_i``, in increasing height, so every
+    multiplicity a candidate references is already known.
 
     ``known`` holds the slices of a shallower run for the same ``lam`` and
-    ``lvl``; they are returned as they are (read, never written), and the
-    candidates must then all lie deeper. Slice ``d`` reads only slices
-    ``0..d``, so it is the same whatever the depth it is computed to, and a
-    table deepens from ``known`` with the deeper candidates alone.
+    ``lvl``; they are returned as they are (read, never written), and only the
+    candidates deeper than them run. Slice ``d`` reads only slices ``0..d``,
+    so it is the same whatever the depth it is computed to.
 
     Real roots ``alpha + k*delta`` have multiplicity one (``k = 0`` for positive
     ``alpha`` only), imaginary roots ``k*delta`` multiplicity rank. At depth 0
@@ -306,7 +321,7 @@ def freudenthal_slices(
     # and there a dict would cost memory without saving time
     dominant_of: dict[Weight, Weight] | None = {} if depth else None
     dual_marks = rs.dual_marks
-    for d, mu, gamma in candidates:
+    for d, mu, gamma in freudenthal_candidates(rs, lam, depth, len(known)):
         if d and sum(map(mul, dual_marks, mu)) > lvl:
             # off the affine chamber: the multiplicity is that of its alcove point,
             # shallower (above the top if e < 0), so already known
@@ -390,11 +405,7 @@ def freudenthal(rs: RootSystem, lam: Weight, cache: "CharCache | None" = None) -
         return hit
     mults = None if cache is None else cache.load(rs, lam)
     if mults is None:
-        candidates = [
-            (0, mu, floor_root_coords(rs, tuple(a - b for a, b in zip(lam, mu))))
-            for mu in dominant_weights_below(rs, lam)[1:]
-        ]
-        mults = freudenthal_slices(rs, lam, candidates, 0, 0)[0]
+        mults = freudenthal_slices(rs, lam, 0, 0)[0]
         dim = DominantCharacter(str(rs.algebra), lam, mults).dimension(rs)
         if dim != rs.weyl_dimension(lam):
             raise InvariantError(

@@ -68,8 +68,6 @@ def conjecture_lines(rep):
     if rep.missing:
         yield "missing components:"
         yield from (f"  {fmt_weight(w)}" for w in rep.missing)
-    if rep.error:
-        yield f"error: {rep.error}"
 
 
 def conjecture_rows(rep):

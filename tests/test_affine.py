@@ -16,7 +16,6 @@ from rho_tensor.affine import (
     _numerator_sums,
     _numerator_terms,
     affine_bilinear,
-    affine_candidates,
     affine_freudenthal,
     affine_rho,
     affinize,
@@ -32,7 +31,16 @@ from rho_tensor.affine import (
     theta_pairing,
     truncated_tensor,
 )
-from rho_tensor.charcalc import _memo, clear_memory_cache, expand_orbits, freudenthal, freudenthal_slices, root_strings
+import rho_tensor.charcalc as charcalc
+from rho_tensor.charcalc import (
+    _memo,
+    clear_memory_cache,
+    expand_orbits,
+    freudenthal,
+    freudenthal_candidates,
+    freudenthal_slices,
+    root_strings,
+)
 from rho_tensor.rootdata import AlgebraError, InvariantError, build_root_system, floor_root_coords
 from rho_tensor.tensor import klimyk
 
@@ -100,6 +108,14 @@ def test_sl2_rho_slices_frozen(sl2_affine):
     assert list(char.slices) == SL2_RHO_SLICES
 
 
+def test_multiplicity_outside_the_computed_depth_is_refused(sl2_affine):
+    char = affine_freudenthal(sl2_affine, affine_rho(sl2_affine), 3)
+    assert char.multiplicity(sl2_affine, (-3,), 3) == 4
+    for d in (-1, 4):
+        with pytest.raises(AlgebraError, match=re.escape(f"depth {d} outside computed range 0..3")):
+            char.multiplicity(sl2_affine, (1,), d)
+
+
 @pytest.mark.parametrize(
     "name,fund,depth",
     [
@@ -145,18 +161,19 @@ def test_against_weyl_kac_oracle(name, fund, depth):
 def test_orbit_grouped_slices_match_the_all_roots_oracle(name, fund, depth):
     rs = build_root_system(name)
     lam = AffineWeight(fund)
-    candidates = affine_candidates(rs, lam.finite, depth)
+    candidates = freudenthal_candidates(rs, lam.finite, depth, 0)
     expected = freudenthal_slices_by_all_roots(rs, lam.finite, candidates, depth, level(rs, lam))
-    got = freudenthal_slices(rs, lam.finite, candidates, depth, level(rs, lam))
+    got = freudenthal_slices(rs, lam.finite, depth, level(rs, lam))
     assert [list(sl.items()) for sl in got] == [list(sl.items()) for sl in expected]
 
 
-def test_candidate_that_is_not_a_weight_is_an_invariant_failure(sl2_affine):
+def test_candidate_that_is_not_a_weight_is_an_invariant_failure(monkeypatch, sl2_affine):
     # (0,) at depth 1 is affine-dominant below V(rho^) at level 2, but lies outside
     # the root-lattice class of the top (1,): the recursion finds it no multiplicity
-    candidates = affine_candidates(sl2_affine, (1,), 1) + [(1, (0,), (0,))]
+    bad = (1, (0,), (0,))
+    monkeypatch.setattr(charcalc, "freudenthal_candidates", lambda *args: freudenthal_candidates(*args) + [bad])
     with pytest.raises(InvariantError, match=re.escape("multiplicity 0 at mu=(0,), depth 1")):
-        freudenthal_slices(sl2_affine, (1,), candidates, 1, 2)
+        freudenthal_slices(sl2_affine, (1,), 1, 2)
 
 
 def test_alcove_walk_goes_on_through_walls(sl3_affine):
@@ -191,7 +208,7 @@ def test_alcove_point_is_the_dominant_point_of_the_affine_orbit(name):
 )
 def test_candidates_match_box_walk(name, lam_fin, depth):
     rs = build_root_system(name)
-    assert affine_candidates(rs, lam_fin, depth) == affine_candidates_by_box(rs, lam_fin, depth)
+    assert freudenthal_candidates(rs, lam_fin, depth, 0) == affine_candidates_by_box(rs, lam_fin, depth)
 
 
 @pytest.mark.parametrize("name,fund", [("A1~", (1, 1)), ("A1~", (2, 2)), ("A2~", (1, 1, 1)), ("B2~", (1, 1, 1))])
@@ -218,8 +235,6 @@ def test_memo_serves_shallow_requests_from_deep_tables(name, fund):
      ("B2~", (1, 1, 1), 1, 3), ("G2~", (1, 1, 1), 0, 3)],
 )
 def test_deeper_request_resumes_from_the_memoised_table(monkeypatch, name, fund, shallow, deep):
-    import rho_tensor.affine as af
-
     rs = build_root_system(name)
     lam = AffineWeight(fund)
     clear_memory_cache()
@@ -230,12 +245,12 @@ def test_deeper_request_resumes_from_the_memoised_table(monkeypatch, name, fund,
     before = [list(sl.items()) for sl in held.slices]
     ran = []
 
-    def recording_slices(rs, lam_fin, candidates, depth, lvl, known=()):
-        candidates = list(candidates)
+    def recording_candidates(*args):
+        candidates = freudenthal_candidates(*args)
         ran.extend(d for d, _, _ in candidates)
-        return freudenthal_slices(rs, lam_fin, candidates, depth, lvl, known)
+        return candidates
 
-    monkeypatch.setattr(af, "freudenthal_slices", recording_slices)
+    monkeypatch.setattr(charcalc, "freudenthal_candidates", recording_candidates)
     deeper = affine_freudenthal(rs, lam, deep)
     assert ran and min(ran) == shallow + 1
     # insertion order counts: a resumed slice is filled as a fresh one is
@@ -642,8 +657,14 @@ def test_sl2_rule_rejections(sl2_affine, sl3_affine):
         sl2_delta_max_rule(rs, 1, 2, affinize(rs, (3,), 6))
     with pytest.raises(AlgebraError):
         sl2_delta_max_rule(rs, 2, 1, affinize(rs, (2,), 5))  # wrong level
-    with pytest.raises(AlgebraError):
-        sl2_delta_max_rule(rs, 2, 1, affinize(rs, (4,), 6).shifted(5))  # above every string
+    with pytest.raises(AlgebraError, match="not congruent to"):
+        sl2_delta_max_rule(rs, 2, 1, affinize(rs, (4,), 6).shifted(5))  # wrong class
+    with pytest.raises(AlgebraError, match=re.escape("lam must be dominant, got 7,-1")):
+        sl2_delta_max_rule(rs, 2, 1, AffineWeight((7, -1)))
+    # (5,) - 2 rho = (3,) first occurs in V(rho^) at depth 1
+    with pytest.raises(AlgebraError, match="lam - m rho is not a weight of the complementary factor within depth 0"):
+        sl2_delta_max_rule(rs, 2, 1, affinize(rs, (5,), 6), depth=0)
+    assert sl2_delta_max_rule(rs, 2, 1, affinize(rs, (5,), 6), depth=1) == -1
 
 
 def test_gko_central_charge(sl2_affine, sl3_affine):
@@ -744,6 +765,14 @@ def test_kac_wakimoto_check_rejects_a_non_dominant_nu(sl2_affine):
     with pytest.raises(AlgebraError, match=re.escape("requires a dominant nu, got 7,-1")):
         kac_wakimoto_check(sl2_affine, 2 * rho, rho, AffineWeight((7, -1)), 6)
     assert kac_wakimoto_check(sl2_affine, 2 * rho, rho, AffineWeight((5, 1)), 6) == 0
+
+
+def test_gko_l0_scalar_checks_the_levels(sl2_affine):
+    rho = affine_rho(sl2_affine)
+    with pytest.raises(AlgebraError, match="gko_l0_scalar requires positive levels, got 0, 2"):
+        gko_l0_scalar(sl2_affine, AffineWeight((0, 0)), rho, rho)
+    with pytest.raises(AlgebraError, match="nu must have level 4, got 2"):
+        gko_l0_scalar(sl2_affine, rho, rho, rho)
 
 
 def test_gko_l0_scalar_rejects_non_dominant_weights(sl2_affine):

@@ -8,15 +8,17 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rho_tensor.charcalc as charcalc
 from rho_tensor.charcalc import (
     CharCache,
     clear_memory_cache,
     dominant_weights_below,
     freudenthal,
+    freudenthal_candidates,
     freudenthal_slices,
     root_strings,
 )
-from rho_tensor.rootdata import AlgebraError, InvariantError, build_root_system, floor_root_coords
+from rho_tensor.rootdata import AlgebraError, InvariantError, build_root_system
 
 from oracles import (
     character_by_weyl_formula,
@@ -120,6 +122,15 @@ def test_n_rho_character_against_product_formula(name, n):
     assert freudenthal(rs, (n,) * rs.rank).full_weights(rs) == rho_character_by_product(rs, n)
 
 
+def test_dominant_weights_below_rejects_a_non_dominant_weight(b2):
+    with pytest.raises(AlgebraError, match=r"requires a dominant weight, got \(2, -1\)"):
+        dominant_weights_below(b2, (2, -1))
+
+
+def test_dominant_weights_below_reads_the_finite_part_of_an_affine_algebra(b2):
+    assert dominant_weights_below(build_root_system("B2~"), (3, 3)) == dominant_weights_below(b2, (3, 3))
+
+
 def test_dominant_weights_below_examples(a1, b2):
     assert dominant_weights_below(a1, (0,)) == [(0,)]
     assert dominant_weights_below(a1, (4,)) == [(4,), (2,), (0,)]
@@ -173,18 +184,20 @@ def test_weyl_invariance(name, lam, word):
     assert ch.multiplicity(rs, w) == 1
 
 
-def test_evaluation_order_independence(b2, g2):
+def test_evaluation_order_independence(monkeypatch, b2, g2):
     # weights of one height layer never reference each other, so any order
     # within a layer gives the same table
+    reordered = False
     for rs, lam in [(b2, (2, 2)), (g2, (2, 1))]:
         reference = freudenthal(rs, lam).mults
+        listed = freudenthal_candidates(rs, lam, 0, 0)
+        assert [mu for _, mu, _ in listed] == dominant_weights_below(rs, lam)[1:]
         layers: dict[int, list] = {}
-        for mu in dominant_weights_below(rs, lam)[1:]:
+        for d, mu, gamma in listed:
             diff = tuple(a - b for a, b in zip(lam, mu))
             coords = [divmod(x, rs.lattice_index) for x in rs.root_coords(diff)]
-            assert all(rem == 0 for _, rem in coords)
-            gamma = tuple(q for q, _ in coords)
-            layers.setdefault(sum(gamma), []).append((0, mu, gamma))
+            assert d == 0 and coords == [(g, 0) for g in gamma]
+            layers.setdefault(sum(gamma), []).append((d, mu, gamma))
         for seed in (1, 7, 42):
             rng = Random(seed)
             candidates = []
@@ -192,7 +205,11 @@ def test_evaluation_order_independence(b2, g2):
                 layer = layers[h][:]
                 rng.shuffle(layer)
                 candidates += layer
-            assert freudenthal_slices(rs, lam, candidates, 0, 0) == [reference]
+            reordered |= candidates != listed
+            with monkeypatch.context() as patch:
+                patch.setattr(charcalc, "freudenthal_candidates", lambda *args: candidates)
+                assert freudenthal_slices(rs, lam, 0, 0) == [reference]
+    assert reordered
 
 
 def _orbit_by_bfs(rs, root, zeros):
@@ -247,18 +264,15 @@ EXCEPTIONAL_E6_WEIGHTS = [
 )
 def test_orbit_grouped_kernel_matches_the_all_roots_oracle(name, lam):
     rs = build_root_system(name)
-    candidates = [
-        (0, mu, floor_root_coords(rs, tuple(a - b for a, b in zip(lam, mu))))
-        for mu in dominant_weights_below(rs, lam)[1:]
-    ]
+    candidates = freudenthal_candidates(rs, lam, 0, 0)
     (expected,) = freudenthal_slices_by_all_roots(rs, lam, candidates, 0, 0)
-    (table,) = freudenthal_slices(rs, lam, candidates, 0, 0)
+    (table,) = freudenthal_slices(rs, lam, 0, 0)
     assert list(table.items()) == list(expected.items())
 
 
 def test_a_computed_table_is_checked_against_the_weyl_dimension(monkeypatch, b2):
-    def dropping(rs, lam, candidates, depth, lvl):
-        slices = freudenthal_slices(rs, lam, candidates, depth, lvl)
+    def dropping(rs, lam, depth, lvl):
+        slices = freudenthal_slices(rs, lam, depth, lvl)
         del slices[0][(0, 0)]
         return slices
 
@@ -358,4 +372,22 @@ def test_cache_load_of_a_regular_weight_builds_no_orbit(tmp_path, monkeypatch, n
 def test_cache_rejects_corrupt_file(tmp_path, b2):
     cache = CharCache(tmp_path)
     (tmp_path / "B2.1_1.char").write_text("garbage header\n0,0:1\n")
+    assert cache.load(b2, (1, 1)) is None
+
+
+def test_cache_load_skips_blank_lines(tmp_path, b2):
+    table = freudenthal(b2, (1, 1)).mults
+    cache = CharCache(tmp_path)
+    cache.store(b2, (1, 1), table)
+    path = tmp_path / "B2.1_1.char"
+    header, *body = path.read_text().splitlines()
+    path.write_text("\n".join([header, "", *body, "  "]) + "\n")
+    assert cache.load(b2, (1, 1)) == table
+
+
+def test_cache_load_needs_the_highest_weight_once(tmp_path, b2):
+    # 16 times the zero weight has the dimension of V(rho), but it is not its character
+    cache = CharCache(tmp_path)
+    cache.store(b2, (1, 1), {(0, 0): 16})
+    assert b2.weyl_dimension((1, 1)) == 16
     assert cache.load(b2, (1, 1)) is None

@@ -17,6 +17,7 @@ from oracles import decomposition_from_json_dict
 
 import rho_tensor
 from rho_tensor.charcalc import CharCache, clear_memory_cache, freudenthal
+from rho_tensor.harness import FAILS, ConjectureReport, SupportContainmentReport
 from rho_tensor.cli import (
     COMMANDS,
     EXIT_INTERNAL,
@@ -179,6 +180,27 @@ def test_support_contain_command():
     assert code == EXIT_OK
 
 
+def test_support_contain_lists_the_witnesses_of_a_failure(monkeypatch):
+    failed = SupportContainmentReport(False, [(1, 0), (0, 3)])
+    monkeypatch.setattr("rho_tensor.cli.support_containment_check", lambda *args: failed)
+    text = "support containment FAILS at:\n  (1,0)\n  (0,3)\n"
+    assert run("support-contain", "G2", "5", "2") == (EXIT_NEGATIVE, text)
+
+
+def test_finite_conjecture_lists_the_missing_components(monkeypatch):
+    failed = ConjectureReport("G2", 5, 2, [(7, 7), (1, 1)], [(7, 7)], [(1, 1)], FAILS)
+    monkeypatch.setattr("rho_tensor.cli.verify_conjecture", lambda *args: failed)
+    code, text = run("conjecture", "G2", "5", "2")
+    assert code == EXIT_NEGATIVE
+    assert text.splitlines() == [
+        "G2  m=5 n=2  verdict=FAILS  predicted=2 present=1 missing=1",
+        "missing components:",
+        "  (1,1)",
+    ]
+    code, text = run("conjecture", "G2", "5", "2", "--format", "csv")
+    assert code == EXIT_NEGATIVE and text.splitlines()[1:] == ["7 7,present", "1 1,missing"]
+
+
 def test_saturate_command():
     code, text = run("saturate", "B2", "5,5", "2,2", "7,7", "1")
     assert code == EXIT_OK and "IS" in text
@@ -302,6 +324,19 @@ def test_scan_case_error_is_exit_3(monkeypatch, capsys):
         code, text = run("scan", "A1", "--max-sum", "1", "--format", fmt)
         assert code == EXIT_INTERNAL and text.count("ERROR") == 2
         assert capsys.readouterr().err == reasons
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("gko", "A1~", "1", "2"), "gko requires m >= n >= 0, got m=1, n=2"),
+        (("cache", "warm"), "cache warm requires an algebra and --up-to bound"),
+    ],
+    ids=["gko m < n", "cache warm without algebra"],
+)
+def test_arguments_the_command_refuses_are_exit_2(capsys, argv, message):
+    assert run(*argv) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_cache_commands(tmp_path, monkeypatch):

@@ -113,6 +113,12 @@ def test_naive_scan_n_zero(b2):
     assert set(absent) == set(below) - {(3, 3)}
 
 
+@pytest.mark.parametrize("m,n", [(1, 2), (2, -1)])
+def test_naive_scan_requires_m_ge_n_ge_0(b2, m, n):
+    with pytest.raises(AlgebraError, match=f"naive_condition_scan requires m >= n >= 0, got m={m}, n={n}"):
+        naive_condition_scan(b2, m, n)
+
+
 def test_support_containment(a1, g2):
     for m, n in [(5, 2), (4, 3), (3, 0)]:
         assert support_containment_check(g2, m, n).holds

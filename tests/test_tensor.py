@@ -84,6 +84,15 @@ def test_contains_component(b2):
     assert contains_component(b2, (2, 1), (1, 2), (3, 3))  # Cartan component
 
 
+def test_non_dominant_weights_are_rejected(b2):
+    with pytest.raises(AlgebraError, match=r"klimyk requires dominant weights, got \(1, -1\)"):
+        klimyk(b2, (1, 1), (1, -1))
+    with pytest.raises(AlgebraError, match=r"oracle_decompose requires dominant weights, got \(-1, 2\)"):
+        oracle_decompose(b2, (-1, 2), (1, 1))
+    with pytest.raises(AlgebraError, match=r"contains_component requires a dominant nu, got \(3, -1\)"):
+        contains_component(b2, (1, 1), (1, 1), (3, -1))
+
+
 def test_saturation_check(b2, a2):
     # d = 1 reduces to plain membership
     assert saturation_check(b2, (5, 5), (2, 2), (7, 7), 1)
@@ -114,6 +123,8 @@ def test_schur_compare_reflexive_and_reference(g2, b2):
     # and the comparison is strict somewhere, so the reverse direction fails
     rev = schur_compare(b, a)
     assert not rev.dominates and rev.witnesses
+    with pytest.raises(AlgebraError, match="cannot compare decompositions over G2 and B2"):
+        schur_compare(a, klimyk(b2, (5, 5), (2, 2)))
     with pytest.raises(AlgebraError):
         schur_compare(klimyk(b2, (1, 1), (1, 1)), klimyk(b2, (2, 2), (1, 1)))
 
