@@ -354,7 +354,7 @@ def freudenthal_slices(
                 for j in range(1, jmax + 1):
                     nu = tuple(map(add, nu, fund))
                     if dominant_of is None:
-                        dom = to_dominant(nu)[0]
+                        dom = nu if min(nu) >= 0 else to_dominant(nu)[0]
                     else:
                         dom = dominant_of.get(nu)
                         if dom is None:

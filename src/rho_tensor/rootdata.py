@@ -300,7 +300,8 @@ class RootSystem:
             eps = -eps
 
     def is_dominant(self, w: Weight) -> bool:
-        return all(x >= 0 for x in w)
+        """Every coordinate of ``w`` is non-negative: ``w`` is in the dominant chamber."""
+        return min(w) >= 0
 
     def orbit(self, w: Weight) -> list[Weight]:
         """The full Weyl orbit of ``w`` (finite type only), no duplicates."""
@@ -314,16 +315,24 @@ class RootSystem:
 
     # -- representation-theoretic helpers -----------------------------------
 
-    def weyl_dimension(self, lam: Weight) -> int:
-        """dim V(lam) = prod <lam+rho, alpha^vee> / prod <rho, alpha^vee> (finite type),
-        each pairing one addition by ``coroot_steps``."""
-        self._require_finite()
-        if not self.is_dominant(lam):
-            raise AlgebraError(f"weyl_dimension requires a dominant weight, got {lam}")
+    def weyl_numerator(self, lam: Weight) -> int:
+        """``prod <lam+rho, alpha^vee>`` over the positive coroots, each
+        pairing one addition by ``coroot_steps``; no checks. Over the integral
+        weights this is ``weyl_denominator`` times a signed dimension: that of
+        the dominant ``mu`` with ``mu + rho = w(lam + rho)``, signed by ``w``,
+        and 0 for ``lam + rho`` on a wall."""
         pairings = [x + 1 for x in lam]  # <lam+rho, alpha_i^vee>, then the other coroots'
         for j, i in self.coroot_steps:
             pairings.append(pairings[j] + pairings[i])
-        num = prod(pairings)
+        return prod(pairings)
+
+    def weyl_dimension(self, lam: Weight) -> int:
+        """dim V(lam) = :meth:`weyl_numerator` / ``weyl_denominator`` for a
+        dominant ``lam`` (finite type); a remainder is an invariant failure."""
+        self._require_finite()
+        if not self.is_dominant(lam):
+            raise AlgebraError(f"weyl_dimension requires a dominant weight, got {lam}")
+        num = self.weyl_numerator(lam)
         q, r = divmod(num, self.weyl_denominator)
         if r:
             raise InvariantError(f"Weyl dimension of {lam} is not integral: {num}/{self.weyl_denominator}")
@@ -467,9 +476,12 @@ def weyl_orbit(rs: RootSystem, w: Weight) -> list[Weight]:
     coordinate ``f`` of ``u`` both always hold, as ``A[j][i] <= 0 < u_i``;
     past ``f`` they can hold only at a neighbour of ``f``, since ``u_f < 0``.
     Each child is built by touching ``i`` and its neighbours only.
+
+    A dominant ``w``, as every caller in the library passes, is the root
+    itself; any other is reflected to it first by :meth:`RootSystem.to_dominant`.
     """
     nodes = rs.dynkin_nodes
-    orbit = [rs.to_dominant(w)[0]]
+    orbit = [w if min(w) >= 0 else rs.to_dominant(w)[0]]
     append = orbit.append
     for u in orbit:  # the list grows while it is read: each child is visited in turn
         for f, uf in enumerate(u):  # f stops at the first negative coordinate

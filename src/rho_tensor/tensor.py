@@ -7,6 +7,11 @@ wall) accumulates. The unreflected terms, ``big + nu`` dominant, make up the
 translated set, which must contain every component: each component of V(lam)
 (x) V(mu) is lam plus a weight of V(mu). ``oracle_decompose`` multiplies full
 characters as formal weight sums and peels highest weights; the two must agree.
+
+Both check what they return with :func:`_check_decomposition`: positive
+multiplicities, the Cartan component once, and dimension conservation as one
+sum of Weyl numerators with one division, so the check costs one pairing walk
+per component.
 """
 
 from __future__ import annotations
@@ -43,7 +48,15 @@ class Decomposition:
         return sorted(self.components.items())
 
 
-def _check_decomposition(rs: RootSystem, dec: Decomposition) -> None:
+def _check_decomposition(rs: RootSystem, dec: Decomposition, dims: tuple[int, int] | None = None) -> None:
+    """Raise :class:`InvariantError` unless every multiplicity of ``dec`` is
+    positive, the Cartan component ``lhs + rhs`` has multiplicity 1, and the
+    dimensions are conserved: ``sum m * dim V(nu)`` over the components equals
+    ``dim V(lhs) * dim V(rhs)``. The sum is taken over Weyl numerators
+    (:meth:`RootSystem.weyl_numerator`) and divided once by the Weyl
+    denominator; a remainder, which no integral weight can leave, fails too.
+    ``dims`` are the factors' dimensions, in the order ``(lhs, rhs)``, where the
+    caller has them; without them they are computed here."""
     bad = {nu: m for nu, m in dec.components.items() if m <= 0}
     if bad:
         raise InvariantError(f"non-positive outer multiplicities in {dec.lhs} (x) {dec.rhs}: {bad}")
@@ -53,12 +66,15 @@ def _check_decomposition(rs: RootSystem, dec: Decomposition) -> None:
             f"Cartan component of {dec.lhs} (x) {dec.rhs} has multiplicity "
             f"{dec.components.get(cartan)}, expected 1"
         )
-    total = sum(m * rs.weyl_dimension(nu) for nu, m in dec.components.items())
-    expected = rs.weyl_dimension(dec.lhs) * rs.weyl_dimension(dec.rhs)
-    if total != expected:
-        raise InvariantError(
-            f"dimension conservation failed for {dec.lhs} (x) {dec.rhs}: {total} != {expected}"
-        )
+    if dims is None:
+        dims = (rs.weyl_dimension(dec.lhs), rs.weyl_dimension(dec.rhs))
+    expected = dims[0] * dims[1]
+    numerator = rs.weyl_numerator
+    num = sum(m * numerator(nu) for nu, m in dec.components.items())
+    total, rem = divmod(num, rs.weyl_denominator)
+    if rem or total != expected:
+        got = f"{num}/{rs.weyl_denominator}" if rem else total
+        raise InvariantError(f"dimension conservation failed for {dec.lhs} (x) {dec.rhs}: {got} != {expected}")
 
 
 def klimyk_pass(rs: RootSystem, orbits, terms) -> set[Weight]:
@@ -90,12 +106,15 @@ def klimyk(rs: RootSystem, lam: Weight, mu: Weight, cache: CharCache | None = No
     """Decompose V(lam) (x) V(mu) by one :func:`klimyk_pass` of ``big + rho``
     over the weights of the smaller-dimensional factor ``small`` (ties toward
     ``mu``), the other factor being ``big``. The terms added without a
-    reflection form ``translated``, which must hold the support."""
+    reflection form ``translated``, which must hold the support. The two
+    dimensions that pick ``small`` are those the conservation check of
+    :func:`_check_decomposition` reads."""
     rs._require_finite()
     for w in (lam, mu):
         if not rs.is_dominant(w):
             raise AlgebraError(f"klimyk requires dominant weights, got {w}")
-    if rs.weyl_dimension(lam) < rs.weyl_dimension(mu):
+    dims = (rs.weyl_dimension(lam), rs.weyl_dimension(mu))
+    if dims[0] < dims[1]:
         big, small = mu, lam
     else:
         big, small = lam, mu
@@ -120,7 +139,7 @@ def klimyk(rs: RootSystem, lam: Weight, mu: Weight, cache: CharCache | None = No
             f"{ {k: v for k, v in components.items() if v < 0} }"
         )
     dec = Decomposition(str(rs.algebra), lam, mu, components, translated)
-    _check_decomposition(rs, dec)
+    _check_decomposition(rs, dec, dims)
     return dec
 
 

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from rho_tensor import affine
+from rho_tensor import affine, tensor
 from rho_tensor.affine import affine_rho, truncated_tensor
 from rho_tensor.charcalc import freudenthal
 from rho_tensor.rootdata import RootSystem, build_root_system
@@ -115,3 +115,31 @@ def inflated_top_component(monkeypatch):
     ``rho (x) rho`` the component ``(2,2)`` then has multiplicity 2, above
     the multiplicity 1 of ``(1,1)`` in ``V(rho)`` (the PRV bound)."""
     _perturb_sums(monkeypatch, 0, (2, 2), 1)
+
+
+def _perturb_klimyk_sums(monkeypatch, w, by):
+    klimyk_pass = tensor.klimyk_pass
+
+    def perturbed(rs, orbits, terms):
+        unreflected = klimyk_pass(rs, orbits, terms)
+        y = tuple(x + 1 for x in w)  # the sums are keyed by weight + rho
+        for _, _, target in terms:
+            target[y] = target.get(y, 0) + by
+        return unreflected
+
+    monkeypatch.setattr(tensor, "klimyk_pass", perturbed)
+
+
+@pytest.fixture
+def raised_klimyk_component(monkeypatch):
+    """Add 1 to the Klimyk sum at ``(1,0)`` of every finite product: in B2
+    ``(2,1) (x) (1,1)`` the component ``(1,0)``, of dimension 5, then has
+    multiplicity 2."""
+    _perturb_klimyk_sums(monkeypatch, (1, 0), 1)
+
+
+@pytest.fixture
+def raised_klimyk_cartan(monkeypatch):
+    """Add 1 to the Klimyk sum at ``(3,2)`` of every finite product: in B2
+    ``(2,1) (x) (1,1)`` the Cartan component then has multiplicity 2."""
+    _perturb_klimyk_sums(monkeypatch, (3, 2), 1)

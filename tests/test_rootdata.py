@@ -145,6 +145,27 @@ def test_weyl_dimension_checks_integrality(b2):
         broken.weyl_dimension(b2.rho)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(POSROOT_COUNTS)), st.data())
+def test_weyl_numerator_is_the_denominator_times_a_signed_dimension(name, data):
+    # weyl_denominator * dim V(lam) at a dominant lam; at any integral w, the dimension at
+    # the dominant point of w + rho's orbit, signed by the reflections, and 0 on a wall
+    rs = build_root_system(name)
+    lam = data.draw(st.tuples(*[st.integers(0, 3)] * rs.rank))
+    assert rs.weyl_numerator(lam) == rs.weyl_dimension(lam) * rs.weyl_denominator
+    w = data.draw(st.tuples(*[st.integers(-4, 4)] * rs.rank))
+    y, sign = rs.to_dominant(tuple(x + 1 for x in w))
+    signed = sign and sign * rs.weyl_dimension(tuple(x - 1 for x in y))
+    assert rs.weyl_numerator(w) == signed * rs.weyl_denominator
+
+
+def test_weyl_orbit_starts_at_the_dominant_representative(b2, g2):
+    for rs, w in [(b2, (2, 1)), (b2, (-2, 3)), (g2, (0, 2)), (g2, (1, -4))]:
+        dom = rs.to_dominant(w)[0]
+        orbit = weyl_orbit(rs, w)
+        assert orbit[0] == dom and orbit == weyl_orbit(rs, dom)
+
+
 def test_root_data_holds_no_fractions():
     def leaves(x):
         if isinstance(x, tuple):

@@ -1,15 +1,18 @@
 """Klimyk decomposition, the brute-force oracle, and comparison utilities."""
 
 import random
-from itertools import combinations_with_replacement
+from functools import cache
+from itertools import combinations_with_replacement, product
 from operator import add
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rho_tensor.charcalc import freudenthal
-from rho_tensor.rootdata import AlgebraError, InvariantError, build_root_system
+from rho_tensor.rootdata import AlgebraError, InvariantError, RootSystem, build_root_system
 from rho_tensor.tensor import (
+    Decomposition,
+    _check_decomposition,
     contains_component,
     klimyk,
     oracle_decompose,
@@ -186,6 +189,102 @@ def test_translated_set_is_big_plus_the_weights_of_small(name, lam, mu):
     big, small = (mu, lam) if rs.weyl_dimension(lam) < rs.weyl_dimension(mu) else (lam, mu)
     shifted = (tuple(a + b for a, b in zip(big, nu)) for nu in freudenthal(rs, small).full_weights(rs))
     assert klimyk(rs, lam, mu).translated == {w for w in shifted if rs.is_dominant(w)}
+
+
+def test_a_raised_component_fails_conservation(raised_klimyk_component):
+    # 40 * 16 = 640, and the extra (1,0) adds 5
+    with pytest.raises(InvariantError, match=r"^dimension conservation failed for \(2, 1\) \(x\) \(1, 1\): 645 != 640$"):
+        klimyk(build_root_system("B2"), (2, 1), (1, 1))
+
+
+def test_a_raised_cartan_component_fails_the_cartan_check(raised_klimyk_cartan):
+    with pytest.raises(
+        InvariantError, match=r"^Cartan component of \(2, 1\) \(x\) \(1, 1\) has multiplicity 2, expected 1$"
+    ):
+        klimyk(build_root_system("B2"), (2, 1), (1, 1))
+
+
+B2_VECTOR_SQUARED = {(2, 0): 1, (0, 2): 1, (0, 0): 1}  # 5 * 5 = 14 + 10 + 1
+
+
+@pytest.mark.parametrize(
+    "components,message",
+    [
+        ({**B2_VECTOR_SQUARED, (0, 0): 0}, r"^non-positive outer multiplicities in \(1, 0\) \(x\) \(1, 0\): \{\(0, 0\): 0\}$"),
+        ({**B2_VECTOR_SQUARED, (0, 2): -1}, r"^non-positive outer multiplicities in .*: \{\(0, 2\): -1\}$"),
+        ({(0, 2): 1, (0, 0): 1}, r"^Cartan component of \(1, 0\) \(x\) \(1, 0\) has multiplicity None, expected 1$"),
+        ({**B2_VECTOR_SQUARED, (2, 0): 2}, r"^Cartan component of .* has multiplicity 2, expected 1$"),
+        ({(2, 0): 1, (0, 2): 1}, r"^dimension conservation failed for \(1, 0\) \(x\) \(1, 0\): 24 != 25$"),
+        ({**B2_VECTOR_SQUARED, (0, 0): 2}, r"^dimension conservation failed for .*: 26 != 25$"),
+        ({**B2_VECTOR_SQUARED, (1, 0): 1}, r"^dimension conservation failed for .*: 30 != 25$"),
+    ],
+    ids=["zero", "negative", "no-cartan", "double-cartan", "missing", "raised", "extra"],
+)
+def test_check_decomposition_without_dims(b2, components, message):
+    # the oracle_decompose path: the factors' dimensions are computed in the check
+    dec = Decomposition("B2", (1, 0), (1, 0), components)
+    with pytest.raises(InvariantError, match=message):
+        _check_decomposition(b2, dec)
+
+
+def test_check_decomposition_reads_the_dims_it_is_given(b2):
+    dec = Decomposition("B2", (1, 0), (1, 0), B2_VECTOR_SQUARED)
+    _check_decomposition(b2, dec)
+    _check_decomposition(b2, dec, (5, 5))
+    with pytest.raises(InvariantError, match=r"^dimension conservation failed for .*: 25 != 30$"):
+        _check_decomposition(b2, dec, (5, 6))
+
+
+def test_a_numerator_sum_off_the_denominator_fails_conservation(b2, monkeypatch):
+    # no integral weight leaves a remainder, so shift one numerator by 1: the quotient
+    # is still 25, and only the remainder tells
+    numerator = RootSystem.weyl_numerator
+    monkeypatch.setattr(RootSystem, "weyl_numerator", lambda rs, lam: numerator(rs, lam) + (lam == (0, 0)))
+    dec = Decomposition("B2", (1, 0), (1, 0), B2_VECTOR_SQUARED)
+    with pytest.raises(InvariantError, match=r"^dimension conservation failed for .*: 151/6 != 25$"):
+        _check_decomposition(b2, dec, (5, 5))
+
+
+CONSERVATION_MAX_DIM = 5_000
+
+
+@cache
+def _bounded_pairs(name):
+    rs = build_root_system(name)
+    box = product(range(3 if rs.rank <= 2 else 2), repeat=rs.rank)
+    weights = [w for w in box if rs.weyl_dimension(w) <= CONSERVATION_MAX_DIM]
+    return [
+        (name, lam, mu) for lam in weights for mu in weights
+        if rs.weyl_dimension(lam) * rs.weyl_dimension(mu) <= CONSERVATION_MAX_DIM
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["A1", "A2", "A3", "B2", "B3", "C3", "G2", "D4"]).flatmap(lambda n: st.sampled_from(_bounded_pairs(n))),
+    st.integers(-2, 2),
+    st.integers(0, 1_000),
+)
+def test_conservation_check_against_the_weyl_dimension_sum(case, shift, pick):
+    # the check raises exactly when sum m * dim V(nu) differs from the product of the
+    # factors' dimensions, with one non-Cartan multiplicity shifted and kept positive
+    name, lam, mu = case
+    rs = build_root_system(name)
+    components = dict(klimyk(rs, lam, mu).components)
+    cartan = tuple(map(add, lam, mu))
+    others = sorted(nu for nu in components if nu != cartan)
+    if others:
+        nu = others[pick % len(others)]
+        components[nu] = max(1, components[nu] + shift)
+    dec = Decomposition(name, lam, mu, components)
+    dims = (rs.weyl_dimension(lam), rs.weyl_dimension(mu))
+    total = sum(m * rs.weyl_dimension(nu) for nu, m in components.items())
+    for given_dims in (None, dims):
+        if total != dims[0] * dims[1]:
+            with pytest.raises(InvariantError, match=rf"^dimension conservation failed .*: {total} != {dims[0] * dims[1]}$"):
+                _check_decomposition(rs, dec, given_dims)
+        else:
+            _check_decomposition(rs, dec, given_dims)
 
 
 def test_component_outside_the_translated_set_is_an_invariant_failure(misplaced_reflections):
