@@ -288,11 +288,13 @@ def _numerator_sums(
     sum reaches, ``S(x, d) = sum eps [L_(d - n_0) (x) V(v - rho) : V(x)]``
     over the ``terms`` ``(n_0, v, eps)`` of :func:`_numerator_terms`, ``L_e``
     slice ``e`` of ``char``: one :func:`rho_tensor.tensor.klimyk_pass` per
-    slice. Entries that sum to zero are kept."""
+    slice, over the shifted orbits ``v + W mu``, one :func:`weyl_orbit` per
+    ``(mu, term)``. Entries that sum to zero are kept."""
     sums: list[dict[Weight, int]] = [dict() for _ in range(depth + 1)]  # keyed by x + rho
     for e, sl in enumerate(char.slices):
-        orbits = ((m, weyl_orbit(rs, mu)) for mu, m in sl.items())
-        klimyk_pass(rs, orbits, [(v, eps, sums[e + n0]) for n0, v, eps in terms if e + n0 <= depth])
+        reached = [(v, eps, sums[e + n0]) for n0, v, eps in terms if e + n0 <= depth]
+        orbits = ((eps * m, weyl_orbit(rs, mu, v), target) for mu, m in sl.items() for v, eps, target in reached)
+        klimyk_pass(rs, orbits)
     rho = (1,) * rs.rank
     return [{tuple(map(sub, y, rho)): s for y, s in sl.items()} for sl in sums]
 

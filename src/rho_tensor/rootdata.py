@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm, prod
-from operator import mul
+from operator import add, mul
 from typing import NamedTuple
 
 Weight = tuple[int, ...]
@@ -162,13 +162,30 @@ class DynkinNode(NamedTuple):
     ``i`` to ``-u_i`` and subtracts ``u_i A[j][i]`` at each neighbour ``j``;
     every other coordinate stays. ``neighbours`` holds ``(j, A[j][i])`` over
     the neighbours in increasing ``j``; the other three fields split the
-    nodes for :func:`weyl_orbit`'s test on the coordinates before ``i``.
+    nodes for Snow's child test on the coordinates before ``i``, which
+    :func:`weyl_orbit` runs only on the first walk of each zero pattern, so
+    they are read once per pattern.
     """
 
     neighbours: tuple[tuple[int, int], ...]
     earlier_neighbours: tuple[tuple[int, int], ...]  # the pairs with j < i
     later_neighbours: tuple[int, ...]  # the neighbours j > i
     earlier_others: tuple[int, ...]  # the j < i that are not neighbours
+
+
+class _OrbitChildren(dict):
+    """``{mask: ((i, neighbours of i), ...)}`` over the nodes ``i`` of the
+    bitmask, increasing: the reflections a replay of :func:`weyl_orbit`
+    applies at one orbit point, in Snow's order. A bitmask is decoded the
+    first time it is looked up."""
+
+    def __init__(self, nodes: tuple[DynkinNode, ...]):
+        super().__init__()
+        self.nodes = nodes
+
+    def __missing__(self, mask: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+        steps = self[mask] = tuple((i, node.neighbours) for i, node in enumerate(self.nodes) if mask >> i & 1)
+        return steps
 
 
 def _dynkin_nodes(cartan: list[list[int]]) -> tuple[DynkinNode, ...]:
@@ -209,8 +226,13 @@ class RootSystem:
     The normalized invariant form (long roots have squared length 2) is
     scaled by ``form_scale``: ``form_ww`` is the Gram matrix of the
     fundamental weights and ``form_d`` holds ``(omega_i|alpha_i) = d_i``.
+    ``orbit_shapes`` and ``orbit_children`` record the trees of
+    :func:`weyl_orbit`, once per zero pattern of a dominant weight; they are
+    not dataclass fields, and each root system built has its own.
     Safe to share across threads: every operation is a pure function of its
-    inputs.
+    inputs. The memos (``height_row``, ``orbit_shapes``, ``orbit_children``)
+    are filled lazily, each entry stored whole once computed, so a race only
+    computes and writes the same value twice.
     """
 
     algebra: AlgebraId
@@ -303,10 +325,25 @@ class RootSystem:
         """Every coordinate of ``w`` is non-negative: ``w`` is in the dominant chamber."""
         return min(w) >= 0
 
-    def orbit(self, w: Weight) -> list[Weight]:
-        """The full Weyl orbit of ``w`` (finite type only), no duplicates."""
+    def orbit(self, w: Weight, v: Weight | None = None) -> list[Weight]:
+        """The full Weyl orbit of ``w`` (finite type only), no duplicates,
+        shifted by ``v`` if given: :func:`weyl_orbit`."""
         self._require_finite()
-        return weyl_orbit(self, w)
+        return weyl_orbit(self, w, v)
+
+    @cached_property
+    def orbit_shapes(self) -> dict[tuple[bool, ...], bytearray | list[int]]:
+        """Snow's tree of :func:`weyl_orbit` per zero pattern ``tuple(map(bool,
+        mu))`` of a dominant ``mu``, filled as patterns are met: the bitmask of
+        the nodes whose children each orbit point builds, one byte per point
+        up to rank 8."""
+        return {}
+
+    @cached_property
+    def orbit_children(self) -> _OrbitChildren:
+        """The children of each bitmask in :attr:`orbit_shapes`, decoded on a
+        replay's first use of the bitmask (:class:`_OrbitChildren`)."""
+        return _OrbitChildren(self.dynkin_nodes)
 
     # -- the invariant form, scaled by form_scale -----------------------------
 
@@ -461,13 +498,60 @@ def parse_weight(text: str, rank: int) -> Weight:
     return coords
 
 
-def weyl_orbit(rs: RootSystem, w: Weight) -> list[Weight]:
+def weyl_orbit(rs: RootSystem, w: Weight, v: Weight | None = None) -> list[Weight]:
     """The orbit of the classical weight ``w`` under the finite Weyl group
-    (of the underlying finite algebra for an affine ``rs``), each element once,
-    in no specified order: the tree that :meth:`RootSystem.to_dominant` climbs,
-    walked down from the dominant representative. The children of ``u`` are
-    the ``s_i u`` with ``u_i > 0`` whose first negative coordinate is ``i``
-    (Snow, *Weyl group orbits*, ACM TOMS 1990).
+    (of the underlying finite algebra for an affine ``rs``), each element
+    once, shifted by ``v`` if given: ``weyl_orbit(rs, w, v)`` is ``[v + x for
+    x in weyl_orbit(rs, w)]``, built with no per-point addition. The order is
+    that of the tree that :meth:`RootSystem.to_dominant` climbs, walked down
+    breadth-first from the dominant representative ``mu``: the children of
+    ``u`` are the ``s_i u`` with ``u_i > 0`` whose first negative coordinate
+    is ``i``, by increasing ``i`` (Snow, *Weyl group orbits*, ACM TOMS 1990).
+
+    The tree's shape depends only on the zero pattern ``J`` of ``mu``: every
+    test is the sign of a coordinate ``<mu, w^-1 alpha_i^vee>`` of some ``w
+    mu``, fixed by ``w`` and ``J`` alone. So the first walk of a pattern runs
+    Snow's test and records, per point, the bitmask of the nodes whose
+    children it builds, in :attr:`RootSystem.orbit_shapes`; it is shifted in
+    place once recorded. Every later walk with that pattern replays those
+    reflections from ``v + mu``: the child ``v + s_i x`` of ``v + x`` is ``v +
+    x - x_i alpha_i``, built by touching ``i`` and its neighbours only. A
+    plain orbit is a zero shift.
+
+    A dominant ``w``, as every caller in the library passes, is the root
+    itself; any other is reflected to it first by :meth:`RootSystem.to_dominant`.
+    """
+    mu = w if min(w) >= 0 else rs.to_dominant(w)[0]
+    key = tuple(map(bool, mu))
+    masks = rs.orbit_shapes.get(key)
+    if masks is None:
+        orbit = _record_orbit(rs, mu, key)
+        if v is not None:
+            for k, x in enumerate(orbit):  # in place: never two lists of points at once
+                orbit[k] = tuple(map(add, v, x))
+        return orbit
+    children = rs.orbit_children
+    if v is None:
+        v = (0,) * len(mu)
+        orbit = [mu]
+    else:
+        orbit = [tuple(map(add, v, mu))]
+    append = orbit.append
+    for u, mask in zip(orbit, masks):  # the list grows while it is read
+        for i, near in children[mask]:
+            x = u[i] - v[i]
+            child = list(u)
+            child[i] -= 2 * x
+            for j, a in near:
+                child[j] -= x * a
+            append(tuple(child))
+    return orbit
+
+
+def _record_orbit(rs: RootSystem, mu: Weight, key: tuple[bool, ...]) -> list[Weight]:
+    """Snow's walk of the orbit of the dominant ``mu`` for :func:`weyl_orbit`,
+    recording its shape under the zero pattern ``key`` in
+    :attr:`RootSystem.orbit_shapes`.
 
     The test builds no child. Below ``i``, ``s_i u`` agrees with ``u`` except
     at the neighbours ``j`` of ``i``, where it is ``u_j - u_i A[j][i]``; so
@@ -476,14 +560,14 @@ def weyl_orbit(rs: RootSystem, w: Weight) -> list[Weight]:
     coordinate ``f`` of ``u`` both always hold, as ``A[j][i] <= 0 < u_i``;
     past ``f`` they can hold only at a neighbour of ``f``, since ``u_f < 0``.
     Each child is built by touching ``i`` and its neighbours only.
-
-    A dominant ``w``, as every caller in the library passes, is the root
-    itself; any other is reflected to it first by :meth:`RootSystem.to_dominant`.
     """
     nodes = rs.dynkin_nodes
-    orbit = [w if min(w) >= 0 else rs.to_dominant(w)[0]]
+    orbit = [mu]
     append = orbit.append
+    masks = bytearray() if len(mu) <= 8 else []
+    record = masks.append
     for u in orbit:  # the list grows while it is read: each child is visited in turn
+        mask = 0
         for f, uf in enumerate(u):  # f stops at the first negative coordinate
             if uf > 0:
                 child = list(u)
@@ -491,28 +575,30 @@ def weyl_orbit(rs: RootSystem, w: Weight) -> list[Weight]:
                 for j, a in nodes[f].neighbours:
                     child[j] -= uf * a
                 append(tuple(child))
+                mask |= 1 << f
             elif uf < 0:
+                for i in nodes[f].later_neighbours:
+                    ui = u[i]
+                    if ui > 0:
+                        node = nodes[i]
+                        # plain loops: all() over generators doubled the walk's time
+                        for j in node.earlier_others:
+                            if u[j] < 0:
+                                break
+                        else:
+                            for j, a in node.earlier_neighbours:
+                                if u[j] < ui * a:
+                                    break
+                            else:
+                                child = list(u)
+                                child[i] = -ui
+                                for j, a in node.neighbours:
+                                    child[j] -= ui * a
+                                append(tuple(child))
+                                mask |= 1 << i
                 break
-        else:
-            continue
-        for i in nodes[f].later_neighbours:
-            ui = u[i]
-            if ui > 0:
-                node = nodes[i]
-                # plain loops: all() over generators doubled the walk's time
-                for j in node.earlier_others:
-                    if u[j] < 0:
-                        break
-                else:
-                    for j, a in node.earlier_neighbours:
-                        if u[j] < ui * a:
-                            break
-                    else:
-                        child = list(u)
-                        child[i] = -ui
-                        for j, a in node.neighbours:
-                            child[j] -= ui * a
-                        append(tuple(child))
+        record(mask)
+    rs.orbit_shapes[key] = masks
     return orbit
 
 

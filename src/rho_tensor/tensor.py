@@ -3,10 +3,13 @@
 The production path is the Klimyk algorithm, one :func:`klimyk_pass` (shared
 with :mod:`rho_tensor.affine`) over the weights ``nu`` of the smaller factor:
 ``big + nu + rho`` reflected to the dominant chamber with its sign (0 on a
-wall) accumulates. The unreflected terms, ``big + nu`` dominant, make up the
-translated set, which must contain every component: each component of V(lam)
-(x) V(mu) is lam plus a weight of V(mu). ``oracle_decompose`` multiplies full
-characters as formal weight sums and peels highest weights; the two must agree.
+wall) accumulates. The points ``big + rho + W mu`` come shifted from
+:meth:`RootSystem.orbit`, one orbit per dominant weight ``mu`` of the smaller
+factor, replayed from a tree recorded once per zero pattern. The unreflected
+terms, ``big + nu`` dominant, make up the translated set, which must contain
+every component: each component of V(lam) (x) V(mu) is lam plus a weight of
+V(mu). ``oracle_decompose`` multiplies full characters as formal weight sums
+and peels highest weights; the two must agree.
 
 Both check what they return with :func:`_check_decomposition`: positive
 multiplicities, the Cartan component once, and dimension conservation as one
@@ -77,38 +80,40 @@ def _check_decomposition(rs: RootSystem, dec: Decomposition, dims: tuple[int, in
         raise InvariantError(f"dimension conservation failed for {dec.lhs} (x) {dec.rhs}: {got} != {expected}")
 
 
-def klimyk_pass(rs: RootSystem, orbits, terms) -> set[Weight]:
-    """For every weight ``nu`` of every ``(m, orbit)`` in ``orbits`` (``orbit``
-    a list, walked once per term) and every term ``(v, eps, target)``, add
-    ``eps * m`` times the sign of the reflection into ``target`` at ``y``,
-    ``v + nu`` reflected to the dominant chamber. Each ``v`` is a weight plus
-    rho, so ``y`` is keyed as a dominant weight plus rho, and a ``y`` on a wall
-    drops out. Sums that cancel to zero are kept. Returns the ``y`` added
-    without a reflection."""
+def klimyk_pass(rs: RootSystem, orbits) -> set[Weight]:
+    """For every ``(c, points, target)`` in ``orbits`` and every ``y`` in
+    ``points``, a shifted orbit ``v + W mu`` (:func:`rho_tensor.rootdata.weyl_orbit`
+    with a shift ``v``), add ``c`` times the sign of the reflection into
+    ``target`` at ``y`` reflected to the dominant chamber. Each ``v`` is a
+    weight plus rho, so ``y`` is keyed as a dominant weight plus rho, and a
+    ``y`` on a wall drops out. Sums that cancel to zero are kept. Returns the
+    ``y`` added without a reflection."""
     to_dominant = rs.to_dominant
     unreflected: set[Weight] = set()
-    for m, orbit in orbits:
-        for v, eps, target in terms:
-            c = eps * m
-            for nu in orbit:
-                y = tuple(map(add, v, nu))
-                if min(y) > 0:  # v + nu is dominant: no reflection
+    for c, points, target in orbits:
+        for y in points:
+            if min(y) > 0:  # y is dominant: no reflection
+                if y not in unreflected:
+                    # a key outlives the orbit: keep a copy, as the orbit's own
+                    # tuple would pin the memory of the freed orbit around it
+                    y = (*y,)
                     unreflected.add(y)
-                    target[y] = target.get(y, 0) + c
-                elif 0 not in y:  # else on a wall: sign 0
-                    y, sign = to_dominant(y)
-                    if sign:
-                        target[y] = target.get(y, 0) + sign * c
+                target[y] = target.get(y, 0) + c
+            elif 0 not in y:  # else on a wall: sign 0
+                y, sign = to_dominant(y)
+                if sign:
+                    target[y] = target.get(y, 0) + sign * c
     return unreflected
 
 
 def klimyk(rs: RootSystem, lam: Weight, mu: Weight, cache: CharCache | None = None) -> Decomposition:
     """Decompose V(lam) (x) V(mu) by one :func:`klimyk_pass` of ``big + rho``
     over the weights of the smaller-dimensional factor ``small`` (ties toward
-    ``mu``), the other factor being ``big``. The terms added without a
-    reflection form ``translated``, which must hold the support. The two
-    dimensions that pick ``small`` are those the conservation check of
-    :func:`_check_decomposition` reads."""
+    ``mu``), the other factor being ``big``: one shifted orbit ``big + rho + W
+    nu`` from :meth:`RootSystem.orbit` per dominant weight ``nu`` of
+    ``small``. The terms added without a reflection form ``translated``,
+    which must hold the support. The two dimensions that pick ``small`` are
+    those the conservation check of :func:`_check_decomposition` reads."""
     rs._require_finite()
     for w in (lam, mu):
         if not rs.is_dominant(w):
@@ -120,9 +125,9 @@ def klimyk(rs: RootSystem, lam: Weight, mu: Weight, cache: CharCache | None = No
         big, small = lam, mu
     char = freudenthal(rs, small, cache)
     rho = (1,) * rs.rank
+    v = tuple(map(add, big, rho))
     sums: dict[Weight, int] = {}  # keyed by x + rho
-    orbits = zip(char.mults.values(), map(rs.orbit, char.mults))
-    unreflected = klimyk_pass(rs, orbits, [(tuple(map(add, big, rho)), 1, sums)])
+    unreflected = klimyk_pass(rs, ((m, rs.orbit(nu, v), sums) for nu, m in char.mults.items()))
     down = {y: tuple(map(sub, y, rho)) for y in unreflected}  # x + rho -> x, the translated set
     # before the sign check, so that a misplaced term is named whatever its sign
     extra = [tuple(map(sub, y, rho)) for y, s in sums.items() if s and y not in down]

@@ -120,10 +120,17 @@ def inflated_top_component(monkeypatch):
 def _perturb_klimyk_sums(monkeypatch, w, by):
     klimyk_pass = tensor.klimyk_pass
 
-    def perturbed(rs, orbits, terms):
-        unreflected = klimyk_pass(rs, orbits, terms)
+    def perturbed(rs, orbits):
+        targets = {}  # by id: the sums are dicts
+
+        def seen():
+            for c, points, target in orbits:
+                targets[id(target)] = target
+                yield c, points, target
+
+        unreflected = klimyk_pass(rs, seen())
         y = tuple(x + 1 for x in w)  # the sums are keyed by weight + rho
-        for _, _, target in terms:
+        for target in targets.values():
             target[y] = target.get(y, 0) + by
         return unreflected
 

@@ -1,7 +1,10 @@
 """Root datum construction, Weyl group primitives, and the form."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 from fractions import Fraction
+from itertools import product
 from math import prod
 from operator import mul
 from random import Random
@@ -18,7 +21,7 @@ from oracles import (
     to_dominant_dense,
     weyl_orbit_dense,
 )
-from rho_tensor.charcalc import freudenthal
+from rho_tensor.charcalc import dominant_weights_below, freudenthal
 from rho_tensor.rootdata import (
     AlgebraError,
     AlgebraId,
@@ -276,6 +279,86 @@ def test_weyl_orbit_on_every_dominant_weight_of_n_rho(name, n):
         assert orbit == weyl_orbit_dense(rs, mu)
         assert set(orbit) == set(orbit_by_bfs(rs, mu))
         assert len(orbit) == weyl_orbit_size(rs, mu)
+
+
+def _check_recorded_orbits(name, patterns, data):
+    # two fresh systems record every pattern, one from a plain walk of the dominant weight
+    # and one from a shifted walk started anywhere on the orbit; then another weight of
+    # each pattern replays on both, plain and shifted, once from off the chamber
+    plain, shifted = build_root_system(name), build_root_system(name)
+    v = data.draw(st.tuples(*[st.integers(-3, 3)] * plain.rank), label="v")
+
+    def draw_weight(pattern):
+        return tuple(data.draw(st.integers(1, 3)) if b else 0 for b in pattern)
+
+    def shift(orbit):
+        return [tuple(a + b for a, b in zip(v, x)) for x in orbit]
+
+    for pattern in patterns:
+        mu, nu = draw_weight(pattern), draw_weight(pattern)
+        dense_mu, dense_nu = weyl_orbit_dense(plain, mu), weyl_orbit_dense(plain, nu)
+        assert weyl_orbit(plain, mu) == dense_mu
+        start = data.draw(st.sampled_from(dense_mu), label="start")
+        assert weyl_orbit(shifted, start, v) == shift(dense_mu)
+        for rs in (plain, shifted):
+            assert len(rs.orbit_shapes[pattern]) == weyl_orbit_size(rs, mu)
+            assert weyl_orbit(rs, nu) == dense_nu
+            assert weyl_orbit(rs, nu, v) == shift(dense_nu)
+        assert weyl_orbit(plain, data.draw(st.sampled_from(dense_nu), label="off"), v) == shift(dense_nu)
+
+
+@settings(max_examples=10, deadline=None)
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "D4", "F4"])
+@given(data=st.data())
+def test_recorded_orbits_replay_every_zero_pattern(name, data):
+    # Snow's tree is recorded once per zero pattern and replayed for every other weight
+    # with that pattern: the dense walk's list, in its order, shifted or not
+    rank = build_root_system(name).rank
+    _check_recorded_orbits(name, list(product((False, True), repeat=rank)), data)
+
+
+# the dominant weights of V(rho) are those below rho
+E6_RHO_PATTERNS = sorted({tuple(map(bool, mu)) for mu in dominant_weights_below(build_root_system("E6"), (1,) * 6)})
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.lists(st.sampled_from(E6_RHO_PATTERNS), min_size=2, max_size=2, unique=True), st.data())
+def test_recorded_orbits_replay_the_e6_patterns_of_v_rho(patterns, data):
+    _check_recorded_orbits("E6", patterns, data)
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.data())
+def test_recorded_orbits_replay_past_rank_8(data):
+    # above rank 8 a bitmask no longer fits in a byte: A9 at its last node and beside it
+    patterns = [tuple(i in nodes for i in range(9)) for nodes in ((8,), (0, 8), (1,), (1, 8))]
+    _check_recorded_orbits("A9", patterns, data)
+
+
+def test_threads_sharing_a_root_system_record_and_replay_whole_orbits():
+    # eight threads race to record and replay every F4 pattern on one root system,
+    # each in its own order: every orbit is the one a lone walk gives
+    weights = [tuple(k * b for b in p) for p in product((0, 1), repeat=4) for k in (1, 2)]
+    v = (3, -1, 2, 1)
+    alone = build_root_system("F4")
+    expected = {mu: weyl_orbit(alone, mu, v) for mu in weights}
+    shared = build_root_system("F4")
+
+    def walk(seed):
+        order = weights[:]
+        Random(seed).shuffle(order)
+        return all(weyl_orbit(shared, mu, v) == expected[mu] for mu in order)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            results = [f.result(timeout=120) for f in [pool.submit(walk, seed) for seed in range(8)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [True] * 8
+    for pattern in product((0, 1), repeat=4):
+        assert len(shared.orbit_shapes[tuple(map(bool, pattern))]) == weyl_orbit_size(alone, pattern)
 
 
 @settings(max_examples=200, deadline=None)
