@@ -111,11 +111,20 @@ def affinize(rs: RootSystem, finite_w: Weight, lvl: int, delta_shift: int = 0) -
     return AffineWeight((f0,) + tuple(finite_w), delta_shift)
 
 
+def scaled_bilinear(rs: RootSystem, x: AffineWeight, y: AffineWeight) -> int:
+    """``form_scale`` times :func:`affine_bilinear`, an integer."""
+    _require_affine(rs)
+    cross = 0  # a level is read only where the other weight has a delta shift
+    if y.delta_shift:
+        cross += level(rs, x) * y.delta_shift
+    if x.delta_shift:
+        cross += level(rs, y) * x.delta_shift
+    return rs.sip_ww(x.finite, y.finite) + rs.form_scale * cross
+
+
 def affine_bilinear(rs: RootSystem, x: AffineWeight, y: AffineWeight) -> Fraction:
     """Normalized invariant form: finite part plus level/delta cross terms."""
-    _require_affine(rs)
-    cross = level(rs, x) * y.delta_shift + level(rs, y) * x.delta_shift
-    return Fraction(rs.sip_ww(x.finite, y.finite) + rs.form_scale * cross, rs.form_scale)
+    return Fraction(scaled_bilinear(rs, x, y), rs.form_scale)
 
 
 def in_affine_root_lattice(rs: RootSystem, w: AffineWeight) -> bool:
@@ -438,11 +447,10 @@ def gko_central_charge(rs: RootSystem, level_l: int, level_m: int) -> Fraction:
     if level_l < 0 or level_m < 0:
         raise AlgebraError(f"levels must be non-negative, got {level_l}, {level_m}")
     h = rs.dual_coxeter
-    dim = rs.dim_adjoint
-    return dim * (
-        Fraction(level_l, level_l + h)
-        + Fraction(level_m, level_m + h)
-        - Fraction(level_l + level_m, level_l + level_m + h)
+    kl, km, kn = level_l + h, level_m + h, level_l + level_m + h
+    return Fraction(
+        rs.dim_adjoint * (level_l * km * kn + level_m * kl * kn - (level_l + level_m) * kl * km),
+        kl * km * kn,
     )
 
 
@@ -460,11 +468,16 @@ def gko_l0_scalar(rs: RootSystem, lam: AffineWeight, mu: AffineWeight, nu: Affin
         raise AlgebraError(f"nu must have level {ll + lm}, got {level(rs, nu)}")
     h = rs.dual_coxeter
     rho2 = 2 * affine_rho(rs)
+    kl, km, kn = ll + h, lm + h, ll + lm + h
 
-    def casimir(w: AffineWeight, lv: int) -> Fraction:
-        return affine_bilinear(rs, w, w + rho2) / (lv + h)
+    def casimir(w: AffineWeight) -> int:  # form_scale * (w|w + 2 rho)
+        return scaled_bilinear(rs, w, w + rho2)
 
-    return Fraction(1, 2) * (casimir(lam, ll) + casimir(mu, lm) - casimir(nu, ll + lm))
+    # each Casimir over its level + h, summed over one common denominator
+    return Fraction(
+        casimir(lam) * km * kn + casimir(mu) * kl * kn - casimir(nu) * kl * km,
+        2 * rs.form_scale * kl * km * kn,
+    )
 
 
 def gko_positivity_certificate(rs: RootSystem, m: int, n: int, beta: AffineWeight) -> GkoReport:
@@ -490,20 +503,21 @@ def gko_positivity_certificate(rs: RootSystem, m: int, n: int, beta: AffineWeigh
         raise AlgebraError(f"beta {beta} is not a weight of V({n} rho) at its recorded shift")
     gamma = rho_n - beta
 
-    def ip(x: AffineWeight, y: AffineWeight) -> Fraction:
-        return affine_bilinear(rs, x, y)
+    def ip(x: AffineWeight, y: AffineWeight) -> int:
+        return scaled_bilinear(rs, x, y)
 
     t1 = (m + 1) * (n + 1) * ip(2 * rho_aff, gamma)
     t2 = (m + 1) * (n + 1) * (ip(rho_n, rho_n) - ip(beta, beta))
     t3 = 2 * (m + 1) * (n + 1) * ip(rho_m, gamma)
     t4 = (m + n + 2) * ip(rho_m, rho_n)
-    terms = (Fraction(t1), Fraction(t2), Fraction(t3), Fraction(t4))
-    if any(t < 0 for t in terms[:3]) or terms[3] <= 0:
+    scale = rs.form_scale
+    terms = (Fraction(t1, scale), Fraction(t2, scale), Fraction(t3, scale), Fraction(t4, scale))
+    if min(t1, t2, t3) < 0 or t4 <= 0:
         raise InvariantError(
             f"positivity certificate failed for m={m}, n={n}, beta={beta}: terms {terms}"
         )
-    denominator = Fraction(2 * h * (m + 1) * (n + 1) * (m + n + 1))
-    scalar = sum(terms) / denominator
+    denominator = 2 * h * (m + 1) * (n + 1) * (m + n + 1)
+    scalar = Fraction(t1 + t2 + t3 + t4, scale * denominator)
     verify = gko_l0_scalar(rs, rho_m, rho_n, rho_m + beta)
     if scalar != verify:
         raise InvariantError(
@@ -514,7 +528,7 @@ def gko_positivity_certificate(rs: RootSystem, m: int, n: int, beta: AffineWeigh
         central_charge=gko_central_charge(rs, m * h, n * h),
         l0_scalar=scalar,
         certificate_terms=terms,
-        denominator=denominator,
+        denominator=Fraction(denominator),
     )
 
 

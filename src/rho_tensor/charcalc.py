@@ -79,21 +79,31 @@ def dominant_weights_below(rs: RootSystem, lam: Weight) -> list[Weight]:
     of its finite part. A breadth-first descent subtracting positive roots and
     keeping only dominant results reaches every one: in the dominance order on
     dominant weights each cover differs by a positive root (Stembridge, *The
-    partial order of dominant weights*, Adv. Math. 1998)."""
+    partial order of dominant weights*, Adv. Math. 1998).
+
+    A root ``alpha`` is subtracted only when ``mu - alpha`` is dominant, tested
+    before the weight is built: with ``supp`` the pairs ``(i, a_i)`` of the
+    positive fundamental coordinates of ``alpha`` (:attr:`RootStrings.descent`),
+    the test is ``mu_i >= a_i`` on ``supp``. It is exact, because ``(mu -
+    alpha)_i = mu_i - a_i`` is at least ``mu_i >= 0`` wherever ``a_i <= 0``."""
     if not rs.is_dominant(lam):
         raise AlgebraError(f"dominant_weights_below requires a dominant weight, got {lam}")
-    steps = [(fund, sum(rc)) for fund, rc in zip(rs.positive_roots_fund, rs.positive_roots)]
+    steps = root_strings(rs).descent
     height = {lam: 0}
     frontier = [lam]
     while frontier:
         nxt = []
         for mu in frontier:
             h = height[mu]
-            for fund, ht in steps:
-                nu = tuple(map(sub, mu, fund))
-                if min(nu) >= 0 and nu not in height:
-                    height[nu] = h + ht
-                    nxt.append(nu)
+            for fund, ht, supp in steps:
+                for i, a in supp:
+                    if mu[i] < a:
+                        break
+                else:
+                    nu = tuple(map(sub, mu, fund))
+                    if nu not in height:
+                        height[nu] = h + ht
+                        nxt.append(nu)
         frontier = nxt
     return sorted(height, key=lambda mu: (height[mu], mu))
 
@@ -131,10 +141,17 @@ class RootStrings:
     its zero coordinates ``J`` and by nothing else of ``W``; the tables are
     keyed by ``tuple(map(bool, mu))``. Roots are indexed as
     ``rs.positive_roots`` followed by their negatives. The alcove points of
-    the affine candidates off the chamber are memoised here too."""
+    the affine candidates off the chamber are memoised here too, and
+    ``descent`` holds ``(fund, height, supp)`` per positive root for
+    :func:`dominant_weights_below`, ``supp`` the pairs ``(i, a_i)`` with
+    ``a_i > 0`` of its fundamental coordinates ``fund``."""
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
+        self.descent = [
+            (fund, sum(rc), tuple((i, a) for i, a in enumerate(fund) if a > 0))
+            for fund, rc in zip(rs.positive_roots_fund, rs.positive_roots)
+        ]
         self._every: dict[int, list[tuple]] = {}
         self._orbits: dict[tuple[tuple[bool, ...], int], list[tuple]] = {}
         self._sizes: dict[tuple[bool, ...], int] = {}

@@ -5,8 +5,11 @@ oracle expands the Weyl character formula numerator and denominator as
 signed formal weight sums and divides; the affine oracle does the same with
 the truncated affine Weyl group (classical reflections composed with root
 lattice translations), so agreement with the Freudenthal-based tables is a
-genuine two-route check. The product oracle counts the weights of V(rho)
-as subset sums of positive roots, and the box walks enumerate dominant weights
+genuine two-route check. Both divisions raise, instead of running on, once
+a quotient term falls below the lowest weight it could have. The product
+oracle counts the weights of V(rho) as subset sums of positive roots, its
+affine form those of V(n rho^) as a product over real and imaginary roots
+truncated in depth, and the box walks enumerate dominant weights
 and affine Freudenthal candidates over whole simple-root coordinate boxes
 instead of descending by positive roots. The full-weight peel decomposes a
 truncated affine product over every finite weight by subtracting each
@@ -201,12 +204,16 @@ def character_by_weyl_formula(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
     def height_key(w: Weight):
         return (rs.height(w), w)
 
+    # every weight of V(lam) lies above its lowest weight w0 lam
+    floor = -rs.height(rs.to_dominant(tuple(-a for a in lam))[0])
     quotient: dict[Weight, int] = {}
     residue = dict(numerator)
     while residue:
         x = max(residue, key=height_key)
         coeff = residue[x]
         mu = tuple(a - 1 for a in x)  # x = mu + rho
+        if rs.height(mu) < floor:
+            raise InvariantError(f"Weyl formula residue {mu} lies below the lowest weight of V({lam})")
         quotient[mu] = quotient.get(mu, 0) + coeff
         for y, s in denominator.items():
             key = tuple(a + b for a, b in zip(mu, y))
@@ -215,6 +222,8 @@ def character_by_weyl_formula(rs: RootSystem, lam: Weight) -> dict[Weight, int]:
                 residue[key] = acc
             else:
                 residue.pop(key, None)
+        if x in residue:
+            raise InvariantError(f"the Weyl denominator does not cancel the residue term {x}")
     assert all(m > 0 for m in quotient.values()), "oracle produced non-positive multiplicities"
     return quotient
 
@@ -234,6 +243,37 @@ def rho_character_by_product(rs: RootSystem, n: int = 1) -> dict[Weight, int]:
                 nxt[key] = nxt.get(key, 0) + m
         mults = nxt
     return mults
+
+
+def affine_rho_character_by_product(rs: RootSystem, n: int, depth: int) -> list[dict[Weight, int]]:
+    """Full (orbit-expanded) multiplicity slices of V(n rho^) down to
+    ``depth`` from the Weyl-Kac denominator identity applied as in
+    :func:`rho_character_by_product`: ch V(n rho^) = e^{n rho^} prod over the
+    positive roots of (1 + e^{-a} + ... + e^{-n a})^{mult a}. A real root
+    ``alpha + k delta`` (``alpha`` positive at ``k = 0``, any root at ``k >=
+    1``) has multiplicity one; an imaginary root ``k delta`` has multiplicity
+    the rank and drops every weight by ``k`` slices per power. Terms deeper
+    than ``depth`` are cut off."""
+    fund = rs.positive_roots_fund
+    factors = [(f, 0) for f in fund]  # (finite fund coords, depth) of each real root
+    for k in range(1, depth + 1):
+        factors += [(f, k) for f in fund] + [(tuple(-x for x in f), k) for f in fund]
+    for k in range(1, depth + 1):
+        factors += [((0,) * rs.rank, k)] * rs.rank
+    mults = {((n,) * rs.rank, 0): 1}
+    for f, k in factors:
+        nxt = dict(mults)
+        for (w, d), m in mults.items():
+            for j in range(1, n + 1):
+                if d + j * k > depth:
+                    break
+                key = (tuple(a - j * b for a, b in zip(w, f)), d + j * k)
+                nxt[key] = nxt.get(key, 0) + m
+        mults = nxt
+    slices: list[dict[Weight, int]] = [dict() for _ in range(depth + 1)]
+    for (w, d), m in mults.items():
+        slices[d][w] = m
+    return slices
 
 
 # -- the root datum in Fraction arithmetic ------------------------------------
@@ -823,6 +863,14 @@ def affine_slices_by_weyl_kac(rs: RootSystem, lam: AffineWeight, depth: int) -> 
         gamma = tuple(a - b for a, b in zip(lam_rho.finite, fin))
         return dd * ht_delta + rs.height(gamma)
 
+    # every weight of slice d lies above the lowest weight w0 (lam + d theta)
+    # of the finite part, the dominant weights of the slice being below lam + d theta
+    theta = rs.positive_roots_fund[-1]
+    floor = [
+        -rs.height(rs.to_dominant(tuple(-a - d * t for a, t in zip(lam.finite, theta)))[0])
+        for d in range(depth + 1)
+    ]
+
     # long division: peel the term closest to the top at each step
     quotient: dict[AffKey, int] = {}
     residue = dict(numerator)
@@ -831,6 +879,8 @@ def affine_slices_by_weyl_kac(rs: RootSystem, lam: AffineWeight, depth: int) -> 
         coeff = residue[x]
         fin, u = x
         mu = (tuple(a - 1 for a in fin), u)  # x = mu + rho
+        if rs.height(mu[0]) < floor[lam.delta_shift - u]:
+            raise InvariantError(f"Weyl-Kac residue {mu} lies below the lowest weight of its slice")
         quotient[mu] = quotient.get(mu, 0) + coeff
         for (yf, yu), s in denominator.items():
             ku = mu[1] + yu
@@ -842,6 +892,8 @@ def affine_slices_by_weyl_kac(rs: RootSystem, lam: AffineWeight, depth: int) -> 
                 residue[key] = acc
             else:
                 residue.pop(key, None)
+        if x in residue:
+            raise InvariantError(f"the Weyl-Kac denominator does not cancel the residue term {x}")
 
     slices: list[dict[Weight, int]] = [dict() for _ in range(depth + 1)]
     for (fin, u), m in quotient.items():

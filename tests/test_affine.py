@@ -3,6 +3,7 @@ decomposition, and the GKO coset scalars."""
 
 import copy
 import re
+import time
 from fractions import Fraction
 from itertools import product as iproduct
 from operator import add, sub
@@ -44,6 +45,7 @@ from rho_tensor.charcalc import (
 from rho_tensor.rootdata import AlgebraError, InvariantError, build_root_system, floor_root_coords
 from rho_tensor.tensor import klimyk
 
+import oracles
 from oracles import (
     _affine_nodes,
     _ball,
@@ -53,6 +55,7 @@ from oracles import (
     _rho_orbit_terms,
     _signed_affine_orbit,
     affine_candidates_by_box,
+    affine_rho_character_by_product,
     affine_slices_by_weyl_kac,
     freudenthal_slices_by_all_roots,
     truncated_tensor_by_full_peel,
@@ -147,6 +150,41 @@ def test_against_weyl_kac_oracle(name, fund, depth):
     expected = affine_slices_by_weyl_kac(rs, lam, depth)
     got = [expand_orbits(rs, sl) for sl in affine_freudenthal(rs, lam, depth).slices]
     assert got == expected
+
+
+@pytest.mark.parametrize(
+    "name,n,depth",
+    [("A1~", 1, 20), ("A1~", 2, 20), ("A1~", 3, 20), ("A2~", 1, 4), ("B2~", 1, 3), ("G2~", 1, 3),
+     ("A3~", 1, 2), ("B3~", 1, 1), ("C3~", 1, 1), ("D4~", 1, 1)],
+)
+def test_rho_multiples_against_product_formula(name, n, depth):
+    # the candidates of V(n rho^) come from the descent below n rho + depth*theta
+    rs = build_root_system(name)
+    got = [expand_orbits(rs, sl) for sl in affine_freudenthal(rs, affine_rho(rs, n), depth).slices]
+    assert got == affine_rho_character_by_product(rs, n, depth)
+
+
+B2_AFF = build_root_system("B2~")
+
+
+# the denominator terms of a depth-2 division, which walks translations up to depth + 3
+@pytest.mark.parametrize("term", sorted(oracles._signed_affine_orbit(B2_AFF, affine_rho(B2_AFF), 2, 5)))
+def test_weyl_kac_oracle_raises_on_a_broken_denominator(monkeypatch, term):
+    # a denominator missing one term of the signed affine orbit of rho must
+    # stop the division, not run it forever
+    signed = oracles._signed_affine_orbit
+
+    def broken(rs, x, cutoff, kmax):
+        out = signed(rs, x, cutoff, kmax)
+        if x == affine_rho(rs):
+            del out[term]
+        return out
+
+    monkeypatch.setattr(oracles, "_signed_affine_orbit", broken)
+    start = time.perf_counter()
+    with pytest.raises(InvariantError, match="lowest weight|does not cancel"):
+        affine_slices_by_weyl_kac(B2_AFF, AffineWeight((1, 0, 1)), 2)
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,10 @@
 """Freudenthal character tables, weight-set queries, and the cache."""
 
+import signal
 import threading
 import time
 from itertools import combinations
+from operator import sub
 from random import Random
 
 import pytest
@@ -20,6 +22,7 @@ from rho_tensor.charcalc import (
 )
 from rho_tensor.rootdata import AlgebraError, InvariantError, build_root_system
 
+import oracles
 from oracles import (
     character_by_weyl_formula,
     dominant_weights_by_box,
@@ -101,11 +104,75 @@ def test_every_dominant_weight_below_appears(b2, g2):
     [("A1", (7,)), ("A2", (3, 2)), ("A3", (2, 1, 2)), ("B2", (3, 4)), ("B3", (2, 1, 2)),
      ("C3", (2, 2, 1)), ("G2", (3, 2)), ("D4", (2, 2, 2, 2)), ("F4", (1, 1, 1, 1)),
      ("E6", (1, 0, 1, 0, 0, 0)), ("E6", (0, 1, 1, 0, 0, 0)), ("E6", (0, 2, 0, 0, 0, 0)),
-     ("E6", (1, 0, 0, 1, 0, 0))],
+     ("E6", (1, 0, 0, 1, 0, 0)), ("D4", (1, 1, 1, 1))],
 )
 def test_descent_matches_box_walk(name, lam):
     rs = build_root_system(name)
     assert dominant_weights_below(rs, lam) == dominant_weights_by_box(rs, lam)
+
+
+@pytest.mark.parametrize("name,count", [("E6", 226), ("E7", 1464)])
+def test_descent_counts_at_rho(name, count):
+    rs = build_root_system(name)
+    below = dominant_weights_below(rs, rs.rho)
+    assert len(below) == len(set(below)) == count
+    assert below[0] == rs.rho and all(rs.is_dominant(mu) for mu in below)
+    heights = [rs.height(tuple(map(sub, rs.rho, mu))) for mu in below]
+    assert list(zip(heights, below)) == sorted(zip(heights, below))
+
+
+def _weights_up_to_two(name):
+    rank = build_root_system(name).rank
+    return st.tuples(st.just(name), st.tuples(*[st.integers(0, 2)] * rank))
+
+
+def _descent_within(rs, lam, seconds=2):
+    """:func:`dominant_weights_below`, failing after ``seconds``: a root test
+    that lets a weight leave the chamber makes the descent run without end."""
+
+    def stop(signum, frame):
+        raise TimeoutError(f"the descent below {lam} ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(seconds)
+    try:
+        return dominant_weights_below(rs, lam)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["A1", "A2", "A3", "B2", "B3", "C3", "G2", "D4", "F4"]).flatmap(_weights_up_to_two))
+def test_descent_takes_a_root_exactly_when_the_difference_is_dominant(case):
+    # the first step of the descent from mu: mu - alpha is listed exactly when
+    # it is dominant, whichever coordinates of alpha are positive
+    name, mu = case
+    rs = build_root_system(name)
+    below = set(_descent_within(rs, mu))
+    for fund in rs.positive_roots_fund:
+        nu = tuple(map(sub, mu, fund))
+        assert (nu in below) == (min(nu) >= 0), (mu, fund)
+
+
+@pytest.mark.parametrize("term", sorted(oracles._signed_orbit(build_root_system("B2"), (1, 1))))
+def test_weyl_formula_oracle_raises_on_a_broken_denominator(monkeypatch, term):
+    # a denominator missing one term of the signed orbit of rho must stop the
+    # division, not run it forever
+    rs = build_root_system("B2")
+    signed = oracles._signed_orbit
+
+    def broken(rs, w):
+        out = signed(rs, w)
+        if w == rs.rho:
+            del out[term]
+        return out
+
+    monkeypatch.setattr(oracles, "_signed_orbit", broken)
+    start = time.perf_counter()
+    with pytest.raises(InvariantError, match="lowest weight|does not cancel"):
+        character_by_weyl_formula(rs, (1, 2))
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "D4", "F4"])
