@@ -85,7 +85,9 @@ def dominant_weights_below(rs: RootSystem, lam: Weight) -> list[Weight]:
     before the weight is built: with ``supp`` the pairs ``(i, a_i)`` of the
     positive fundamental coordinates of ``alpha`` (:attr:`RootStrings.descent`),
     the test is ``mu_i >= a_i`` on ``supp``. It is exact, because ``(mu -
-    alpha)_i = mu_i - a_i`` is at least ``mu_i >= 0`` wherever ``a_i <= 0``."""
+    alpha)_i = mu_i - a_i`` is at least ``mu_i >= 0`` wherever ``a_i <= 0``.
+    Each weight admitted is checked to be dominant all the same, so a faulty
+    test raises ``InvariantError`` instead of descending without end."""
     if not rs.is_dominant(lam):
         raise AlgebraError(f"dominant_weights_below requires a dominant weight, got {lam}")
     steps = root_strings(rs).descent
@@ -102,6 +104,8 @@ def dominant_weights_below(rs: RootSystem, lam: Weight) -> list[Weight]:
                 else:
                     nu = tuple(map(sub, mu, fund))
                     if nu not in height:
+                        if min(nu) < 0:
+                            raise InvariantError(f"descent from {lam} admitted the non-dominant {nu} ({rs.algebra})")
                         height[nu] = h + ht
                         nxt.append(nu)
         frontier = nxt
@@ -453,9 +457,14 @@ class CharCache:
     concurrent readers never observe a partial table. The write lock is per
     instance: concurrent writers are kept apart by the temporary file named by
     process and thread id, moved into place by ``os.replace``. ``load``
-    treats a file as a miss unless it parses and its multiplicities times
-    orbit sizes sum to the Weyl dimension of the highest weight. No disk
-    cache is ``cache=None``, not an instance.
+    treats a file as a miss unless it parses, has multiplicity 1 at the
+    highest weight ``lam``, and its multiplicities ``m_mu`` pass two identities over the orbit
+    sizes ``|W mu|``: ``sum m_mu |W mu| = dim V(lam)`` (Weyl), and ``dim g *
+    sum m_mu |W mu| (mu|mu) = rank * dim V(lam) * (lam|lam + 2 rho)``, the
+    trace of the Casimir element over the Cartan subalgebra, summed in
+    ``form_scale`` integers. Neither notices multiplicities swapped between
+    two weights of one orbit size and norm (A2 ``(2,5)``: ``(1,4)`` and
+    ``(4,1)``). No disk cache is ``cache=None``, not an instance.
     """
 
     def __init__(self, root: str | Path | None = None):
@@ -483,23 +492,35 @@ class CharCache:
         expect = f"{_CACHE_FORMAT} {rs.algebra} {','.join(str(c) for c in lam)}"
         if not lines or lines[0] != expect:
             return None
+        rank = rs.rank
         table: dict[Weight, int] = {}
         for line in lines[1:]:
             if not line.strip():
                 continue
             coords, _, mult = line.partition(":")
             try:
-                mu = tuple(int(c) for c in coords.split(","))
+                mu = tuple(map(int, coords.split(",")))
                 m = int(mult)
             except ValueError:
                 return None
-            if len(mu) != rs.rank or min(mu) < 0 or m < 1:
+            if len(mu) != rank or min(mu) < 0 or m < 1:
                 return None  # malformed: a miss, recomputed and overwritten
             table[mu] = m
         if table.get(lam) != 1:
             return None
-        if DominantCharacter(str(rs.algebra), lam, table).dimension(rs) != rs.weyl_dimension(lam):
-            return None  # parses, but is not the character of V(lam)
+        # parses, but is a miss unless both identities of the class docstring hold
+        dim = rs.weyl_dimension(lam)
+        orbit_size = root_strings(rs).orbit_size
+        counts = [m * orbit_size(tuple(map(bool, mu))) for mu, m in table.items()]
+        if sum(counts) != dim:
+            return None
+        # sum k_mu (mu|mu) with k_mu = m_mu |W mu|, as the sum over (i, j) of
+        # form_ww[i][j] sum k_mu mu_i mu_j: rank**2 sums, each over every weight
+        columns = list(zip(*table))
+        weighted = [list(map(mul, counts, col)) for col in columns]
+        norms = sum(g * sum(map(mul, w, col)) for row, w in zip(rs.form_ww, weighted) for g, col in zip(row, columns))
+        if rs.dim_adjoint * norms != rank * dim * rs.sip_ww(lam, tuple(x + 2 for x in lam)):
+            return None
         return table
 
     def store(self, rs: RootSystem, lam: Weight, table: dict[Weight, int]) -> None:

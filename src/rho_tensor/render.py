@@ -31,8 +31,8 @@ def render(out, fmt: str, kind: str, doc, lines, rows=None) -> None:
     ``kind``; ``lines()`` the table lines; ``rows()`` the CSV rows, header
     first. A result without ``rows`` prints its table for ``--format csv``."""
     if fmt == "json":
-        json.dump({**doc(), "meta": meta(kind)}, out, indent=2, sort_keys=True)
-        out.write("\n")
+        # one write: json.dump would write each chunk of the document on its own
+        out.write(json.dumps({**doc(), "meta": meta(kind)}, indent=2, sort_keys=True) + "\n")
     elif fmt == "csv" and rows is not None:
         csv.writer(out).writerows(rows())
     else:

@@ -6,8 +6,11 @@ in fundamental-weight coordinates; roots are tuples of integers in simple-root
 coordinates. Rational quantities are held as integers over one stored
 denominator: simple-root coordinates and heights of weights are scaled by
 ``lattice_index``, invariant-form values by ``form_scale``; a datum is built
-in these integers by fraction-free elimination, with no ``Fraction``. Node
-numbering follows Bourbaki throughout.
+in these integers by fraction-free elimination, with no ``Fraction``. The
+positive roots come from one root-string closure that carries each root's
+fundamental coordinates, so every pairing it tests is read, not summed, and
+the roots come out in ``(height, coordinates)`` order. Node numbering follows
+Bourbaki throughout.
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, lcm, prod
-from operator import add, mul
+from itertools import chain
+from math import gcd, prod
+from operator import add, floordiv, gt, mod, mul
 from typing import NamedTuple
 
 Weight = tuple[int, ...]
@@ -124,35 +128,39 @@ def _adjugate_and_determinant(a: list[list[int]]) -> tuple[list[list[int]], int]
     return [row[n:] for row in m], prev
 
 
-def _positive_roots(cartan: list[list[int]], rank: int) -> list[RootVector]:
-    """Generate all positive roots by root-string closure from the simple roots."""
-    roots: set[RootVector] = set()
-    layer: list[RootVector] = []
-    for i in range(rank):
-        e = tuple(int(i == j) for j in range(rank))
-        roots.add(e)
-        layer.append(e)
+def _positive_roots(cartan: list[list[int]]) -> list[tuple[RootVector, Weight]]:
+    """Every positive root with its fundamental coordinates, in ``(height,
+    coordinates)`` order, by root-string closure from the simple roots.
+
+    ``alpha_i`` has column ``i`` of the Cartan matrix as its fundamental
+    coordinates, and coordinate ``i`` of those of ``beta`` is ``<beta,
+    alpha_i^vee>``. The ``alpha_i``-string through ``beta`` runs unbroken from
+    ``beta - p alpha_i`` to ``beta + q alpha_i`` with ``p - q = <beta,
+    alpha_i^vee>``, so ``beta + alpha_i`` is a root iff ``p > <beta,
+    alpha_i^vee>``: always when the pairing is negative, and otherwise iff
+    ``beta - (pairing + 1) alpha_i`` is a root, one lookup among the roots of
+    lower height, all known by then. Each height layer is sorted once it is
+    complete."""
+    rank = len(cartan)
+    columns = tuple(zip(*cartan))
+    # the simple roots in coordinate order, alpha_r first
+    layer = [((0,) * i + (1,) + (0,) * (rank - 1 - i), columns[i]) for i in reversed(range(rank))]
+    roots = dict(layer)
+    found = []
     while layer:
-        nxt: list[RootVector] = []
-        for beta in layer:
-            for i in range(rank):
-                pairing = sum(beta[j] * cartan[i][j] for j in range(rank))
-                p = 0
-                down = list(beta)
-                while True:
-                    down[i] -= 1
-                    if min(down) < 0 or tuple(down) not in roots:
-                        break
-                    p += 1
-                if p - pairing >= 1:
-                    up = list(beta)
-                    up[i] += 1
-                    cand = tuple(up)
-                    if cand not in roots:
-                        roots.add(cand)
-                        nxt.append(cand)
-        layer = nxt
-    return sorted(roots, key=lambda r: (sum(r), r))
+        found += layer
+        nxt: dict[RootVector, Weight] = {}
+        for beta, fund in layer:
+            for i, pairing in enumerate(fund):
+                k = beta[i] - pairing - 1  # coordinate i of beta - (pairing + 1) alpha_i
+                if pairing >= 0 and (k < 0 or beta[:i] + (k,) + beta[i + 1 :] not in roots):
+                    continue
+                up = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
+                if up not in nxt:
+                    nxt[up] = tuple(map(add, fund, columns[i]))
+        layer = sorted(nxt.items())
+        roots.update(layer)
+    return found
 
 
 class DynkinNode(NamedTuple):
@@ -189,15 +197,15 @@ class _OrbitChildren(dict):
 
 
 def _dynkin_nodes(cartan: list[list[int]]) -> tuple[DynkinNode, ...]:
-    rank = len(cartan)
     nodes = []
-    for i in range(rank):
-        near = tuple((j, cartan[j][i]) for j in range(rank) if j != i and cartan[j][i])
+    for i, col in enumerate(zip(*cartan)):  # col[j] = A[j][i]
+        near = [(j, a) for j, a in enumerate(col) if a and j != i]
+        earlier = [p for p in near if p[0] < i]
         nodes.append(DynkinNode(
-            neighbours=near,
-            earlier_neighbours=tuple((j, a) for j, a in near if j < i),
-            later_neighbours=tuple(j for j, _ in near if j > i),
-            earlier_others=tuple(j for j in range(i) if not cartan[j][i]),
+            neighbours=tuple(near),
+            earlier_neighbours=tuple(earlier),
+            later_neighbours=tuple([j for j, _ in near[len(earlier) :]]),
+            earlier_others=tuple([j for j in range(i) if not col[j]]),
         ))
     return tuple(nodes)
 
@@ -230,9 +238,9 @@ class RootSystem:
     :func:`weyl_orbit`, once per zero pattern of a dominant weight; they are
     not dataclass fields, and each root system built has its own.
     Safe to share across threads: every operation is a pure function of its
-    inputs. The memos (``height_row``, ``orbit_shapes``, ``orbit_children``)
-    are filled lazily, each entry stored whole once computed, so a race only
-    computes and writes the same value twice.
+    inputs. The memos (``height_row``, ``root_supports``, ``orbit_shapes``,
+    ``orbit_children``) are filled lazily, each entry stored whole once
+    computed, so a race only computes and writes the same value twice.
     """
 
     algebra: AlgebraId
@@ -376,6 +384,11 @@ class RootSystem:
         return q
 
     @cached_property
+    def root_supports(self) -> tuple[tuple[int, int], ...]:
+        """``(support bitmask, height)`` per positive root, for :func:`weyl_orbit_size`."""
+        return tuple((sum(1 << i for i, c in enumerate(r) if c), sum(r)) for r in self.positive_roots)
+
+    @cached_property
     def height_row(self) -> tuple[int, ...]:
         """The column sums of ``cartan_inverse``, so that :meth:`height` is one dot product."""
         return tuple(map(sum, zip(*self.cartan_inverse)))
@@ -391,6 +404,13 @@ class RootSystem:
 
 def build_root_system(algebra: AlgebraId | str) -> RootSystem:
     """Construct the full exact root datum for ``algebra``.
+
+    One root-string closure (:func:`_positive_roots`) gives the positive roots
+    in ``(height, coordinates)`` order with their fundamental coordinates, so
+    the highest root is the last; one loop over them gives the coroots, and
+    one over the coroots the ``coroot_steps``. The build checks that the
+    diagram is connected, the highest root dominance-maximal, the form
+    symmetric, and the dual marks and coroots integral.
 
     For an affine id the returned object carries the data of the underlying
     finite algebra together with marks, dual marks and the dual Coxeter
@@ -408,61 +428,67 @@ def build_root_system(algebra: AlgebraId | str) -> RootSystem:
     stack = [0]
     while stack:
         i = stack.pop()
-        for j in range(rank):
-            if i != j and cartan[i][j] != 0 and d[j] is None:
-                d[j] = d[i] * cartan[i][j] // cartan[j][i]
+        for j, a in enumerate(cartan[i]):
+            if a and d[j] is None:  # d[i] is set, so j != i
+                d[j] = d[i] * a // cartan[j][i]
                 stack.append(j)
-    if any(x is None for x in d):
+    if None in d:
         raise InvariantError(f"Dynkin diagram of {fin} is not connected")
 
-    posroots = _positive_roots(cartan, rank)
-    theta = max(posroots, key=lambda r: (sum(r), r))
-    if any(r[i] > theta[i] for r in posroots for i in range(rank)):
+    posroots, posroots_fund = zip(*_positive_roots(cartan))
+    theta = posroots[-1]
+    if any(map(gt, map(max, zip(*posroots)), theta)):
         raise InvariantError(f"highest root of {fin} is not dominance-maximal")
-    theta_sq = sum(d[i] * cartan[i][j] * theta[i] * theta[j] for i in range(rank) for j in range(rank))
+    theta_sq = sum(map(mul, d, map(mul, theta, posroots_fund[-1])))
 
     # (omega_i|omega_j) = (A^-1)[j][i] * 2 d_j / theta_sq, over one denominator
     adj, det = _adjugate_and_determinant(cartan)
     den = det * theta_sq
-    num = [[2 * adj[j][i] * d[j] for j in range(rank)] for i in range(rank)]
-    if any(num[i][j] != num[j][i] for i in range(rank) for j in range(rank)):
+    num = [tuple(2 * x * y for x, y in zip(d, col)) for col in zip(*adj)]
+    if num != list(zip(*num)):
         raise InvariantError(f"form on weights of {fin} is not symmetric")
 
     dual_marks, rems = zip(*(divmod(2 * x * t, theta_sq) for x, t in zip(d, theta)))
     if any(rems):
         raise InvariantError(f"dual marks of {fin} are not integral: remainders {rems} mod {theta_sq}")
 
-    # d_i = sum_j A[j][i] (omega_i|omega_j), so the form's denominators cover d's
-    scale = lcm(*(den // gcd(x, den) for row in num for x in row))
+    # d_i = sum_j A[j][i] (omega_i|omega_j), so the form's denominators cover
+    # d's; form_scale, the lcm of den // gcd(x, den) over the numerators x, is
+    # den // gcd(den, every x)
+    common = gcd(den, *chain.from_iterable(num))
+    scale = den // common
     d_int = tuple(2 * x * scale // theta_sq for x in d)
 
     # coroot of alpha = sum c_j alpha_j: coordinates 2 c_j d_j / (alpha|alpha)
-    posroots_fund = [tuple(sum(map(mul, row, r)) for row in cartan) for r in posroots]
+    twice_d = [2 * x for x in d_int]
     coroots = []
     for r, f in zip(posroots, posroots_fund):
-        norm = sum(map(mul, d_int, map(mul, r, f)))  # form_scale * (alpha|alpha)
-        cv = [divmod(2 * dj * cj, norm) for dj, cj in zip(d_int, r)]
-        if any(rem for _, rem in cv):
+        norms = [sum(map(mul, d_int, map(mul, r, f)))] * rank  # form_scale * (alpha|alpha)
+        cv = list(map(mul, twice_d, r))
+        if any(map(mod, cv, norms)):
             raise InvariantError(f"coroot of {r} in {fin} is not integral")
-        coroots.append(tuple(q for q, _ in cv))
+        coroots.append(tuple(map(floordiv, cv, norms)))
 
-    # each non-simple positive coroot is a lower one plus a simple coroot
-    order = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    order += sorted((c for c in coroots if sum(c) > 1), key=lambda c: (sum(c), c))
+    # each non-simple positive coroot is a lower one plus a simple coroot; the
+    # simple coroots come first by index, as the roots come in (height, coordinates)
+    order = [coroots[rank - 1 - i] for i in range(rank)]
+    order += sorted(coroots[rank:], key=lambda c: (sum(c), c))
     where = {c: k for k, c in enumerate(order)}
     steps = []
     for c in order[rank:]:
-        lower = [c[:i] + (c[i] - 1,) + c[i + 1 :] for i in range(rank)]
-        i = next(i for i in range(rank) if lower[i] in where)
-        steps.append((where[lower[i]], i))
+        for i, x in enumerate(c):
+            k = where.get(c[:i] + (x - 1,) + c[i + 1 :])
+            if k is not None:
+                steps.append((k, i))
+                break
 
     return RootSystem(
         algebra=algebra,
-        cartan=tuple(tuple(row) for row in cartan),
+        cartan=tuple(map(tuple, cartan)),
         lattice_index=det,
         cartan_inverse=tuple(map(tuple, adj)),
-        positive_roots=tuple(posroots),
-        positive_roots_fund=tuple(posroots_fund),
+        positive_roots=posroots,
+        positive_roots_fund=posroots_fund,
         positive_coroots=tuple(coroots),
         weyl_denominator=prod(map(sum, coroots)),
         coroot_steps=tuple(steps),
@@ -474,7 +500,7 @@ def build_root_system(algebra: AlgebraId | str) -> RootSystem:
         dual_coxeter=1 + sum(dual_marks),
         dim_adjoint=rank + 2 * len(posroots),
         form_scale=scale,
-        form_ww=tuple(tuple(x * scale // den for x in row) for row in num),
+        form_ww=tuple(tuple(x // common for x in row) for row in num),
         form_d=d_int,
     )
 
@@ -606,9 +632,13 @@ def weyl_orbit_size(rs: RootSystem, w: Weight) -> int:
     """``len(weyl_orbit(rs, w))`` without building the orbit: ``|W| / |W_J|``
     for the stabiliser ``W_J`` of the dominant ``u``, the product of ``(ht a +
     1) / ht a`` over the positive roots with ``<u, a^vee> > 0`` (Kostant;
-    Macdonald, *The Poincaré series of a Coxeter group*, 1972)."""
+    Macdonald, *The Poincaré series of a Coxeter group*, 1972). Those are the
+    roots whose support meets that of ``u``: ``a^vee`` has the support of
+    ``a``, and every coordinate of ``u`` and of ``a^vee`` is ``>= 0``; so each
+    test is one ``&`` on :attr:`RootSystem.root_supports`."""
     u = rs.to_dominant(w)[0]
-    hts = [sum(r) for r, cv in zip(rs.positive_roots, rs.positive_coroots) if sum(map(mul, u, cv)) > 0]
+    mask = sum(1 << i for i, x in enumerate(u) if x)
+    hts = [h for support, h in rs.root_supports if support & mask]
     q, rem = divmod(prod(h + 1 for h in hts), prod(hts))
     if rem:
         raise InvariantError(f"orbit size of {w} from root heights {hts} is not integral")

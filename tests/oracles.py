@@ -25,9 +25,11 @@ The all-roots kernel is Freudenthal's recursion walking every real-root
 string on its own, where the library walks one string per orbit of the
 stabiliser of each weight and counts it times the orbit's length.
 The orbit oracle walks a Weyl orbit breadth-first with a seen-set, where the
-production walk climbs the tree of ``to_dominant``. The root-datum oracle builds the symmetrizer, the inverse
+production walk climbs the tree of ``to_dominant``. The orbit-size oracle
+tests each positive root by its pairing with the dominant weight, where the
+library compares supports. The root-datum oracle builds the symmetrizer, the inverse
 Cartan matrix and the form in ``Fraction`` arithmetic, where the production
-build stays in integers throughout. The descent oracle for the conjecture's
+build stays in integers throughout, and runs its own root-string closure. The descent oracle for the conjecture's
 predicted set tests every dominant weight below (m+n) rho for membership,
 where the production set is read off the unreflected Klimyk terms.
 ``decomposition_from_json_dict`` rebuilds a ``Decomposition`` from the JSON
@@ -71,7 +73,6 @@ from rho_tensor.rootdata import (
     RootVector,
     Weight,
     _cartan_matrix,
-    _positive_roots,
     floor_root_coords,
     weyl_orbit,
 )
@@ -300,14 +301,50 @@ def _invert_fraction_matrix(a: list[list[int]]) -> tuple[list[list[Fraction]], i
     return [row[n:] for row in m], int(det)
 
 
+def positive_roots_by_strings(cartan: list[list[int]]) -> list[RootVector]:
+    """The positive roots by root-string closure from the simple roots, sorted
+    by ``(height, coordinates)`` at the end: each pairing ``<beta,
+    alpha_i^vee>`` is summed from the Cartan matrix, and each string below
+    ``beta`` is walked to its end, where the library reads the pairing off the
+    fundamental coordinates it carries and inserts each height layer sorted."""
+    rank = len(cartan)
+    roots: set[RootVector] = set()
+    layer: list[RootVector] = []
+    for i in range(rank):
+        e = tuple(int(i == j) for j in range(rank))
+        roots.add(e)
+        layer.append(e)
+    while layer:
+        nxt: list[RootVector] = []
+        for beta in layer:
+            for i in range(rank):
+                pairing = sum(beta[j] * cartan[i][j] for j in range(rank))
+                p = 0
+                down = list(beta)
+                while True:
+                    down[i] -= 1
+                    if min(down) < 0 or tuple(down) not in roots:
+                        break
+                    p += 1
+                if p - pairing >= 1:
+                    up = list(beta)
+                    up[i] += 1
+                    cand = tuple(up)
+                    if cand not in roots:
+                        roots.add(cand)
+                        nxt.append(cand)
+        layer = nxt
+    return sorted(roots, key=lambda r: (sum(r), r))
+
+
 def root_datum_by_fractions(algebra: AlgebraId | str) -> RootSystem:
     """The root datum of ``algebra`` with every rational quantity computed as
     a ``Fraction`` first: the symmetrizer from d_0 = 1, the inverse Cartan
     matrix over the rationals, the form and the dual marks as fractions, and
     ``form_scale`` as the lcm of the denominators of the form and of d, and
-    ``coroot_steps`` from the positive roots of the dual root system. Only
-    the Cartan matrix and the positive-root closure are shared with the
-    production build."""
+    ``coroot_steps`` from the positive roots of the dual root system. The
+    positive roots come from :func:`positive_roots_by_strings`; only the
+    Cartan matrix is shared with the production build."""
     if isinstance(algebra, str):
         algebra = AlgebraId.parse(algebra)
     fin = algebra.finite()
@@ -326,7 +363,7 @@ def root_datum_by_fractions(algebra: AlgebraId | str) -> RootSystem:
                 stack.append(j)
     assert all(x is not None for x in d), f"Dynkin diagram of {fin} is not connected"
 
-    posroots = _positive_roots(cartan, rank)
+    posroots = positive_roots_by_strings(cartan)
     theta = max(posroots, key=lambda r: (sum(r), r))
     theta_sq = sum(d[i] * cartan[i][j] * theta[i] * theta[j] for i in range(rank) for j in range(rank))
     d = [x * 2 / theta_sq for x in d]
@@ -350,8 +387,8 @@ def root_datum_by_fractions(algebra: AlgebraId | str) -> RootSystem:
         coroots.append(tuple(map(int, cv)))
 
     # the positive coroots are the positive roots of the dual system, whose
-    # Cartan matrix is the transpose; _positive_roots sorts by (height, coordinates)
-    dual_roots = _positive_roots([list(col) for col in zip(*cartan)], rank)
+    # Cartan matrix is the transpose, sorted by (height, coordinates)
+    dual_roots = positive_roots_by_strings([list(col) for col in zip(*cartan)])
     assert sorted(dual_roots) == sorted(coroots)
     order = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
     order += [c for c in dual_roots if sum(c) > 1]
@@ -466,6 +503,17 @@ def orbit_by_bfs(rs: RootSystem, w: Weight) -> dict[Weight, int]:
                         nxt.append(img)
         frontier = nxt
     return depth
+
+
+def orbit_size_by_pairings(rs: RootSystem, w: Weight) -> int:
+    """``|W w|`` as the product of ``(ht a + 1) / ht a`` over the positive
+    roots ``a`` with ``<u, a^vee> > 0``, ``u`` the dominant weight of the
+    orbit, each pairing summed over the coroot's coordinates."""
+    u = rs.to_dominant(w)[0]
+    hts = [sum(r) for r, cv in zip(rs.positive_roots, rs.positive_coroots) if sum(map(mul, u, cv)) > 0]
+    q, rem = divmod(prod(h + 1 for h in hts), prod(hts))
+    assert not rem, (w, hts)
+    return q
 
 
 # -- the conjecture's predicted set by descent ----------------------------------

@@ -155,6 +155,19 @@ def test_descent_takes_a_root_exactly_when_the_difference_is_dominant(case):
         assert (nu in below) == (min(nu) >= 0), (mu, fund)
 
 
+@pytest.mark.parametrize("name", ["A1", "A3", "B2", "G2", "D4", "F4"])
+def test_descent_stops_at_a_weight_off_the_chamber(monkeypatch, name):
+    # a root test that skips the last pair (i, a_i) of each root admits weights
+    # off the chamber: the descent raises at the first, instead of running on
+    rs = build_root_system(name)
+    strings = root_strings(rs)
+    monkeypatch.setattr(strings, "descent", [(fund, ht, supp[:-1]) for fund, ht, supp in strings.descent])
+    start = time.perf_counter()
+    with pytest.raises(InvariantError, match="non-dominant"):
+        _descent_within(rs, tuple(2 * x for x in rs.rho), seconds=1)
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("term", sorted(oracles._signed_orbit(build_root_system("B2"), (1, 1))))
 def test_weyl_formula_oracle_raises_on_a_broken_denominator(monkeypatch, term):
     # a denominator missing one term of the signed orbit of rho must stop the
@@ -415,8 +428,8 @@ def test_concurrent_writers_with_their_own_cache_objects(tmp_path, b2):
 
 @pytest.mark.parametrize("name", ["E7", "E8"])
 def test_cache_load_of_a_regular_weight_builds_no_orbit(tmp_path, monkeypatch, name):
-    # the dimension check on load counts |W mu| from root heights: E8 rho has
-    # 696,729,600 orbit elements, which no load may walk
+    # the identities checked on load count |W mu| from root supports and heights:
+    # E8 rho has 696,729,600 orbit elements, which no load may walk
     def no_walk(*_):
         raise AssertionError("CharCache.load walked a Weyl orbit")
 
@@ -425,8 +438,17 @@ def test_cache_load_of_a_regular_weight_builds_no_orbit(tmp_path, monkeypatch, n
     rs = build_root_system(name)
     zero = (0,) * rs.rank
     order = {"E7": 2903040, "E8": 696729600}[name]
-    # not the character of V(rho), but a table whose dimension adds up
-    table = {rs.rho: 1, zero: rs.weyl_dimension(rs.rho) - order}
+    # not the character of V(rho), but a table that passes both identities of the
+    # load check: the multiplicity of 2 omega_4 makes sum m |W mu| (mu|mu) add up
+    # with that of omega_i, and the zero weight's makes the dimension add up
+    i, m_i, size_i, m_4, size_4 = {
+        "E7": (2, 32, 576, 600479950314869, 10080),
+        "E8": (8, 512, 240, 1373623507548896198023940820396, 483840),
+    }[name]
+    omega_i = tuple(int(j == i - 1) for j in range(rs.rank))
+    two_omega_4 = tuple(2 * int(j == 3) for j in range(rs.rank))
+    rest = rs.weyl_dimension(rs.rho) - order - m_i * size_i - m_4 * size_4
+    table = {rs.rho: 1, omega_i: m_i, two_omega_4: m_4, zero: rest}
     cache = CharCache(tmp_path)
     cache.store(rs, rs.rho, table)
     start = time.perf_counter()
@@ -434,6 +456,20 @@ def test_cache_load_of_a_regular_weight_builds_no_orbit(tmp_path, monkeypatch, n
     cache.store(rs, rs.rho, {**table, zero: table[zero] + 1})
     assert cache.load(rs, rs.rho) is None
     assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize(
+    "name,lam",
+    [("B2", (5, 5)), ("G2", (3, 3)), ("A3", (2, 2, 2)), ("C3", (1, 2, 3)), ("F4", (1, 1, 1, 1)),
+     ("E6", (1, 1, 1, 1, 1, 1)), ("E6", (1, 0, 0, 0, 0, 1))],
+)
+def test_cache_load_accepts_the_true_table(tmp_path, name, lam):
+    # both identities of the load check hold on every character table
+    rs = build_root_system(name)
+    table = freudenthal(rs, lam).mults
+    cache = CharCache(tmp_path)
+    cache.store(rs, lam, table)
+    assert cache.load(rs, lam) == table
 
 
 def test_cache_rejects_corrupt_file(tmp_path, b2):

@@ -458,6 +458,54 @@ def test_malformed_cache_file_is_recomputed(tmp_path, argv, old, new):
     assert CharCache(tmp_path / "cache").load(b2, (1, 1)) == freudenthal(b2, (1, 1)).mults
 
 
+@pytest.mark.parametrize("argv", [("weights", "B2", "2,2"), ("decompose", "B2", "5,5", "2,2")])
+def test_cache_file_with_two_multiplicities_swapped_is_recomputed(tmp_path, argv):
+    # V(2,2) of B2 has multiplicity 4 at (0,2) and 1 at (0,4): one orbit size, so
+    # the swap keeps the dimension, but not sum m |W mu| (mu|mu)
+    path = tmp_path / "cache" / "B2.2_2.char"
+    clear_memory_cache()
+    expected = run("--no-cache", *argv)
+    clear_memory_cache()
+    run("weights", "B2", "2,2")
+    good = path.read_text()
+    lines = good.splitlines()
+    assert "0,2:4" in lines and "0,4:1" in lines
+    path.write_text("\n".join({"0,2:4": "0,2:1", "0,4:1": "0,4:4"}.get(x, x) for x in lines) + "\n")
+    clear_memory_cache()
+    assert run(*argv) == expected
+    assert path.read_text() == good
+    clear_memory_cache()
+
+
+def test_one_root_datum_per_golden_command(monkeypatch):
+    # every golden command line builds the datum of its algebra at most once, and
+    # none where a usage error comes first; scan builds one per algebra
+    rejected_first = {  # a missing argument; a cache command under --no-cache
+        "--no-cache decompose B2 5,5",
+        "--no-cache cache warm B2 --up-to 2,2",
+    }
+    assert rejected_first <= GOLDEN_CLI.keys()
+    builds = []
+
+    def counted(algebra):
+        builds.append(str(algebra))
+        return build_root_system(algebra)
+
+    monkeypatch.setattr(rho_tensor.cli, "build_root_system", counted)
+    monkeypatch.setattr(rho_tensor.harness, "build_root_system", counted)
+    for argv, golden in GOLDEN_CLI.items():
+        builds.clear()
+        assert run(*argv.split()) == (golden["exit"], golden["stdout"]), argv
+        words = [w for w in argv.split() if w != "--no-cache"]
+        if argv in rejected_first:
+            assert golden["exit"] == EXIT_USAGE and builds == [], argv
+        elif words[0] == "scan":
+            algebras = words[1 : words.index("--max-sum")]
+            assert sorted(builds) == sorted(algebras), argv
+        else:
+            assert len(builds) <= 1, (argv, builds)
+
+
 def test_no_cache_flag_skips_disk(tmp_path, monkeypatch):
     cache_dir = tmp_path / "cache4"
     monkeypatch.setenv("RHO_TENSOR_CACHE", str(cache_dir))

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     orbit_by_bfs,
+    orbit_size_by_pairings,
     root_datum_by_fractions,
     sign_by_coroots,
     simple_reflection,
@@ -258,6 +259,21 @@ def test_weyl_orbit_against_bfs(name, w):
     assert len(orbit) == len(set(orbit))
     assert set(orbit) == set(orbit_by_bfs(rs, w))
     assert weyl_orbit_size(rs, w) == len(orbit)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "D4", "F4"])
+def test_orbit_size_on_every_zero_pattern(name):
+    rs = build_root_system(name)
+    for pattern in product((0, 1), repeat=rs.rank):
+        assert weyl_orbit_size(rs, pattern) == len(weyl_orbit(rs, pattern)), pattern
+
+
+@pytest.mark.parametrize("name", ["E6", "E7", "E8"])
+def test_orbit_size_on_every_zero_pattern_against_pairings(name):
+    # too many points to walk: the regular E8 orbit has 696,729,600
+    rs = build_root_system(name)
+    for pattern in product((0, 1), repeat=rs.rank):
+        assert weyl_orbit_size(rs, pattern) == orbit_size_by_pairings(rs, pattern), pattern
 
 
 @pytest.mark.parametrize("name", DATUM_NAMES)
