@@ -17,6 +17,7 @@ import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from operator import add, floordiv, mul, sub
 from pathlib import Path
@@ -146,20 +147,39 @@ class RootStrings:
     keyed by ``tuple(map(bool, mu))``. Roots are indexed as
     ``rs.positive_roots`` followed by their negatives. The alcove points of
     the affine candidates off the chamber are memoised here too, and
-    ``descent`` holds ``(fund, height, supp)`` per positive root for
-    :func:`dominant_weights_below`, ``supp`` the pairs ``(i, a_i)`` with
-    ``a_i > 0`` of its fundamental coordinates ``fund``."""
+    ``descent``, built on first use, holds ``(fund, height, supp)`` per
+    positive root for :func:`dominant_weights_below`, ``supp`` the pairs
+    ``(i, a_i)`` with ``a_i > 0`` of its fundamental coordinates ``fund``."""
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
-        self.descent = [
-            (fund, sum(rc), tuple((i, a) for i, a in enumerate(fund) if a > 0))
-            for fund, rc in zip(rs.positive_roots_fund, rs.positive_roots)
-        ]
         self._every: dict[int, list[tuple]] = {}
         self._orbits: dict[tuple[tuple[bool, ...], int], list[tuple]] = {}
         self._sizes: dict[tuple[bool, ...], int] = {}
         self._alcove: dict[tuple[Weight, int], tuple[Weight, int, int]] = {}
+
+    @cached_property
+    def descent(self) -> list[tuple]:
+        rs = self.rs
+        return [
+            (fund, sum(rc), tuple((i, a) for i, a in enumerate(fund) if a > 0))
+            for fund, rc in zip(rs.positive_roots_fund, rs.positive_roots)
+        ]
+
+    @cached_property
+    def codes(self) -> tuple[list[int], list[tuple[int, int]]]:
+        """``(fields, codes)`` for :meth:`root_orbits`: per positive root, its
+        simple-root coordinates packed ``width`` bits each (``fields[i]``
+        masks coordinate ``i``) above a bit set for a short root, and the
+        least node of its support."""
+        rs = self.rs
+        width = max(map(max, rs.positive_roots)).bit_length()
+        long = self.every(0)[-1][2]  # (theta|theta): the highest root is long
+        codes = [
+            (sum(c << (1 + width * i) for i, c in enumerate(rc)) | (s_aa < long), next(compress(range(rs.rank), rc)))
+            for rc, (_, _, s_aa, _) in zip(rs.positive_roots, self.every(0))
+        ]
+        return [((1 << width) - 1) << (1 + width * i) for i in range(rs.rank)], codes
 
     def every(self, k: int) -> list[tuple]:
         """``(fund, form_rc, s_aa, supp)`` per root ``alpha``, for ``alpha +
@@ -198,7 +218,9 @@ class RootStrings:
         weight. The roots of shape zero make up ``Phi_J``, one orbit of both
         signs per component of ``J`` and length. The negative orbit of a
         nonzero shape is listed by the negative of its positive orbit's lowest
-        root."""
+        root. A root's shape and length are one ``code & mask`` (:attr:`codes`);
+        one of shape zero is told apart by the component of ``J`` holding its
+        least node."""
         rs = self.rs
         component = {}  # node of J -> first node of its connected component in J
         for i, f in enumerate(nonzero):
@@ -210,17 +232,18 @@ class RootStrings:
                         if not nonzero[j] and j not in component:
                             component[j] = i
                             stack.append(j)
-        groups: dict[tuple, list[int]] = {}
-        for t, (rc, string) in enumerate(zip(rs.positive_roots, self.every(0))):
-            shape = tuple(compress(rc, nonzero))
-            where = None if any(shape) else component[next(i for i, x in enumerate(rc) if x)]
-            groups.setdefault((shape, string[2], where), []).append(t)
-        npos = len(rs.positive_roots)
+        fields, codes = self.codes
+        mask = sum(compress(fields, nonzero)) | 1
+        groups: dict[int | tuple[int, int], list[int]] = {}
+        for t, (code, first) in enumerate(codes):
+            shape = code & mask  # the length bit alone for a root of Phi_J
+            groups.setdefault(shape if shape > 1 else (shape, component[first]), []).append(t)
+        npos = len(codes)
         positive, every = [], []
-        for (_, _, where), members in groups.items():  # each by height, as positive_roots
+        for shape, members in groups.items():  # each by height, as positive_roots
             top, n = members[-1], len(members)
             positive.append((top, n))
-            if where is None:
+            if isinstance(shape, int):
                 every += [(top, n), (npos + members[0], n)]
             else:
                 every.append((top, 2 * n))
@@ -292,7 +315,10 @@ def freudenthal_slices(
     Real roots ``alpha + k*delta`` have multiplicity one (``k = 0`` for positive
     ``alpha`` only), imaginary roots ``k*delta`` multiplicity rank. At depth 0
     only ``k = 0`` enters and the level term of the denominator vanishes, so a
-    finite character is the depth-0 call with level 0.
+    finite character is the depth-0 call with level 0. The denominator is
+    ``(lam+rho|lam+rho) - (mu+rho|mu+rho) + 2d(lvl + h^vee)``, its finite part
+    read off ``gamma`` in O(rank) as ``sum_i gamma_i d_i (lam_i + mu_i + 2)``
+    (:meth:`RootSystem.rho_norm_gap`).
 
     The real-root strings are summed over orbits of the stabiliser ``W_J`` of
     ``mu``, the parabolic subgroup on its zero coordinates ``J`` (Moody and
@@ -324,12 +350,10 @@ def freudenthal_slices(
     marks = rs.marks
     scale = rs.form_scale
     to_dominant = rs.to_dominant
-    sip_ww = rs.sip_ww
+    norm_gap = rs.rho_norm_gap
     memo = root_strings(rs)
     orbit_strings, alcove_point = memo.orbit_strings, memo.alcove_point
     strings_of: dict[tuple[bool, ...], list[list[tuple]]] = {}
-    lam_rho = tuple(x + 1 for x in lam)
-    top = sip_ww(lam_rho, lam_rho)
     lvl_scaled = lvl * scale
     shift_scaled = 2 * (lvl + rs.dual_coxeter) * scale
 
@@ -395,8 +419,7 @@ def freudenthal_slices(
                 f"Freudenthal recursion found multiplicity 0 at mu={mu}, depth {d} for highest "
                 f"weight {lam} ({rs.algebra}), but a dominant weight below the top is a weight"
             )
-        mu_rho = tuple(x + 1 for x in mu)
-        denom = top - sip_ww(mu_rho, mu_rho) + d * shift_scaled
+        denom = norm_gap(lam, mu, gamma) + d * shift_scaled
         if denom <= 0:
             raise InvariantError(
                 f"Freudenthal denominator {denom} <= 0 at mu={mu}, depth {d} "

@@ -358,6 +358,11 @@ class RootSystem:
     def sip_ww(self, a: Weight, b: Weight) -> int:
         return sum(x * sum(map(mul, row, b)) for x, row in zip(a, self.form_ww))
 
+    def rho_norm_gap(self, lam: Weight, mu: Weight, gamma: RootVector) -> int:
+        """``(lam+rho|lam+rho) - (mu+rho|mu+rho)`` for ``lam - mu = sum gamma_i alpha_i``, in
+        O(rank): ``(lam - mu|lam + mu + 2rho) = sum_i gamma_i d_i (lam_i + mu_i + 2)``."""
+        return sum(g * d * (a + b + 2) for g, d, a, b in zip(gamma, self.form_d, lam, mu))
+
     # -- representation-theoretic helpers -----------------------------------
 
     def weyl_numerator(self, lam: Weight) -> int:
@@ -635,8 +640,9 @@ def weyl_orbit_size(rs: RootSystem, w: Weight) -> int:
     Macdonald, *The Poincaré series of a Coxeter group*, 1972). Those are the
     roots whose support meets that of ``u``: ``a^vee`` has the support of
     ``a``, and every coordinate of ``u`` and of ``a^vee`` is ``>= 0``; so each
-    test is one ``&`` on :attr:`RootSystem.root_supports`."""
-    u = rs.to_dominant(w)[0]
+    test is one ``&`` on :attr:`RootSystem.root_supports`. A dominant ``w``, as
+    every caller in the library passes, is not reflected."""
+    u = w if min(w) >= 0 else rs.to_dominant(w)[0]
     mask = sum(1 << i for i, x in enumerate(u) if x)
     hts = [h for support, h in rs.root_supports if support & mask]
     q, rem = divmod(prod(h + 1 for h in hts), prod(hts))
@@ -647,4 +653,4 @@ def weyl_orbit_size(rs: RootSystem, w: Weight) -> int:
 
 def floor_root_coords(rs: RootSystem, lam: Weight) -> tuple[int, ...]:
     """Simple-root coordinates of ``lam``, rounded down (exact on the root lattice)."""
-    return tuple(x // rs.lattice_index for x in rs.root_coords(lam))
+    return tuple(sum(map(mul, row, lam)) // rs.lattice_index for row in rs.cartan_inverse)

@@ -1,6 +1,6 @@
 """Freudenthal character tables, weight-set queries, and the cache."""
 
-import signal
+import sys
 import threading
 import time
 from itertools import combinations
@@ -126,20 +126,29 @@ def _weights_up_to_two(name):
     return st.tuples(st.just(name), st.tuples(*[st.integers(0, 2)] * rank))
 
 
-def _descent_within(rs, lam, seconds=2):
-    """:func:`dominant_weights_below`, failing after ``seconds``: a root test
-    that lets a weight leave the chamber makes the descent run without end."""
+def _descent_within(rs, lam, lines=10**6):
+    """:func:`dominant_weights_below`, failing once it has run ``lines`` lines
+    of its own body: a root test that lets a weight leave the chamber makes
+    the descent run without end. The lines are counted by a ``sys.settrace``
+    hook, so a runaway descent fails at the same point on every run, as an
+    ``AssertionError`` raised inside the descent's frame. The largest descent
+    tested, from F4 ``2rho``, runs 61,305 lines."""
+    code = dominant_weights_below.__code__
+    left = [lines]
 
-    def stop(signum, frame):
-        raise TimeoutError(f"the descent below {lam} ran past {seconds} s")
+    def count(frame, event, arg):
+        if event == "line":
+            left[0] -= 1
+            if left[0] < 0:
+                raise AssertionError(f"the descent below {lam} ran past {lines} lines")
+        return count
 
-    previous = signal.signal(signal.SIGALRM, stop)
-    signal.alarm(seconds)
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: count if frame.f_code is code else None)
     try:
         return dominant_weights_below(rs, lam)
     finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+        sys.settrace(previous)
 
 
 @settings(max_examples=60, deadline=None)
@@ -164,7 +173,7 @@ def test_descent_stops_at_a_weight_off_the_chamber(monkeypatch, name):
     monkeypatch.setattr(strings, "descent", [(fund, ht, supp[:-1]) for fund, ht, supp in strings.descent])
     start = time.perf_counter()
     with pytest.raises(InvariantError, match="non-dominant"):
-        _descent_within(rs, tuple(2 * x for x in rs.rho), seconds=1)
+        _descent_within(rs, tuple(2 * x for x in rs.rho))
     assert time.perf_counter() - start < 1
 
 
@@ -305,27 +314,49 @@ def _orbit_by_bfs(rs, root, zeros):
     return seen
 
 
-@pytest.mark.parametrize("name", ["A3", "B3", "G2", "D4", "F4"])
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "D4", "F4", "E6"])
 def test_stabiliser_root_orbits_partition_the_roots(name):
+    # the orbits found by BFS, in the order of their first positive root, each
+    # as its highest (J-dominant) root and its length, modulo sign; over all
+    # roots an orbit off Phi_J is followed by its negative, listed by the
+    # negative of its lowest root, and an orbit in Phi_J holds both signs
     rs = build_root_system(name)
-    positive = set(rs.positive_roots_fund)
-    roots = positive | {tuple(-x for x in r) for r in positive}
-    indexed = list(rs.positive_roots_fund) + [tuple(-x for x in r) for r in rs.positive_roots_fund]
+    index = {r: t for t, r in enumerate(rs.positive_roots_fund)}
     for size in range(rs.rank + 1):
         for zeros in combinations(range(rs.rank), size):
-            modulo_sign, every = root_strings(rs).root_orbits(tuple(i not in zeros for i in range(rs.rank)))
-            for orbits, universe, fold in ((every, roots, False), (modulo_sign, positive, True)):
-                covered = set()
-                for t, length in orbits:
-                    top = indexed[t]
-                    assert top in universe and all(top[i] >= 0 for i in zeros), (name, zeros, top)
-                    orbit = _orbit_by_bfs(rs, top, zeros)
-                    if fold:  # {alpha, -alpha} counted once, as its positive member
-                        orbit = {r if r in positive else tuple(-x for x in r) for r in orbit}
-                    assert len(orbit) == length and not orbit & covered, (name, zeros, top)
-                    covered |= orbit
-                assert covered == universe, (name, zeros)
-                assert sum(length for _, length in orbits) == len(universe)
+            positive, every, seen = [], [], set()
+            for root in rs.positive_roots_fund:
+                if index[root] in seen:
+                    continue
+                orbit = _orbit_by_bfs(rs, root, zeros)
+                members = sorted({index[r] if r in index else index[tuple(-x for x in r)] for r in orbit})
+                seen.update(members)
+                top, n = members[-1], len(members)
+                assert all(rs.positive_roots_fund[top][i] >= 0 for i in zeros), (name, zeros, top)
+                positive.append((top, n))
+                if len(orbit) == 2 * n:
+                    every.append((top, 2 * n))
+                else:  # the negative of the lowest root is the negative orbit's J-dominant root
+                    assert all(rs.positive_roots_fund[members[0]][i] <= 0 for i in zeros), (name, zeros)
+                    every += [(top, n), (len(index) + members[0], n)]
+            assert sum(n for _, n in positive) == len(index)
+            nonzero = tuple(i not in zeros for i in range(rs.rank))
+            assert root_strings(rs).root_orbits(nonzero) == (positive, every), (name, zeros)
+
+
+@pytest.mark.parametrize(
+    "name,depth",
+    [(name, 0) for name in ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "D4", "F4", "E6"]]
+    + [(name, depth) for name in ["A1~", "A2~", "B2~", "G2~", "A3~"] for depth in (1, 2)],
+)
+def test_rho_norm_gap_is_the_difference_of_norms(name, depth):
+    # the O(rank) Freudenthal denominator against the invariant form, at the
+    # highest weight and every candidate of the rho table
+    rs = build_root_system(name)
+    lam_rho = tuple(x + 1 for x in rs.rho)
+    for _, mu, gamma in [(0, rs.rho, (0,) * len(rs.rho))] + freudenthal_candidates(rs, rs.rho, depth, 0):
+        mu_rho = tuple(x + 1 for x in mu)
+        assert rs.rho_norm_gap(rs.rho, mu, gamma) == rs.sip_ww(lam_rho, lam_rho) - rs.sip_ww(mu_rho, mu_rho), mu
 
 
 EXCEPTIONAL_E6_WEIGHTS = [
@@ -398,6 +429,19 @@ def test_cache_round_trip(tmp_path, b2):
     assert all(":" in line for line in text[1:])
     assert cache.clear() == 1
     assert cache.stat() == []
+    clear_memory_cache()
+
+
+@pytest.mark.parametrize("name,lam", [("B2", (2, 1)), ("E6", (1, 0, 0, 0, 0, 1))])
+def test_a_table_loaded_from_disk_builds_no_descent(tmp_path, name, lam):
+    # a command that only loads its table pays for no descent and no root codes
+    rs = build_root_system(name)
+    cache = CharCache(tmp_path)
+    clear_memory_cache()
+    table = freudenthal(rs, lam, cache).mults
+    clear_memory_cache()
+    assert freudenthal(rs, lam, cache).mults == table
+    assert not {"descent", "codes"} & vars(root_strings(rs)).keys()
     clear_memory_cache()
 
 

@@ -268,6 +268,18 @@ def test_orbit_size_on_every_zero_pattern(name):
         assert weyl_orbit_size(rs, pattern) == len(weyl_orbit(rs, pattern)), pattern
 
 
+def test_orbit_size_reflects_no_dominant_weight(monkeypatch):
+    # every caller passes a dominant zero pattern, which is its own representative
+    rs = build_root_system("F4")
+    sizes = {pattern: weyl_orbit_size(rs, pattern) for pattern in product((0, 1), repeat=rs.rank)}
+
+    def no_reflection(*_):
+        raise AssertionError("weyl_orbit_size reflected a dominant weight")
+
+    monkeypatch.setattr(type(rs), "to_dominant", no_reflection)
+    assert {pattern: weyl_orbit_size(rs, pattern) for pattern in sizes} == sizes
+
+
 @pytest.mark.parametrize("name", ["E6", "E7", "E8"])
 def test_orbit_size_on_every_zero_pattern_against_pairings(name):
     # too many points to walk: the regular E8 orbit has 696,729,600
