@@ -8,7 +8,7 @@ imaginary roots k delta with multiplicity rank), run only at affine-dominant
 weights: every other dominant finite weight of a slice takes the multiplicity
 of its alcove point, the affine-dominant point of its affine Weyl orbit, at a
 shallower depth, walked once per point and level
-(:meth:`rho_tensor.charcalc.RootStrings.alcove_point`). The tables live in
+(:meth:`rho_tensor.rootdata.RootSystem.alcove_point`). The tables live in
 the memo of :mod:`rho_tensor.charcalc`, keyed without the delta shift: one per
 classical highest weight, the deepest computed so far. Views of it serve
 shallower or shifted requests, and a deeper request extends its slices with
@@ -36,7 +36,7 @@ from fractions import Fraction
 from operator import add, mul, sub
 from typing import Iterable
 
-from .charcalc import _memo, _memo_lock, freudenthal_slices, root_strings
+from .charcalc import _memo, _memo_lock, freudenthal_slices
 from .rootdata import (
     AlgebraError,
     InvariantError,
@@ -286,7 +286,7 @@ def _numerator_terms(rs: RootSystem, start: AffineWeight, depth: int) -> list[tu
 def _weight_count(rs: RootSystem, char: TruncatedAffineCharacter) -> int:
     """The number of weights in the orbit-expanded slices of ``char``, one
     memoised orbit size per support pattern of the dominant weights."""
-    orbit_size = root_strings(rs).orbit_size
+    orbit_size = rs.orbit_size
     return sum(orbit_size(tuple(map(bool, mu))) for sl in char.slices for mu in sl)
 
 
@@ -304,7 +304,7 @@ def _numerator_sums(
         reached = [(v, eps, sums[e + n0]) for n0, v, eps in terms if e + n0 <= depth]
         orbits = ((eps * m, weyl_orbit(rs, mu, v), target) for mu, m in sl.items() for v, eps, target in reached)
         klimyk_pass(rs, orbits)
-    rho = (1,) * rs.rank
+    rho = rs.rho
     return [{tuple(map(sub, y, rho)): s for y, s in sl.items()} for sl in sums]
 
 
@@ -333,7 +333,7 @@ def truncated_tensor(
     affine-dominant ``x`` (``<x, theta^vee> <= lvl``) only ``nu = x`` and ``w =
     1`` count: ``c_x = S(x, d)``, and a negative one is an internal failure.
     At any other key, ``x + rho^`` reflects to an alcove point ``nu + rho^``
-    at a shallower depth (:meth:`rho_tensor.charcalc.RootStrings.alcove_point`),
+    at a shallower depth (:meth:`RootSystem.alcove_point`),
     and ``S(x, d)`` must be ``eps(w) c_nu``, or 0 if ``x + rho^`` is on a wall.
     Components come in the order depth, then ``(-height, w)``.
 
@@ -359,7 +359,7 @@ def truncated_tensor(
     terms = _numerator_terms(rs, kappa + affine_rho(rs), depth)
     sums = _numerator_sums(rs, small, terms, depth)
     lvl = lvl_l + lvl_m
-    alcove_point = root_strings(rs).alcove_point
+    alcove_point = rs.alcove_point
     components: dict[tuple[Weight, int], int] = {}
     for d, sl in enumerate(sums):
         for x in sorted(sl, key=lambda w: (-rs.height(w), w)):

@@ -17,21 +17,17 @@ import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import compress
 from operator import add, floordiv, mul, sub
 from pathlib import Path
 
 from .rootdata import (
     AlgebraError,
-    AlgebraId,
     InvariantError,
     RootSystem,
     RootVector,
     Weight,
     floor_root_coords,
     weyl_orbit,
-    weyl_orbit_size,
 )
 
 CACHE_ENV_VAR = "RHO_TENSOR_CACHE"
@@ -60,7 +56,7 @@ class DominantCharacter:
 
     def dimension(self, rs: RootSystem) -> int:
         """``sum mult * |W mu|``, one memoised orbit size per zero pattern of ``mu``."""
-        orbit_size = root_strings(rs).orbit_size
+        orbit_size = rs.orbit_size
         return sum(m * orbit_size(tuple(map(bool, mu))) for mu, m in self.mults.items())
 
 
@@ -84,14 +80,14 @@ def dominant_weights_below(rs: RootSystem, lam: Weight) -> list[Weight]:
 
     A root ``alpha`` is subtracted only when ``mu - alpha`` is dominant, tested
     before the weight is built: with ``supp`` the pairs ``(i, a_i)`` of the
-    positive fundamental coordinates of ``alpha`` (:attr:`RootStrings.descent`),
+    positive fundamental coordinates of ``alpha`` (:attr:`RootSystem.descent`),
     the test is ``mu_i >= a_i`` on ``supp``. It is exact, because ``(mu -
     alpha)_i = mu_i - a_i`` is at least ``mu_i >= 0`` wherever ``a_i <= 0``.
     Each weight admitted is checked to be dominant all the same, so a faulty
     test raises ``InvariantError`` instead of descending without end."""
     if not rs.is_dominant(lam):
         raise AlgebraError(f"dominant_weights_below requires a dominant weight, got {lam}")
-    steps = root_strings(rs).descent
+    steps = rs.descent
     height = {lam: 0}
     frontier = [lam]
     while frontier:
@@ -139,158 +135,6 @@ def freudenthal_candidates(
     return [t[1:] for t in todo]
 
 
-class RootStrings:
-    """The real-root strings :func:`freudenthal_slices` walks, for one
-    algebra, grouped by the stabilisers of dominant weights, each table
-    memoised. A dominant ``mu`` is fixed by the parabolic subgroup ``W_J`` on
-    its zero coordinates ``J`` and by nothing else of ``W``; the tables are
-    keyed by ``tuple(map(bool, mu))``. Roots are indexed as
-    ``rs.positive_roots`` followed by their negatives. The alcove points of
-    the affine candidates off the chamber are memoised here too, and
-    ``descent``, built on first use, holds ``(fund, height, supp)`` per
-    positive root for :func:`dominant_weights_below`, ``supp`` the pairs
-    ``(i, a_i)`` with ``a_i > 0`` of its fundamental coordinates ``fund``."""
-
-    def __init__(self, rs: RootSystem):
-        self.rs = rs
-        self._every: dict[int, list[tuple]] = {}
-        self._orbits: dict[tuple[tuple[bool, ...], int], list[tuple]] = {}
-        self._sizes: dict[tuple[bool, ...], int] = {}
-        self._alcove: dict[tuple[Weight, int], tuple[Weight, int, int]] = {}
-
-    @cached_property
-    def descent(self) -> list[tuple]:
-        rs = self.rs
-        return [
-            (fund, sum(rc), tuple((i, a) for i, a in enumerate(fund) if a > 0))
-            for fund, rc in zip(rs.positive_roots_fund, rs.positive_roots)
-        ]
-
-    @cached_property
-    def codes(self) -> tuple[list[int], list[tuple[int, int]]]:
-        """``(fields, codes)`` for :meth:`root_orbits`: per positive root, its
-        simple-root coordinates packed ``width`` bits each (``fields[i]``
-        masks coordinate ``i``) above a bit set for a short root, and the
-        least node of its support."""
-        rs = self.rs
-        width = max(map(max, rs.positive_roots)).bit_length()
-        long = self.every(0)[-1][2]  # (theta|theta): the highest root is long
-        codes = [
-            (sum(c << (1 + width * i) for i, c in enumerate(rc)) | (s_aa < long), next(compress(range(rs.rank), rc)))
-            for rc, (_, _, s_aa, _) in zip(rs.positive_roots, self.every(0))
-        ]
-        return [((1 << width) - 1) << (1 + width * i) for i in range(rs.rank)], codes
-
-    def every(self, k: int) -> list[tuple]:
-        """``(fund, form_rc, s_aa, supp)`` per root ``alpha``, for ``alpha +
-        k*delta`` (the positive roots only at ``k = 0``). ``(mu|alpha)`` is
-        one dot product of ``mu`` with ``form_rc``, and ``s_aa`` is
-        ``(alpha|alpha)``, both scaled by ``form_scale``. Over the affine
-        simple roots ``alpha_0..alpha_r`` the root is ``(k, rc + k*marks)``,
-        and ``supp`` lists its nonzero coordinates: its string through ``mu -
-        d*delta`` stays below the top while these fit into ``(d, gamma +
-        d*marks)``."""
-        strings = self._every.get(k)
-        if strings is None:
-            rs = self.rs
-            roots = list(zip(rs.positive_roots, rs.positive_roots_fund))
-            if k:
-                roots += [(tuple(-x for x in rc), tuple(-x for x in fund)) for rc, fund in roots]
-            strings = self._every[k] = []
-            for rc, fund in roots:
-                form_rc = tuple(map(mul, rs.form_d, rc))
-                coords = (k,) + tuple(r + k * a for r, a in zip(rc, rs.marks))
-                supp = tuple((i, x) for i, x in enumerate(coords) if x > 0)
-                strings.append((fund, form_rc, sum(map(mul, fund, form_rc)), supp))
-        return strings
-
-    def root_orbits(self, nonzero: tuple[bool, ...]) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-        """The ``W_J``-orbits of the roots, ``J`` the nodes where ``nonzero``
-        is false, as ``(positive, every)``: the orbits on the positive roots
-        modulo sign, and those on all roots, each as the index of its
-        ``J``-dominant (highest) root and its length.
-
-        ``W_J`` keeps the coordinates of a root off ``J`` (its shape) and its
-        length. The roots of one nonzero shape are the weights of one
-        irreducible module of the Levi subalgebra on ``J`` (Azad, Barry and
-        Seitz, *On the structure of parabolic subgroups*, Comm. Algebra 1990),
-        and the weights of one length in it form one orbit, that of its highest
-        weight. The roots of shape zero make up ``Phi_J``, one orbit of both
-        signs per component of ``J`` and length. The negative orbit of a
-        nonzero shape is listed by the negative of its positive orbit's lowest
-        root. A root's shape and length are one ``code & mask`` (:attr:`codes`);
-        one of shape zero is told apart by the component of ``J`` holding its
-        least node."""
-        rs = self.rs
-        component = {}  # node of J -> first node of its connected component in J
-        for i, f in enumerate(nonzero):
-            if not f and i not in component:
-                component[i] = i
-                stack = [i]
-                while stack:
-                    for j, _ in rs.dynkin_nodes[stack.pop()].neighbours:
-                        if not nonzero[j] and j not in component:
-                            component[j] = i
-                            stack.append(j)
-        fields, codes = self.codes
-        mask = sum(compress(fields, nonzero)) | 1
-        groups: dict[int | tuple[int, int], list[int]] = {}
-        for t, (code, first) in enumerate(codes):
-            shape = code & mask  # the length bit alone for a root of Phi_J
-            groups.setdefault(shape if shape > 1 else (shape, component[first]), []).append(t)
-        npos = len(codes)
-        positive, every = [], []
-        for shape, members in groups.items():  # each by height, as positive_roots
-            top, n = members[-1], len(members)
-            positive.append((top, n))
-            if isinstance(shape, int):
-                every += [(top, n), (npos + members[0], n)]
-            else:
-                every.append((top, 2 * n))
-        return positive, every
-
-    def orbit_strings(self, nonzero: tuple[bool, ...], k: int) -> list[tuple]:
-        """:meth:`every` at ``k`` with the length of the orbit appended, one
-        string per orbit of :meth:`root_orbits`: on the positive roots modulo
-        sign at ``k = 0``, on all roots at ``k >= 1``."""
-        key = (nonzero, k)
-        strings = self._orbits.get(key)
-        if strings is None:
-            every = self.every(k)
-            strings = self._orbits[key] = [every[t] + (n,) for t, n in self.root_orbits(nonzero)[bool(k)]]
-        return strings
-
-    def orbit_size(self, nonzero: tuple[bool, ...]) -> int:
-        """:func:`weyl_orbit_size` of a dominant weight with this support."""
-        size = self._sizes.get(nonzero)
-        if size is None:
-            size = self._sizes[nonzero] = weyl_orbit_size(self.rs, tuple(map(int, nonzero)))
-        return size
-
-    def alcove_point(self, v: Weight, d: int, lvl: int) -> tuple[Weight, int, int]:
-        """:meth:`RootSystem.alcove_point`, one walk per ``(v, lvl)``: the
-        walk's point and sign do not depend on ``d``, which it lowers by a
-        fixed drop, so each is held as ``(point, drop, sign)``."""
-        hit = self._alcove.get((v, lvl))
-        if hit is None:
-            point, e, sign = self.rs.alcove_point(v, 0, lvl)
-            hit = self._alcove[(v, lvl)] = (point, -e, sign)
-        point, drop, sign = hit
-        return point, d - drop, sign
-
-
-# per algebra: the root data above, which depends on no highest weight
-_root_strings: dict[AlgebraId, RootStrings] = {}
-
-
-def root_strings(rs: RootSystem) -> RootStrings:
-    """The memoised :class:`RootStrings` of ``rs.algebra``."""
-    data = _root_strings.get(rs.algebra)
-    if data is None:
-        data = _root_strings[rs.algebra] = RootStrings(rs)
-    return data
-
-
 def freudenthal_slices(
     rs: RootSystem,
     lam: Weight,
@@ -332,12 +176,12 @@ def freudenthal_slices(
     ``-alpha`` add the same, as ``s_alpha`` fixes ``mu``; so the positive
     roots are grouped by orbits modulo sign. One string per orbit is walked,
     from the orbit's ``J``-dominant root, and counted times the orbit's length
-    (see :meth:`RootStrings.root_orbits`).
+    (see :meth:`RootSystem.root_orbits`).
 
     Only the candidates at depth 0 or in the affine chamber (``<mu, theta^vee>
     <= lvl``) run the recursion. Any other is read off its alcove point
-    (:meth:`RootStrings.alcove_point`, one walk per point and level, shared
-    by every table of the algebra): by affine Weyl invariance (Kac,
+    (:meth:`RootSystem.alcove_point`, one walk per point and level, shared
+    by every table read through ``rs``): by affine Weyl invariance (Kac,
     *Infinite-dimensional Lie algebras*, Prop. 10.1) its multiplicity is that
     of the point, which is shallower and so already known, or 0 if the point
     lies above the top. Every candidate that runs the recursion is then a
@@ -351,8 +195,7 @@ def freudenthal_slices(
     scale = rs.form_scale
     to_dominant = rs.to_dominant
     norm_gap = rs.rho_norm_gap
-    memo = root_strings(rs)
-    orbit_strings, alcove_point = memo.orbit_strings, memo.alcove_point
+    orbit_strings, alcove_point = rs.orbit_strings, rs.alcove_point
     strings_of: dict[tuple[bool, ...], list[list[tuple]]] = {}
     lvl_scaled = lvl * scale
     shift_scaled = 2 * (lvl + rs.dual_coxeter) * scale
@@ -465,11 +308,11 @@ def freudenthal(rs: RootSystem, lam: Weight, cache: "CharCache | None" = None) -
 
 
 def clear_memory_cache() -> None:
-    """Drop every memoised table, finite and affine, and the memoised orbit
-    sizes, root strings and alcove points."""
+    """Drop every memoised table, finite and affine: the one process-wide
+    memo. The root data, orbit sizes and alcove points are memoised on each
+    :class:`RootSystem` and live as long as it does."""
     with _memo_lock:
         _memo.clear()
-        _root_strings.clear()
 
 
 class CharCache:
@@ -533,7 +376,7 @@ class CharCache:
             return None
         # parses, but is a miss unless both identities of the class docstring hold
         dim = rs.weyl_dimension(lam)
-        orbit_size = root_strings(rs).orbit_size
+        orbit_size = rs.orbit_size
         counts = [m * orbit_size(tuple(map(bool, mu))) for mu, m in table.items()]
         if sum(counts) != dim:
             return None

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, prod
 from operator import add, floordiv, gt, mod, mul
 from typing import NamedTuple
@@ -235,12 +235,14 @@ class RootSystem:
     scaled by ``form_scale``: ``form_ww`` is the Gram matrix of the
     fundamental weights and ``form_d`` holds ``(omega_i|alpha_i) = d_i``.
     ``orbit_shapes`` and ``orbit_children`` record the trees of
-    :func:`weyl_orbit`, once per zero pattern of a dominant weight; they are
-    not dataclass fields, and each root system built has its own.
-    Safe to share across threads: every operation is a pure function of its
-    inputs. The memos (``height_row``, ``root_supports``, ``orbit_shapes``,
-    ``orbit_children``) are filled lazily, each entry stored whole once
-    computed, so a race only computes and writes the same value twice.
+    :func:`weyl_orbit`, once per zero pattern of a dominant weight. The root
+    data of the Freudenthal recursion and the dominant descent (``descent``,
+    ``root_codes``, :meth:`strings`, :meth:`orbit_strings`) and the values of
+    :meth:`orbit_size` and :meth:`alcove_point` are memoised here too. No memo
+    is a dataclass field: each root system built has its own, and they live
+    and die with it. Safe to share across threads: every operation is a pure
+    function of its inputs, and every memo entry is built first and then
+    stored whole, so a race only computes and writes the same value twice.
     """
 
     algebra: AlgebraId
@@ -254,7 +256,6 @@ class RootSystem:
     coroot_steps: tuple[tuple[int, int], ...]
     dynkin_nodes: tuple[DynkinNode, ...]
     rho: Weight
-    highest_root: RootVector
     marks: tuple[int, ...]
     dual_marks: tuple[int, ...]
     dual_coxeter: int
@@ -311,23 +312,27 @@ class RootSystem:
         walls; the sign is ``(-1)^(reflections)``, or 0 once any step met a
         wall, that is iff the weight lies on a wall of the affine Weyl group.
         The point and sign depend on ``(v, lvl)`` only, and the depth drops
-        by an amount fixed by them: the affine tables read the walk through
-        :meth:`rho_tensor.charcalc.RootStrings.alcove_point`, once per
-        ``(v, lvl)``."""
-        if lvl <= 0:
-            raise AlgebraError(f"alcove_point requires a positive level, got {lvl}")
-        theta = self.positive_roots_fund[-1]  # the highest root comes last, by height
-        dual_marks = self.dual_marks
-        eps = 1
-        while True:
-            v, sign = self.to_dominant(v)
-            eps *= sign
-            v0 = lvl - sum(map(mul, dual_marks, v))
-            if v0 >= 0:
-                return v, d, eps if v0 else 0
-            v = tuple(x + v0 * t for x, t in zip(v, theta))
-            d += v0
-            eps = -eps
+        by an amount fixed by them, so the walk runs once per ``(v, lvl)``,
+        held as ``(point, drop, sign)``."""
+        hit = self._alcove_points.get((v, lvl))
+        if hit is None:
+            if lvl <= 0:
+                raise AlgebraError(f"alcove_point requires a positive level, got {lvl}")
+            theta = self.positive_roots_fund[-1]  # the highest root comes last, by height
+            dual_marks = self.dual_marks
+            point, drop, eps = v, 0, 1
+            while True:
+                point, sign = self.to_dominant(point)
+                eps *= sign
+                v0 = lvl - sum(map(mul, dual_marks, point))
+                if v0 >= 0:
+                    break
+                point = tuple(x + v0 * t for x, t in zip(point, theta))
+                drop -= v0
+                eps = -eps
+            hit = self._alcove_points[(v, lvl)] = (point, drop, eps if v0 else 0)
+        point, drop, sign = hit
+        return point, d - drop, sign
 
     def is_dominant(self, w: Weight) -> bool:
         """Every coordinate of ``w`` is non-negative: ``w`` is in the dominant chamber."""
@@ -352,6 +357,122 @@ class RootSystem:
         """The children of each bitmask in :attr:`orbit_shapes`, decoded on a
         replay's first use of the bitmask (:class:`_OrbitChildren`)."""
         return _OrbitChildren(self.dynkin_nodes)
+
+    # -- root data of the Freudenthal recursion, memoised ---------------------
+
+    # the memos of strings, orbit_strings, orbit_size and alcove_point, filled
+    # as keys are met
+    _strings = cached_property(lambda self: {})
+    _orbit_strings = cached_property(lambda self: {})
+    _orbit_sizes = cached_property(lambda self: {})
+    _alcove_points = cached_property(lambda self: {})
+
+    @cached_property
+    def descent(self) -> list[tuple[Weight, int, tuple[tuple[int, int], ...]]]:
+        """``(fund, height, supp)`` per positive root, for
+        :func:`rho_tensor.charcalc.dominant_weights_below`: ``supp`` holds the
+        pairs ``(i, a_i)`` with ``a_i > 0`` of its fundamental coordinates
+        ``fund``."""
+        return [
+            (fund, sum(rc), tuple((i, a) for i, a in enumerate(fund) if a > 0))
+            for fund, rc in zip(self.positive_roots_fund, self.positive_roots)
+        ]
+
+    @cached_property
+    def root_codes(self) -> tuple[list[int], list[tuple[int, int]]]:
+        """``(fields, codes)`` for :meth:`root_orbits`: per positive root, its
+        simple-root coordinates packed ``width`` bits each (``fields[i]``
+        masks coordinate ``i``) above a bit set for a short root, and the
+        least node of its support."""
+        width = max(map(max, self.positive_roots)).bit_length()
+        strings = self.strings(0)
+        long = strings[-1][2]  # (theta|theta): the highest root is long
+        codes = [
+            (sum(c << (1 + width * i) for i, c in enumerate(rc)) | (s_aa < long), next(compress(range(self.rank), rc)))
+            for rc, (_, _, s_aa, _) in zip(self.positive_roots, strings)
+        ]
+        return [((1 << width) - 1) << (1 + width * i) for i in range(self.rank)], codes
+
+    def strings(self, k: int) -> list[tuple]:
+        """``(fund, form_rc, s_aa, supp)`` per root ``alpha``, for ``alpha +
+        k*delta`` (the positive roots only at ``k = 0``); roots are indexed as
+        ``positive_roots`` followed by their negatives. ``(mu|alpha)`` is one
+        dot product of ``mu`` with ``form_rc``, and ``s_aa`` is
+        ``(alpha|alpha)``, both scaled by ``form_scale``. Over the affine
+        simple roots ``alpha_0..alpha_r`` the root is ``(k, rc + k*marks)``,
+        and ``supp`` lists its nonzero coordinates: its string through ``mu -
+        d*delta`` stays below the top while these fit into ``(d, gamma +
+        d*marks)``."""
+        strings = self._strings.get(k)
+        if strings is None:
+            roots = list(zip(self.positive_roots, self.positive_roots_fund))
+            if k:
+                roots += [(tuple(-x for x in rc), tuple(-x for x in fund)) for rc, fund in roots]
+            built = []
+            for rc, fund in roots:
+                form_rc = tuple(map(mul, self.form_d, rc))
+                coords = (k,) + tuple(r + k * a for r, a in zip(rc, self.marks))
+                supp = tuple((i, x) for i, x in enumerate(coords) if x > 0)
+                built.append((fund, form_rc, sum(map(mul, fund, form_rc)), supp))
+            strings = self._strings[k] = built
+        return strings
+
+    def root_orbits(self, nonzero: tuple[bool, ...]) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """The ``W_J``-orbits of the roots, ``J`` the nodes where ``nonzero``
+        is false, as ``(positive, every)``: the orbits on the positive roots
+        modulo sign, and those on all roots, each as the index of its
+        ``J``-dominant (highest) root and its length. ``W_J`` is the
+        stabiliser of a dominant weight ``mu`` with ``nonzero ==
+        tuple(map(bool, mu))``.
+
+        ``W_J`` keeps the coordinates of a root off ``J`` (its shape) and its
+        length. The roots of one nonzero shape are the weights of one
+        irreducible module of the Levi subalgebra on ``J`` (Azad, Barry and
+        Seitz, *On the structure of parabolic subgroups*, Comm. Algebra 1990),
+        and the weights of one length in it form one orbit, that of its highest
+        weight. The roots of shape zero make up ``Phi_J``, one orbit of both
+        signs per component of ``J`` and length. The negative orbit of a
+        nonzero shape is listed by the negative of its positive orbit's lowest
+        root. A root's shape and length are one ``code & mask``
+        (:attr:`root_codes`); one of shape zero is told apart by the component
+        of ``J`` holding its least node."""
+        component = {}  # node of J -> first node of its connected component in J
+        for i, f in enumerate(nonzero):
+            if not f and i not in component:
+                component[i] = i
+                stack = [i]
+                while stack:
+                    for j, _ in self.dynkin_nodes[stack.pop()].neighbours:
+                        if not nonzero[j] and j not in component:
+                            component[j] = i
+                            stack.append(j)
+        fields, codes = self.root_codes
+        mask = sum(compress(fields, nonzero)) | 1
+        groups: dict[int | tuple[int, int], list[int]] = {}
+        for t, (code, first) in enumerate(codes):
+            shape = code & mask  # the length bit alone for a root of Phi_J
+            groups.setdefault(shape if shape > 1 else (shape, component[first]), []).append(t)
+        npos = len(codes)
+        positive, every = [], []
+        for shape, members in groups.items():  # each by height, as positive_roots
+            top, n = members[-1], len(members)
+            positive.append((top, n))
+            if isinstance(shape, int):
+                every += [(top, n), (npos + members[0], n)]
+            else:
+                every.append((top, 2 * n))
+        return positive, every
+
+    def orbit_strings(self, nonzero: tuple[bool, ...], k: int) -> list[tuple]:
+        """:meth:`strings` at ``k`` with the length of the orbit appended, one
+        string per orbit of :meth:`root_orbits`: on the positive roots modulo
+        sign at ``k = 0``, on all roots at ``k >= 1``."""
+        key = (nonzero, k)
+        strings = self._orbit_strings.get(key)
+        if strings is None:
+            every = self.strings(k)
+            strings = self._orbit_strings[key] = [every[t] + (n,) for t, n in self.root_orbits(nonzero)[bool(k)]]
+        return strings
 
     # -- the invariant form, scaled by form_scale -----------------------------
 
@@ -390,7 +511,7 @@ class RootSystem:
 
     @cached_property
     def root_supports(self) -> tuple[tuple[int, int], ...]:
-        """``(support bitmask, height)`` per positive root, for :func:`weyl_orbit_size`."""
+        """``(support bitmask, height)`` per positive root, for :meth:`orbit_size`."""
         return tuple((sum(1 << i for i, c in enumerate(r) if c), sum(r)) for r in self.positive_roots)
 
     @cached_property
@@ -401,6 +522,25 @@ class RootSystem:
     def height(self, v: Weight) -> int:
         """``lattice_index`` times the sum of simple-root coordinates of ``v``."""
         return sum(map(mul, self.height_row, v))
+
+    def orbit_size(self, nonzero: tuple[bool, ...]) -> int:
+        """``|W mu|`` for a dominant ``mu`` with ``nonzero == tuple(map(bool,
+        mu))``, memoised per pattern, without building the orbit: ``|W| /
+        |W_J|`` for the stabiliser ``W_J`` of ``mu``, the product of ``(ht a +
+        1) / ht a`` over the positive roots with ``<mu, a^vee> > 0`` (Kostant;
+        Macdonald, *The Poincaré series of a Coxeter group*, 1972). Those are
+        the roots whose support meets that of ``mu``: ``a^vee`` has the support
+        of ``a``, and every coordinate of ``mu`` and of ``a^vee`` is ``>= 0``;
+        so each test is one ``&`` on :attr:`root_supports`."""
+        size = self._orbit_sizes.get(nonzero)
+        if size is None:
+            mask = sum(1 << i for i, x in enumerate(nonzero) if x)
+            hts = [h for support, h in self.root_supports if support & mask]
+            size, rem = divmod(prod(h + 1 for h in hts), prod(hts))
+            if rem:
+                raise InvariantError(f"orbit size of pattern {nonzero} from root heights {hts} is not integral")
+            self._orbit_sizes[nonzero] = size
+        return size
 
     def _require_finite(self):
         if self.algebra.affine:
@@ -499,8 +639,7 @@ def build_root_system(algebra: AlgebraId | str) -> RootSystem:
         coroot_steps=tuple(steps),
         dynkin_nodes=_dynkin_nodes(cartan),
         rho=(1,) * rank,
-        highest_root=theta,
-        marks=tuple(theta),
+        marks=theta,
         dual_marks=dual_marks,
         dual_coxeter=1 + sum(dual_marks),
         dim_adjoint=rank + 2 * len(posroots),
@@ -631,24 +770,6 @@ def _record_orbit(rs: RootSystem, mu: Weight, key: tuple[bool, ...]) -> list[Wei
         record(mask)
     rs.orbit_shapes[key] = masks
     return orbit
-
-
-def weyl_orbit_size(rs: RootSystem, w: Weight) -> int:
-    """``len(weyl_orbit(rs, w))`` without building the orbit: ``|W| / |W_J|``
-    for the stabiliser ``W_J`` of the dominant ``u``, the product of ``(ht a +
-    1) / ht a`` over the positive roots with ``<u, a^vee> > 0`` (Kostant;
-    Macdonald, *The Poincaré series of a Coxeter group*, 1972). Those are the
-    roots whose support meets that of ``u``: ``a^vee`` has the support of
-    ``a``, and every coordinate of ``u`` and of ``a^vee`` is ``>= 0``; so each
-    test is one ``&`` on :attr:`RootSystem.root_supports`. A dominant ``w``, as
-    every caller in the library passes, is not reflected."""
-    u = w if min(w) >= 0 else rs.to_dominant(w)[0]
-    mask = sum(1 << i for i, x in enumerate(u) if x)
-    hts = [h for support, h in rs.root_supports if support & mask]
-    q, rem = divmod(prod(h + 1 for h in hts), prod(hts))
-    if rem:
-        raise InvariantError(f"orbit size of {w} from root heights {hts} is not integral")
-    return q
 
 
 def floor_root_coords(rs: RootSystem, lam: Weight) -> tuple[int, ...]:

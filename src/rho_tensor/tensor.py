@@ -124,7 +124,7 @@ def klimyk(rs: RootSystem, lam: Weight, mu: Weight, cache: CharCache | None = No
     else:
         big, small = lam, mu
     char = freudenthal(rs, small, cache)
-    rho = (1,) * rs.rank
+    rho = rs.rho
     v = tuple(map(add, big, rho))
     sums: dict[Weight, int] = {}  # keyed by x + rho
     unreflected = klimyk_pass(rs, ((m, rs.orbit(nu, v), sums) for nu, m in char.mults.items()))

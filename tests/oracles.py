@@ -27,7 +27,8 @@ stabiliser of each weight and counts it times the orbit's length.
 The orbit oracle walks a Weyl orbit breadth-first with a seen-set, where the
 production walk climbs the tree of ``to_dominant``. The orbit-size oracle
 tests each positive root by its pairing with the dominant weight, where the
-library compares supports. The root-datum oracle builds the symmetrizer, the inverse
+library compares supports. The alcove walk runs on every call, where the
+library memoises one walk per point and level. The root-datum oracle builds the symmetrizer, the inverse
 Cartan matrix and the form in ``Fraction`` arithmetic, where the production
 build stays in integers throughout, and runs its own root-string closure. The descent oracle for the conjecture's
 predicted set tests every dominant weight below (m+n) rho for membership,
@@ -121,12 +122,12 @@ def freudenthal_slices_by_all_roots(
     slices: list[dict[Weight, int]] = [{} for _ in range(depth + 1)]
     slices[0][lam] = 1
     dominant_of: dict[Weight, Weight] | None = {} if depth else None
-    dual_marks, alcove_point = rs.dual_marks, rs.alcove_point
+    dual_marks = rs.dual_marks
     for d, mu, gamma in candidates:
         if d and sum(map(mul, dual_marks, mu)) > lvl:
             # off the affine chamber: the multiplicity is that of its alcove point,
             # shallower (above the top if e < 0), so already known
-            nu, e, _ = alcove_point(mu, d, lvl)
+            nu, e, _ = alcove_point_by_walk(rs, mu, d, lvl)
             m = slices[e].get(nu, 0) if e >= 0 else 0
             if m:
                 slices[d][mu] = m
@@ -412,7 +413,6 @@ def root_datum_by_fractions(algebra: AlgebraId | str) -> RootSystem:
         coroot_steps=tuple(steps),
         dynkin_nodes=_dynkin_nodes_by_adjacency(cartan),
         rho=(1,) * rank,
-        highest_root=theta,
         marks=tuple(theta),
         dual_marks=tuple(map(int, dual_marks)),
         dual_coxeter=1 + int(sum(dual_marks)),
@@ -673,7 +673,7 @@ def _affine_nodes(rs: RootSystem) -> tuple[DynkinNode, ...]:
     """The Dynkin nodes ``0..r`` of the affine Cartan matrix, node 0 the
     affine root ``alpha_0 = delta - theta``: ``A[j][0] = -<theta, alpha_j^vee>``
     and ``A[0][i] = -<alpha_i, theta^vee>`` for ``i, j >= 1``."""
-    theta = rs.fund_coords_of_root(rs.highest_root)
+    theta = rs.fund_coords_of_root(rs.marks)
     cartan = [[2] + [-theta_pairing(rs, col) for col in zip(*rs.cartan)]]
     cartan += [[-t] + list(row) for t, row in zip(theta, rs.cartan)]
     return _dynkin_nodes_by_adjacency(cartan)
@@ -753,6 +753,26 @@ def _ball(rs: RootSystem, x: Weight, d: int, top: Weight, lvl: int) -> tuple[tup
     return costs, rs.sip_ww(top, top) - rs.sip_ww(x, x) + 2 * rs.form_scale * lvl * d
 
 
+def alcove_point_by_walk(rs: RootSystem, v: Weight, d: int, lvl: int) -> tuple[Weight, int, int]:
+    """:meth:`RootSystem.alcove_point` by its walk on every call, with no
+    memo: finite reflections to the dominant chamber alternate with ``s_0``,
+    which lowers the finite part by ``-v_0 theta`` and the depth by ``-v_0``
+    while ``v_0 = lvl - <v, theta^vee> < 0``; the sign is ``(-1)^(reflections)``,
+    or 0 once a step met a wall."""
+    assert lvl > 0, lvl
+    theta = rs.positive_roots_fund[-1]
+    eps = 1
+    while True:
+        v, sign = rs.to_dominant(v)
+        eps *= sign
+        v0 = lvl - theta_pairing(rs, v)
+        if v0 >= 0:
+            return v, d, eps if v0 else 0
+        v = tuple(x + v0 * t for x, t in zip(v, theta))
+        d += v0
+        eps = -eps
+
+
 def _read_off(
     rs: RootSystem, product: list[dict[Weight, int]], top: Weight, lvl: int
 ) -> dict[tuple[Weight, int], int]:
@@ -801,7 +821,7 @@ def _read_off(
                 if total:
                     components[(x, d)] = total
                 continue
-            point, e, sign = rs.alcove_point(x_rho, d, lvl + rs.dual_coxeter)
+            point, e, sign = alcove_point_by_walk(rs, x_rho, d, lvl + rs.dual_coxeter)
             nu = tuple(a - 1 for a in point)
             expected = sign * components.get((nu, e), 0)
             if total != expected:

@@ -40,7 +40,6 @@ from rho_tensor.charcalc import (
     freudenthal,
     freudenthal_candidates,
     freudenthal_slices,
-    root_strings,
 )
 from rho_tensor.rootdata import AlgebraError, InvariantError, build_root_system, floor_root_coords
 from rho_tensor.tensor import klimyk
@@ -57,6 +56,7 @@ from oracles import (
     affine_candidates_by_box,
     affine_rho_character_by_product,
     affine_slices_by_weyl_kac,
+    alcove_point_by_walk,
     freudenthal_slices_by_all_roots,
     truncated_tensor_by_full_peel,
     truncated_tensor_by_read_off,
@@ -302,30 +302,34 @@ def test_deeper_request_resumes_from_the_memoised_table(monkeypatch, name, fund,
 @pytest.mark.parametrize("name", ["A2~", "B2~", "G2~"])
 def test_alcove_memo_matches_the_walk(name):
     rs = build_root_system(name)
-    clear_memory_cache()
-    memo = root_strings(rs)
     for v in iproduct(range(-5, 6), repeat=rs.rank):
         for lvl in (1, 2, 4):
             # each depth twice: the second read is a memo hit
             for d in (0, 3, 7, 3, 0, 7):
-                assert memo.alcove_point(v, d, lvl) == rs.alcove_point(v, d, lvl), (v, d, lvl)
-    assert len(memo._alcove) == 11 ** rs.rank * 3
-    assert any(sign == 0 for _, _, sign in memo._alcove.values())
+                assert rs.alcove_point(v, d, lvl) == alcove_point_by_walk(rs, v, d, lvl), (v, d, lvl)
+    assert len(rs._alcove_points) == 11 ** rs.rank * 3
+    assert any(sign == 0 for _, _, sign in rs._alcove_points.values())
     with pytest.raises(AlgebraError, match="positive level"):
-        memo.alcove_point((1, 0), 3, 0)
+        rs.alcove_point((1, 0), 3, 0)
 
 
-def test_clear_memory_cache_drops_affine_tables(sl2_affine):
-    rho = affine_rho(sl2_affine)
+def test_clear_memory_cache_drops_affine_tables():
+    rs = build_root_system("A1~")
+    rho = affine_rho(rs)
     clear_memory_cache()
-    char = affine_freudenthal(sl2_affine, rho, 3)
-    assert affine_freudenthal(sl2_affine, rho, 3) is char
-    memo = root_strings(sl2_affine)
-    assert memo._alcove  # (3,) at depth 1 lies off the level-2 chamber
+    char = affine_freudenthal(rs, rho, 3)
+    assert affine_freudenthal(rs, rho, 3) is char
+    points = dict(rs._alcove_points)
+    assert points  # (3,) at depth 1 lies off the level-2 chamber
     clear_memory_cache()
     assert not _memo
-    assert root_strings(sl2_affine) is not memo and not root_strings(sl2_affine)._alcove
-    assert affine_freudenthal(sl2_affine, rho, 3) is not char
+    # the root system held keeps its root data and alcove points, and gives
+    # the same table again, as a fresh one does
+    again = affine_freudenthal(rs, rho, 3)
+    assert again is not char and again.slices == char.slices
+    assert rs._alcove_points == points
+    clear_memory_cache()
+    assert affine_freudenthal(build_root_system("A1~"), rho, 3).slices == char.slices
 
 
 def test_delta_shifted_highest_weight_shares_its_table(sl3_affine):

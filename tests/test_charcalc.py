@@ -3,6 +3,7 @@
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 from operator import sub
 from random import Random
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rho_tensor.charcalc as charcalc
+from rho_tensor.affine import AffineWeight, affine_freudenthal
 from rho_tensor.charcalc import (
     CharCache,
     clear_memory_cache,
@@ -18,7 +20,6 @@ from rho_tensor.charcalc import (
     freudenthal,
     freudenthal_candidates,
     freudenthal_slices,
-    root_strings,
 )
 from rho_tensor.rootdata import AlgebraError, InvariantError, build_root_system
 
@@ -47,9 +48,9 @@ def test_sl2_strings(a1):
 def test_adjoint_zero_weight_multiplicity_is_rank(a2, b2, g2):
     # the adjoint of sl3 is V(rho); zero weight carries the Cartan
     assert freudenthal(a2, (1, 1)).mults[(0, 0)] == 2
-    theta_b2 = tuple(b2.fund_coords_of_root(b2.highest_root))
+    theta_b2 = tuple(b2.fund_coords_of_root(b2.marks))
     assert freudenthal(b2, theta_b2).mults[(0, 0)] == 2
-    theta_g2 = tuple(g2.fund_coords_of_root(g2.highest_root))
+    theta_g2 = tuple(g2.fund_coords_of_root(g2.marks))
     assert freudenthal(g2, theta_g2).mults[(0, 0)] == 2
 
 
@@ -169,8 +170,7 @@ def test_descent_stops_at_a_weight_off_the_chamber(monkeypatch, name):
     # a root test that skips the last pair (i, a_i) of each root admits weights
     # off the chamber: the descent raises at the first, instead of running on
     rs = build_root_system(name)
-    strings = root_strings(rs)
-    monkeypatch.setattr(strings, "descent", [(fund, ht, supp[:-1]) for fund, ht, supp in strings.descent])
+    monkeypatch.setitem(vars(rs), "descent", [(fund, ht, supp[:-1]) for fund, ht, supp in rs.descent])
     start = time.perf_counter()
     with pytest.raises(InvariantError, match="non-dominant"):
         _descent_within(rs, tuple(2 * x for x in rs.rho))
@@ -341,7 +341,7 @@ def test_stabiliser_root_orbits_partition_the_roots(name):
                     every += [(top, n), (len(index) + members[0], n)]
             assert sum(n for _, n in positive) == len(index)
             nonzero = tuple(i not in zeros for i in range(rs.rank))
-            assert root_strings(rs).root_orbits(nonzero) == (positive, every), (name, zeros)
+            assert rs.root_orbits(nonzero) == (positive, every), (name, zeros)
 
 
 @pytest.mark.parametrize(
@@ -434,14 +434,14 @@ def test_cache_round_trip(tmp_path, b2):
 
 @pytest.mark.parametrize("name,lam", [("B2", (2, 1)), ("E6", (1, 0, 0, 0, 0, 1))])
 def test_a_table_loaded_from_disk_builds_no_descent(tmp_path, name, lam):
-    # a command that only loads its table pays for no descent and no root codes
-    rs = build_root_system(name)
+    # a command that only loads its table pays for no descent, root codes or strings
     cache = CharCache(tmp_path)
     clear_memory_cache()
-    table = freudenthal(rs, lam, cache).mults
+    table = freudenthal(build_root_system(name), lam, cache).mults
     clear_memory_cache()
+    rs = build_root_system(name)
     assert freudenthal(rs, lam, cache).mults == table
-    assert not {"descent", "codes"} & vars(root_strings(rs)).keys()
+    assert not {"descent", "root_codes", "_strings"} & vars(rs).keys()
     clear_memory_cache()
 
 
@@ -468,6 +468,51 @@ def test_concurrent_writers_with_their_own_cache_objects(tmp_path, b2):
     assert errors == []
     assert [p.name for p in tmp_path.iterdir()] == ["B2.2_2.char"]
     assert CharCache(tmp_path).load(b2, (2, 2)) == table
+
+
+THREAD_E6_WEIGHTS = [(1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)]
+THREAD_AFFINE_WEIGHTS = [(1, 1, 1), (2, 1, 0), (0, 1, 2), (3, 0, 0)]
+ROOT_DATA_MEMOS = ("descent", "root_codes", "_strings", "_orbit_strings", "_orbit_sizes", "_alcove_points")
+
+
+def test_threads_sharing_a_root_system_build_whole_root_data():
+    # four threads start at once on one fresh E6, A2~ and B2~ system each, with
+    # highest weights of their own, so they race to build the same root data:
+    # every table, and every memo entry of each system, is the one a lone run
+    # gives. Twenty rounds, as one round races too seldom to fail every time
+    # on a memo that publishes an entry before it is built
+    clear_memory_cache()
+    alone = {name: build_root_system(name) for name in ("E6", "A2~", "B2~")}
+    finite = {lam: freudenthal(alone["E6"], lam).mults for lam in THREAD_E6_WEIGHTS}
+    affine = {
+        (name, fund): affine_freudenthal(alone[name], AffineWeight(fund), 3).slices
+        for name in ("A2~", "B2~") for fund in THREAD_AFFINE_WEIGHTS
+    }
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            clear_memory_cache()
+            shared = {name: build_root_system(name) for name in alone}
+            start = threading.Barrier(4, timeout=60)
+
+            def run(k):
+                start.wait()
+                lam, fund = THREAD_E6_WEIGHTS[k], THREAD_AFFINE_WEIGHTS[k]
+                same = [freudenthal(shared["E6"], lam).mults == finite[lam]]
+                for name in ("A2~", "B2~"):
+                    same.append(affine_freudenthal(shared[name], AffineWeight(fund), 3).slices == affine[(name, fund)])
+                return same
+
+            with ThreadPoolExecutor(4) as pool:
+                results = [f.result(timeout=120) for f in [pool.submit(run, k) for k in range(4)]]
+            assert results == [[True] * 3] * 4
+            for name, rs in shared.items():
+                for memo in ROOT_DATA_MEMOS:
+                    assert vars(rs).get(memo) == vars(alone[name]).get(memo), (name, memo)
+    finally:
+        sys.setswitchinterval(interval)
+        clear_memory_cache()
 
 
 @pytest.mark.parametrize("name", ["E7", "E8"])

@@ -412,6 +412,37 @@ def test_unusable_cache_directory_is_a_usage_error(tmp_path, monkeypatch, capsys
     assert err.startswith("error: ") and str(not_a_dir) in err
 
 
+def _process_wide_state() -> dict[str, str]:
+    """Every value held at module level by a loaded ``rho_tensor`` module, or
+    in the namespace of one of its classes, by ``repr``, leaving out the
+    table memo ``charcalc._memo``; a cached function by its ``cache_info()``."""
+    state = {}
+    for modname, module in list(sys.modules.items()):
+        if modname != "rho_tensor" and not modname.startswith("rho_tensor."):
+            continue
+        for name, value in vars(module).items():
+            spaces = [(f"{modname}.{name}", value)]
+            if isinstance(value, type) and value.__module__ == modname:
+                spaces += [(f"{modname}.{name}.{k}", v) for k, v in vars(value).items()]
+            for key, v in spaces:
+                if v is not rho_tensor.charcalc._memo and not key.rpartition(".")[2].startswith("__"):
+                    state[key] = repr(v.cache_info() if hasattr(v, "cache_info") else v)
+    return state
+
+
+def test_the_table_memo_is_the_only_process_wide_store():
+    # a finite and an affine command leave every module-level value as it was,
+    # but for the table memo, so clear_memory_cache drops every memo a process holds
+    clear_memory_cache()
+    before = _process_wide_state()
+    assert run("decompose", "B2", "2,1", "1,1")[0] == EXIT_OK
+    assert run("affine-decompose", "A2~", "1,1,1", "1,1,1", "--depth", "2")[0] == EXIT_OK
+    assert rho_tensor.charcalc._memo
+    assert _process_wide_state() == before
+    clear_memory_cache()
+    assert not rho_tensor.charcalc._memo
+
+
 def test_output_identical_cold_and_warm(tmp_path, monkeypatch):
     monkeypatch.setenv("RHO_TENSOR_CACHE", str(tmp_path / "cache3"))
     clear_memory_cache()

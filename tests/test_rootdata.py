@@ -29,7 +29,6 @@ from rho_tensor.rootdata import (
     InvariantError,
     build_root_system,
     weyl_orbit,
-    weyl_orbit_size,
 )
 
 # classical positive-root counts and dual Coxeter numbers, kept as test data
@@ -93,7 +92,7 @@ def test_a1_and_b2_cartan_data(a1, b2):
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "F4", "D4", "E6", "E7", "E8"])
 def test_normalization_and_symmetrizability(name):
     rs = build_root_system(name)
-    theta = rs.highest_root
+    theta = rs.marks
     assert root_norm(rs, theta) == 2 * rs.form_scale
     a, d = rs.cartan, rs.form_d
     for i in range(rs.rank):
@@ -137,7 +136,7 @@ def test_bilinear_form_values(a1, g2):
 @pytest.mark.parametrize("name", sorted(POSROOT_COUNTS))
 def test_weyl_dimension_identities(name):
     rs = build_root_system(name)
-    assert rs.weyl_dimension(rs.fund_coords_of_root(rs.highest_root)) == rs.dim_adjoint
+    assert rs.weyl_dimension(rs.fund_coords_of_root(rs.marks)) == rs.dim_adjoint
     assert rs.weyl_dimension(rs.rho) == 2 ** len(rs.positive_roots)
     assert rs.weyl_denominator == prod(sum(map(mul, rs.rho, cv)) for cv in rs.positive_coroots)
 
@@ -196,7 +195,7 @@ DATUM_NAMES = (
 @pytest.mark.parametrize("name", DATUM_NAMES)
 def test_root_datum_against_fraction_build(name):
     rs, expected = build_root_system(name), root_datum_by_fractions(name)
-    assert len(fields(rs)) == 19
+    assert len(fields(rs)) == 18
     for f in fields(rs):
         assert getattr(rs, f.name) == getattr(expected, f.name), f.name
 
@@ -258,26 +257,14 @@ def test_weyl_orbit_against_bfs(name, w):
     orbit = weyl_orbit(rs, w)
     assert len(orbit) == len(set(orbit))
     assert set(orbit) == set(orbit_by_bfs(rs, w))
-    assert weyl_orbit_size(rs, w) == len(orbit)
+    assert rs.orbit_size(tuple(map(bool, rs.to_dominant(w)[0]))) == len(orbit)
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "D4", "F4"])
 def test_orbit_size_on_every_zero_pattern(name):
     rs = build_root_system(name)
     for pattern in product((0, 1), repeat=rs.rank):
-        assert weyl_orbit_size(rs, pattern) == len(weyl_orbit(rs, pattern)), pattern
-
-
-def test_orbit_size_reflects_no_dominant_weight(monkeypatch):
-    # every caller passes a dominant zero pattern, which is its own representative
-    rs = build_root_system("F4")
-    sizes = {pattern: weyl_orbit_size(rs, pattern) for pattern in product((0, 1), repeat=rs.rank)}
-
-    def no_reflection(*_):
-        raise AssertionError("weyl_orbit_size reflected a dominant weight")
-
-    monkeypatch.setattr(type(rs), "to_dominant", no_reflection)
-    assert {pattern: weyl_orbit_size(rs, pattern) for pattern in sizes} == sizes
+        assert rs.orbit_size(tuple(map(bool, pattern))) == len(weyl_orbit(rs, pattern)), pattern
 
 
 @pytest.mark.parametrize("name", ["E6", "E7", "E8"])
@@ -285,7 +272,7 @@ def test_orbit_size_on_every_zero_pattern_against_pairings(name):
     # too many points to walk: the regular E8 orbit has 696,729,600
     rs = build_root_system(name)
     for pattern in product((0, 1), repeat=rs.rank):
-        assert weyl_orbit_size(rs, pattern) == orbit_size_by_pairings(rs, pattern), pattern
+        assert rs.orbit_size(tuple(map(bool, pattern))) == orbit_size_by_pairings(rs, pattern), pattern
 
 
 @pytest.mark.parametrize("name", DATUM_NAMES)
@@ -306,7 +293,7 @@ def test_weyl_orbit_on_every_dominant_weight_of_n_rho(name, n):
         orbit = weyl_orbit(rs, mu)
         assert orbit == weyl_orbit_dense(rs, mu)
         assert set(orbit) == set(orbit_by_bfs(rs, mu))
-        assert len(orbit) == weyl_orbit_size(rs, mu)
+        assert len(orbit) == rs.orbit_size(tuple(map(bool, mu)))
 
 
 def _check_recorded_orbits(name, patterns, data):
@@ -329,7 +316,7 @@ def _check_recorded_orbits(name, patterns, data):
         start = data.draw(st.sampled_from(dense_mu), label="start")
         assert weyl_orbit(shifted, start, v) == shift(dense_mu)
         for rs in (plain, shifted):
-            assert len(rs.orbit_shapes[pattern]) == weyl_orbit_size(rs, mu)
+            assert len(rs.orbit_shapes[pattern]) == rs.orbit_size(pattern)
             assert weyl_orbit(rs, nu) == dense_nu
             assert weyl_orbit(rs, nu, v) == shift(dense_nu)
         assert weyl_orbit(plain, data.draw(st.sampled_from(dense_nu), label="off"), v) == shift(dense_nu)
@@ -386,7 +373,7 @@ def test_threads_sharing_a_root_system_record_and_replay_whole_orbits():
         sys.setswitchinterval(interval)
     assert results == [True] * 8
     for pattern in product((0, 1), repeat=4):
-        assert len(shared.orbit_shapes[tuple(map(bool, pattern))]) == weyl_orbit_size(alone, pattern)
+        assert len(shared.orbit_shapes[tuple(map(bool, pattern))]) == alone.orbit_size(tuple(map(bool, pattern)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -406,8 +393,8 @@ WEYL_ORDERS = {"A4": 120, "B3": 48, "G2": 12, "F4": 1152, "E6": 51840, "E7": 290
 def test_regular_orbit_size_is_the_weyl_group_order(name, order):
     # the whole Weyl group, counted from root heights with no orbit built
     rs = build_root_system(name)
-    assert weyl_orbit_size(rs, rs.rho) == order
-    assert weyl_orbit_size(rs, tuple(-x for x in rs.rho)) == order
+    assert rs.orbit_size((True,) * rs.rank) == order
+    assert rs.orbit_size(tuple(map(bool, rs.to_dominant(tuple(-x for x in rs.rho))[0]))) == order
 
 
 def test_orbit_sizes(b2, g2):
@@ -451,5 +438,5 @@ def test_pair_coroot_integrality(g2):
             assert isinstance(pairing, int)
             assert pairing * root_norm(g2, rc) == 2 * sip_wr(g2, w, rc)
     # <rho, theta^vee> = h_dual - 1
-    theta_vee = g2.positive_coroots[g2.positive_roots.index(g2.highest_root)]
+    theta_vee = g2.positive_coroots[g2.positive_roots.index(g2.marks)]
     assert sum(map(mul, g2.rho, theta_vee)) == g2.dual_coxeter - 1
