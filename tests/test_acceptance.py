@@ -220,6 +220,14 @@ def test_criterion_10_exceptional_conjecture_scans():
             assert len(reports) == sum(total // 2 + 1 for total in range(max_sum + 1))
             failures = [(r.algebra, r.m, r.n, r.verdict) for r in reports if r.verdict != HOLDS]
             assert not failures, f"conjecture FAILS (reportable finding): {failures}"
+        # F4 rho (x) rho is certified with no pass; the pass's support still
+        # has to be the predicted set
+        f4 = build_root_system("F4")
+        [rep] = [r for r in reports if (r.m, r.n) == (1, 1)]
+        dec = klimyk(f4, f4.rho, f4.rho)
+        assert rep.predicted == sorted(dec.translated)
+        assert rep.present == sorted(dec.components)
+        assert rep.missing == []
 
 
 def test_criterion_11_exceptional_rho_tables():

@@ -443,6 +443,17 @@ def test_the_table_memo_is_the_only_process_wide_store():
     assert not rho_tensor.charcalc._memo
 
 
+def test_a_certified_conjecture_stores_the_fundamental_tables(tmp_path):
+    # F4 rho (x) rho is certified from the products of fundamental
+    # representations, so their tables are stored and rho's is not; B3 runs
+    # the pass, which stores rho's
+    clear_memory_cache()
+    assert run("conjecture", "F4", "1", "1")[0] == EXIT_OK
+    assert run("conjecture", "B3", "1", "1")[0] == EXIT_OK
+    names = sorted(p.name for p in (tmp_path / "cache").glob("*.char"))
+    assert names == ["B3.1_1_1.char", "F4.0_0_0_1.char", "F4.0_0_1_0.char", "F4.0_1_0_0.char", "F4.1_0_0_0.char"]
+
+
 def test_output_identical_cold_and_warm(tmp_path, monkeypatch):
     monkeypatch.setenv("RHO_TENSOR_CACHE", str(tmp_path / "cache3"))
     clear_memory_cache()

@@ -48,11 +48,14 @@ def test_predicted_weights_requires_m_ge_n(b2):
     [(name, 6) for name in ("A1", "A2", "A3", "B2", "B3", "C3", "G2")] + [("D4", 4), ("F4", 3)],
 )
 def test_predicted_set_matches_the_descent_oracle(name, max_sum):
+    # predicted_weights, built from descents with no pass, is the pass's translated set
     rs = build_root_system(name)
     for total in range(max_sum + 1):
         for n in range(total // 2 + 1):
             m = total - n
             assert verify_conjecture(rs, m, n).predicted == predicted_weights_by_descent(rs, m, n)
+            translated = klimyk(rs, (m,) * rs.rank, (n,) * rs.rank).translated
+            assert predicted_weights(rs, m, n) == sorted(translated), (m, n)
 
 
 def test_verify_conjecture_reference_cases(b2, g2):
