@@ -73,40 +73,55 @@ def expand_orbits(rs: RootSystem, table: dict[Weight, int]) -> dict[Weight, int]
 def dominant_weights_below(rs: RootSystem, lam: Weight) -> list[Weight]:
     """All dominant mu with lam - mu a non-negative integer combination of
     simple roots, by increasing height of lam - mu; for an affine ``rs``, those
-    of its finite part. A breadth-first descent subtracting positive roots and
-    keeping only dominant results reaches every one: in the dominance order on
-    dominant weights each cover differs by a positive root (Stembridge, *The
-    partial order of dominant weights*, Adv. Math. 1998).
+    of its finite part. A descent subtracting positive roots and keeping only
+    dominant results reaches every one: in the dominance order on dominant
+    weights each cover differs by a positive root (Stembridge, *The partial
+    order of dominant weights*, Adv. Math. 1998).
 
-    A root ``alpha`` is subtracted only when ``mu - alpha`` is dominant, tested
-    before the weight is built: with ``supp`` the pairs ``(i, a_i)`` of the
-    positive fundamental coordinates of ``alpha`` (:attr:`RootSystem.descent`),
-    the test is ``mu_i >= a_i`` on ``supp``. It is exact, because ``(mu -
-    alpha)_i = mu_i - a_i`` is at least ``mu_i >= 0`` wherever ``a_i <= 0``.
-    Each weight admitted is checked to be dominant all the same, so a faulty
-    test raises ``InvariantError`` instead of descending without end."""
+    The walk runs on packed weights (:meth:`RootSystem.packing`): every
+    coordinate of a dominant ``mu <= lam`` is at most ``<mu, theta^vee> <=
+    <lam, theta^vee>``, since ``theta^vee`` is a dominant coweight with every
+    dual mark ``>= 1``; so fields of the packing for that bound hold every
+    such ``mu`` and each ``mu`` less a root. A root test is then one
+    subtraction and one mask (:class:`WeightPacking`), and each weight's
+    height is its parent's plus the root's. The packed weights, sorted by
+    ``(height, packed)``, are unpacked once, at the end.
+
+    The walk keeps to packed weights below ``2**(rank*(width+1))`` with every
+    guard bit set, a finite box, so it always ends. It raises
+    ``InvariantError`` unless the first weight is ``lam`` and every
+    coordinate is at most ``<lam, theta^vee>`` and at most ``2**width - 1 +
+    least`` (:attr:`RootSystem.least_root_coord`). A step can carry out of
+    its field, which clears that field's guard bit and drops a weight, only
+    from a coordinate above the latter; so the check catches a packing too
+    narrow for its bound, and a root code that climbs above ``lam``, instead
+    of returning a short or a wrong list."""
     if not rs.is_dominant(lam):
         raise AlgebraError(f"dominant_weights_below requires a dominant weight, got {lam}")
-    steps = rs.descent
-    height = {lam: 0}
-    frontier = [lam]
-    while frontier:
-        nxt = []
-        for mu in frontier:
-            h = height[mu]
-            for fund, ht, supp in steps:
-                for i, a in supp:
-                    if mu[i] < a:
-                        break
-                else:
-                    nu = tuple(map(sub, mu, fund))
-                    if nu not in height:
-                        if min(nu) < 0:
-                            raise InvariantError(f"descent from {lam} admitted the non-dominant {nu} ({rs.algebra})")
-                        height[nu] = h + ht
-                        nxt.append(nu)
-        frontier = nxt
-    return sorted(height, key=lambda mu: (height[mu], mu))
+    bound = sum(map(mul, rs.dual_marks, lam))
+    width, place, shifts, guard, codes = rs.packing(bound)
+    box = place[0] << width + 1
+    start = sum(map(mul, lam, place)) | guard
+    height = {start: 0}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        h = height[x]
+        for code, ht in codes:
+            y = x - code
+            if y & guard == guard and y not in height:
+                if not 0 < y < box:
+                    raise InvariantError(f"descent from {lam} left its packing at {y:#x} ({rs.algebra})")
+                height[y] = h + ht
+                stack.append(y)
+    field = (1 << width) - 1
+    below = [tuple([x >> s & field for s in shifts]) for x in sorted(sorted(height), key=height.__getitem__)]
+    if below[0] != lam or max(map(max, below)) > min(bound, field + rs.least_root_coord):
+        raise InvariantError(
+            f"descent from {lam} ({rs.algebra}) unpacked to {below[0]} first, with a coordinate "
+            f"{max(map(max, below))} above <lam, theta^vee> = {bound} or beyond its {width}-bit fields"
+        )
+    return below
 
 
 def freudenthal_candidates(

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import mul
 from typing import NamedTuple
 
 from .affine import _require_affine, affine_rho, predicted_components, theta_pairing, truncated_tensor
@@ -115,12 +116,12 @@ def certify_conjecture(rs: RootSystem, m: int, n: int, cache: CharCache | None =
     components come from :func:`klimyk`, with ``cache`` passed through.
 
     Each predicted weight is searched for depth first, node by node, on
-    weights packed into one integer, a field per coordinate as
-    :attr:`RootSystem.root_codes` packs roots, with a guard bit above each
-    field: every component is dominant, so a part may be taken only while
-    the remainder stays dominant, which is that no guard bit is borrowed. The last node's part is one
-    lookup. A ``(remainder, used nodes)`` state that completes to no sum is
-    dead for every target and is remembered as such.
+    weights packed as the descent packs them (:meth:`RootSystem.packing`),
+    with a guard bit above each field: every component is dominant, so a
+    part may be taken only while the remainder stays dominant, which is that
+    no guard bit is borrowed. The last node's part is one lookup. A
+    ``(remainder, used nodes)`` state that completes to no sum is dead for
+    every target and is remembered as such.
 
     The dominant weights below ``2 rho`` outside the predicted set are
     searched too (there were none on any type tried, E7 included). Every
@@ -138,15 +139,13 @@ def certify_conjecture(rs: RootSystem, m: int, n: int, cache: CharCache | None =
             comps = klimyk(rs, omega[i], omega[j], cache).components
             parts[i, j] = parts[j, i] = sorted(comps, key=rs.height, reverse=True)
 
-    width = max(chain.from_iterable(chain(predicted, rest, *parts.values()))).bit_length()
-    shift = width + 1
-    guard = sum(1 << (shift * k + width) for k in range(rank))
-
-    def pack(w: Weight) -> int:
-        return sum(x << (shift * k) for k, x in enumerate(w))
-
-    steps = [[[(pack(c), c) for c in parts[i, j]] for j in range(rank)] for i in range(rank)]
-    last = [{pack(c) | guard: c for c in parts[rank - 1, j]} for j in range(rank)]
+    # the packing for the coordinates here, 0..top: its fields have
+    # 2**width > top, so they hold a remainder less a part, in -top..top
+    top = max(chain.from_iterable(chain(predicted, rest, *parts.values())))
+    packing = rs.packing(top)
+    place, guard = packing.place, packing.guard
+    steps = [[[(sum(map(mul, c, place)), c) for c in parts[i, j]] for j in range(rank)] for i in range(rank)]
+    last = [{sum(map(mul, c, place)) | guard: c for c in parts[rank - 1, j]} for j in range(rank)]
     full = (1 << rank) - 1
     dead: set[int] = set()  # remainder << rank | used nodes
     path: list[tuple[int, Weight]] = []  # (p(i), c_i) per node i so far
@@ -175,7 +174,7 @@ def certify_conjecture(rs: RootSystem, m: int, n: int, cache: CharCache | None =
         return False
 
     for lam in rest:
-        if search(0, 0, pack(lam) | guard):
+        if search(0, 0, sum(map(mul, lam, place)) | guard):
             raise InvariantError(
                 f"{rs.algebra}: {lam} is a sum over the pairing {tuple(j for j, _ in path)}, so a component "
                 f"of rho (x) rho, but lies outside the predicted set"
@@ -183,7 +182,7 @@ def certify_conjecture(rs: RootSystem, m: int, n: int, cache: CharCache | None =
     certificates = {}
     residue = []
     for lam in predicted:
-        if search(0, 0, pack(lam) | guard):
+        if search(0, 0, sum(map(mul, lam, place)) | guard):
             pairing, pieces = zip(*path)
             path.clear()
             total = tuple(map(sum, zip(*pieces)))
@@ -198,11 +197,13 @@ def certify_conjecture(rs: RootSystem, m: int, n: int, cache: CharCache | None =
 def _certify_first(rs: RootSystem) -> bool:
     """Whether :func:`verify_conjecture` gives ``V(rho) (x) V(rho)`` to
     :func:`certify_conjecture` before any pass: on a type with at least 15
-    positive roots, other than type B. Measured cold, the certificates cost
-    less than the pass from A5 and C4 up (D4 is even), and every ``B_r`` from
-    B4 on leaves a residue, after which the pass runs as well. O(1), so no
-    other case pays for the test."""
-    return len(rs.positive_roots) >= 15 and rs.algebra.family != "B"
+    positive roots, other than type B and ``C_r`` with ``r >= 6``. Measured
+    cold, the certificates cost less than the pass from A5 and C4 up (D4 is
+    even), and every ``B_r`` from B4 on and ``C_r`` from C6 on leaves a
+    residue (C6 two weights, C7 nine), after which the pass runs as well.
+    O(1), so no other case pays for the test."""
+    family = rs.algebra.family
+    return len(rs.positive_roots) >= 15 and family != "B" and not (family == "C" and rs.rank >= 6)
 
 
 def verify_conjecture(rs: RootSystem, m: int, n: int, cache: CharCache | None = None) -> ConjectureReport:

@@ -181,6 +181,27 @@ class DynkinNode(NamedTuple):
     earlier_others: tuple[int, ...]  # the j < i that are not neighbours
 
 
+class WeightPacking(NamedTuple):
+    """Weights packed into one integer, ``width`` bits per coordinate with a
+    guard bit above each field, coordinate 0 in the most significant field
+    (:meth:`RootSystem.packing`).
+
+    ``mu`` packs to ``sum(map(mul, mu, place)) | guard``, and field ``i``
+    starts at bit ``shifts[i]``; packed weights compare as their tuples do.
+    ``codes`` holds, per positive root, its fundamental coordinates packed by
+    ``place``, a signed integer, and its height. Subtracting a code subtracts
+    field by field while every result ``mu_i - a_i`` lies in ``-2**width ..
+    2**width - 1``, and a field then keeps its guard bit exactly when its
+    result is ``>= 0``: ``x - code`` is dominant iff ``(x - code) & guard ==
+    guard``."""
+
+    width: int
+    place: tuple[int, ...]
+    shifts: tuple[int, ...]
+    guard: int
+    codes: tuple[tuple[int, int], ...]
+
+
 class _OrbitChildren(dict):
     """``{mask: ((i, neighbours of i), ...)}`` over the nodes ``i`` of the
     bitmask, increasing: the reflections a replay of :func:`weyl_orbit`
@@ -236,11 +257,13 @@ class RootSystem:
     fundamental weights and ``form_d`` holds ``(omega_i|alpha_i) = d_i``.
     ``orbit_shapes`` and ``orbit_children`` record the trees of
     :func:`weyl_orbit`, once per zero pattern of a dominant weight. The root
-    data of the Freudenthal recursion and the dominant descent (``descent``,
-    ``root_codes``, :meth:`strings`, :meth:`orbit_strings`) and the values of
-    :meth:`orbit_size` and :meth:`alcove_point` are memoised here too. No memo
-    is a dataclass field: each root system built has its own, and they live
-    and die with it. Safe to share across threads: every operation is a pure
+    data of the Freudenthal recursion and the dominant descent (``root_codes``,
+    :meth:`strings`, :meth:`orbit_strings`, and :meth:`packing`, the packed
+    weights and root codes of the descent and the certificate search, one
+    entry per field width) and the values of :meth:`orbit_size` and
+    :meth:`alcove_point` are memoised here too. No memo is a dataclass
+    field: each root system built has its own, and they live and die with
+    it. Safe to share across threads: every operation is a pure
     function of its inputs, and every memo entry is built first and then
     stored whole, so a race only computes and writes the same value twice.
     """
@@ -360,23 +383,44 @@ class RootSystem:
 
     # -- root data of the Freudenthal recursion, memoised ---------------------
 
-    # the memos of strings, orbit_strings, orbit_size and alcove_point, filled
-    # as keys are met
+    # the memos of packing, strings, orbit_strings, orbit_size and
+    # alcove_point, filled as keys are met
+    _packings = cached_property(lambda self: {})
     _strings = cached_property(lambda self: {})
     _orbit_strings = cached_property(lambda self: {})
     _orbit_sizes = cached_property(lambda self: {})
     _alcove_points = cached_property(lambda self: {})
 
     @cached_property
-    def descent(self) -> list[tuple[Weight, int, tuple[tuple[int, int], ...]]]:
-        """``(fund, height, supp)`` per positive root, for
-        :func:`rho_tensor.charcalc.dominant_weights_below`: ``supp`` holds the
-        pairs ``(i, a_i)`` with ``a_i > 0`` of its fundamental coordinates
-        ``fund``."""
-        return [
-            (fund, sum(rc), tuple((i, a) for i, a in enumerate(fund) if a > 0))
-            for fund, rc in zip(self.positive_roots_fund, self.positive_roots)
-        ]
+    def least_root_coord(self) -> int:
+        """The least fundamental coordinate ``<alpha, alpha_i^vee>`` of a
+        positive root: 0 on A1, and elsewhere the least Cartan entry, minus
+        the largest bond multiplicity. For ``alpha != alpha_i`` the
+        coordinate is at least ``-max(1, |alpha|^2 / |alpha_i|^2)``, and a
+        simple root's coordinates are its column of the Cartan matrix."""
+        return min(0, min(map(min, self.cartan)))
+
+    def packing(self, bound: int) -> WeightPacking:
+        """The :class:`WeightPacking` of the weights with coordinates in
+        ``0..bound``, memoised per width. A coordinate less a root's lies in
+        ``-3..bound - least`` (:attr:`least_root_coord`; a root's coordinate
+        ``<alpha, alpha_i^vee>`` is at most 3, or 2 at ``alpha = alpha_i``),
+        so it fits a field of ``width`` bits when ``2**width > bound - least``
+        and ``width >= 2``. ``width`` is the bit length of ``max(bound -
+        least, 7)``: at least 3 bits, so that the small weights of a type,
+        where a descent is short and building the codes would cost as much
+        as the walk, share one entry."""
+        width = max(bound - self.least_root_coord, 7).bit_length()
+        packing = self._packings.get(width)
+        if packing is None:
+            rank = self.rank
+            shifts = tuple((width + 1) * (rank - 1 - i) for i in range(rank))
+            place = tuple(1 << s for s in shifts)
+            codes = tuple(
+                (sum(map(mul, fund, place)), sum(rc)) for fund, rc in zip(self.positive_roots_fund, self.positive_roots)
+            )
+            packing = self._packings[width] = WeightPacking(width, place, shifts, sum(place) << width, codes)
+        return packing
 
     @cached_property
     def root_codes(self) -> tuple[list[int], list[tuple[int, int]]]:

@@ -99,6 +99,13 @@ def test_f4_rho_rho_runs_no_pass(monkeypatch):
     assert vars(rep) == vars(report(monkeypatch, rs, 1, 1, False))
 
 
+@pytest.mark.parametrize("name,certify_first", [("C4", True), ("C5", True), ("C6", False), ("C7", False)])
+def test_type_c_is_certified_below_c6_only(name, certify_first):
+    # from C6 on the fundamental pairings leave a residue (C6 two weights, C7
+    # nine), so the certificates would only add to the pass
+    assert harness._certify_first(build_root_system(name)) is certify_first
+
+
 @pytest.mark.parametrize(
     "name,m,n",
     [("B3", 1, 1), ("F4", 1, 0), ("F4", 2, 0), ("F4", 2, 1), ("F4", 3, 0), ("D5", 2, 1), ("E6", 1, 0),

@@ -5,11 +5,11 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
-from operator import sub
+from operator import mul, sub
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import rho_tensor.charcalc as charcalc
 from rho_tensor.affine import AffineWeight, affine_freudenthal
@@ -25,6 +25,7 @@ from rho_tensor.rootdata import AlgebraError, InvariantError, build_root_system
 
 import oracles
 from oracles import (
+    affine_candidates_by_box,
     character_by_weyl_formula,
     dominant_weights_by_box,
     freudenthal_slices_by_all_roots,
@@ -129,11 +130,11 @@ def _weights_up_to_two(name):
 
 def _descent_within(rs, lam, lines=10**6):
     """:func:`dominant_weights_below`, failing once it has run ``lines`` lines
-    of its own body: a root test that lets a weight leave the chamber makes
-    the descent run without end. The lines are counted by a ``sys.settrace``
-    hook, so a runaway descent fails at the same point on every run, as an
-    ``AssertionError`` raised inside the descent's frame. The largest descent
-    tested, from F4 ``2rho``, runs 61,305 lines."""
+    of its own body, so that a faulty packing fails the test in bounded time
+    even if it made the walk run long. The lines are counted by a
+    ``sys.settrace`` hook, so a runaway descent fails at the same point on
+    every run, as an ``AssertionError`` raised inside the descent's frame.
+    The largest descent tested, from F4 ``2rho``, runs 35,638 lines."""
     code = dominant_weights_below.__code__
     left = [lines]
 
@@ -165,16 +166,90 @@ def test_descent_takes_a_root_exactly_when_the_difference_is_dominant(case):
         assert (nu in below) == (min(nu) >= 0), (mu, fund)
 
 
-@pytest.mark.parametrize("name", ["A1", "A3", "B2", "G2", "D4", "F4"])
-def test_descent_stops_at_a_weight_off_the_chamber(monkeypatch, name):
-    # a root test that skips the last pair (i, a_i) of each root admits weights
-    # off the chamber: the descent raises at the first, instead of running on
+# weights on which a packing one bit narrower than their bound asks for drops
+# dominant weights from the walk (A1 ``(8,)`` does not fit it at all): a step
+# from a coordinate ``mu_i`` with ``mu_i - least >= 2**width`` carries out of
+# its field, and the guard test refuses it. A check of the first weight and of
+# ``<lam, theta^vee>`` alone returns a short list on each of the others
+NARROW_PACKINGS = [
+    ("A1", (8,)), ("A3", (0, 2, 7)), ("B2", (2, 6)), ("G2", (2, 4)), ("D4", (0, 4, 0, 4)), ("F4", (0, 4, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("name,lam", NARROW_PACKINGS)
+def test_descent_with_a_packing_one_bit_too_narrow_raises(monkeypatch, name, lam):
+    # the memo entry for the width lam's bound asks for holds the packing of
+    # one bit less: the descent raises, instead of returning a short list
     rs = build_root_system(name)
-    monkeypatch.setitem(vars(rs), "descent", [(fund, ht, supp[:-1]) for fund, ht, supp in rs.descent])
+    width = rs.packing(sum(map(mul, rs.dual_marks, lam))).width
+    narrow = rs.packing((1 << width - 1) - 1 + rs.least_root_coord)  # the largest bound of one bit less
+    assert narrow.width == width - 1
+    monkeypatch.setitem(rs._packings, width, narrow)
     start = time.perf_counter()
-    with pytest.raises(InvariantError, match="non-dominant"):
-        _descent_within(rs, tuple(2 * x for x in rs.rho))
+    with pytest.raises(InvariantError, match="bit fields"):
+        _descent_within(rs, lam)
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("name", ["A1", "F4"])
+def test_descent_with_a_code_that_carries_past_the_top_field_raises(monkeypatch, name):
+    # the first root's code less 2**(rank*(width+1)) keeps every guard bit of
+    # a dominant step but climbs out of the packing, on every step it takes:
+    # the walk raises at the first, instead of running without end
+    rs = build_root_system(name)
+    lam = tuple(2 * x for x in rs.rho)
+    packing = rs.packing(sum(map(mul, rs.dual_marks, lam)))
+    (code, ht), *rest = packing.codes
+    carried = (code - (packing.place[0] << packing.width + 1), ht)
+    monkeypatch.setitem(rs._packings, packing.width, packing._replace(codes=(carried, *rest)))
+    with pytest.raises(InvariantError, match="left its packing"):
+        _descent_within(rs, lam)
+
+
+@st.composite
+def _weights_at_bound(draw, rs, bound):
+    """Dominant weights ``lam`` with ``<lam, theta^vee> == bound``, the rest of
+    the bound on the first node of dual mark 1."""
+    marks = rs.dual_marks
+    last = marks.index(1)
+    lam = [0] * rs.rank
+    for i, a in enumerate(marks):
+        if i != last:
+            lam[i] = draw(st.integers(0, bound // a))
+            bound -= a * lam[i]
+    lam[last] = bound
+    return tuple(lam)
+
+
+def _at_width_boundary(rs, k, offset, extra=0):
+    """A strategy for weights whose bound, raised by ``extra``, less
+    ``least_root_coord`` is ``2**k + offset``, ``k >= 3``: the packing's width
+    is ``k`` below ``2**k`` and ``k + 1`` from it on."""
+    bound = 2**k + offset + rs.least_root_coord - extra
+    assume(bound >= 0)
+    assert rs.packing(bound + extra).width == (k if offset < 0 else k + 1)
+    return _weights_at_bound(rs, bound)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["A1", "A2", "B2", "G2", "B3"]), st.integers(3, 5), st.sampled_from([-1, 0, 1]), st.data())
+def test_descent_at_the_width_boundaries_matches_box_walk(name, k, offset, data):
+    rs = build_root_system(name)
+    lam = data.draw(_at_width_boundary(rs, k, offset))
+    assert dominant_weights_below(rs, lam) == dominant_weights_by_box(rs, lam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["A1~", "A2~", "B2~", "G2~"]), st.integers(1, 3), st.integers(3, 5), st.sampled_from([-1, 0, 1]),
+    st.data(),
+)
+def test_candidates_at_the_width_boundaries_match_box_walk(name, depth, k, offset, data):
+    # the candidates come from the descent below the top lam + depth*theta,
+    # whose bound is lam's plus 2*depth
+    rs = build_root_system(name)
+    lam = data.draw(_at_width_boundary(rs, k, offset, 2 * depth))
+    assert freudenthal_candidates(rs, lam, depth, 0) == affine_candidates_by_box(rs, lam, depth)
 
 
 @pytest.mark.parametrize("term", sorted(oracles._signed_orbit(build_root_system("B2"), (1, 1))))
@@ -434,14 +509,14 @@ def test_cache_round_trip(tmp_path, b2):
 
 @pytest.mark.parametrize("name,lam", [("B2", (2, 1)), ("E6", (1, 0, 0, 0, 0, 1))])
 def test_a_table_loaded_from_disk_builds_no_descent(tmp_path, name, lam):
-    # a command that only loads its table pays for no descent, root codes or strings
+    # a command that only loads its table pays for no packing, root codes or strings
     cache = CharCache(tmp_path)
     clear_memory_cache()
     table = freudenthal(build_root_system(name), lam, cache).mults
     clear_memory_cache()
     rs = build_root_system(name)
     assert freudenthal(rs, lam, cache).mults == table
-    assert not {"descent", "root_codes", "_strings"} & vars(rs).keys()
+    assert not {"_packings", "root_codes", "_strings"} & vars(rs).keys()
     clear_memory_cache()
 
 
@@ -472,7 +547,7 @@ def test_concurrent_writers_with_their_own_cache_objects(tmp_path, b2):
 
 THREAD_E6_WEIGHTS = [(1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)]
 THREAD_AFFINE_WEIGHTS = [(1, 1, 1), (2, 1, 0), (0, 1, 2), (3, 0, 0)]
-ROOT_DATA_MEMOS = ("descent", "root_codes", "_strings", "_orbit_strings", "_orbit_sizes", "_alcove_points")
+ROOT_DATA_MEMOS = ("_packings", "root_codes", "_strings", "_orbit_strings", "_orbit_sizes", "_alcove_points")
 
 
 def test_threads_sharing_a_root_system_build_whole_root_data():
