@@ -25,7 +25,6 @@ truncation depth, so its verdict is always DEPTH_LIMITED.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from operator import mul
 from typing import NamedTuple
 
@@ -119,9 +118,14 @@ def certify_conjecture(rs: RootSystem, m: int, n: int, cache: CharCache | None =
     weights packed as the descent packs them (:meth:`RootSystem.packing`),
     with a guard bit above each field: every component is dominant, so a
     part may be taken only while the remainder stays dominant, which is that
-    no guard bit is borrowed. The last node's part is one lookup. A
-    ``(remainder, used nodes)`` state that completes to no sum is dead for
-    every target and is remembered as such.
+    no guard bit is borrowed. The packing is the one for ``<2 rho,
+    theta^vee>``, which the descent of ``D(2 rho)`` builds and checks every
+    predicted weight against; a part lies below ``omega_i + omega_j``, so
+    below that bound too, and a remainder less a part fits its fields. The
+    last node's part is one lookup. A ``(remainder, used nodes)`` state that
+    completes to no sum is dead for every target and is remembered as such.
+    The search returns its path, the ``(p(k), c_k)`` of the nodes it
+    completes, or ``None``.
 
     The dominant weights below ``2 rho`` outside the predicted set are
     searched too (there were none on any type tried, E7 included). Every
@@ -131,60 +135,51 @@ def certify_conjecture(rs: RootSystem, m: int, n: int, cache: CharCache | None =
     if (m, n) != (1, 1):
         raise AlgebraError(f"certify_conjecture covers m = n = 1 only, got m={m}, n={n}")
     predicted, rest = _predicted_and_rest(rs, 1, 1)
+    packing = rs.packing(2 * sum(rs.dual_marks))
+    place, guard = packing.place, packing.guard
     rank = rs.rank
     omega = [tuple(int(k == i) for k in range(rank)) for i in range(rank)]
-    parts: dict[tuple[int, int], list[Weight]] = {}  # the larger parts first
+    steps: list[list] = [[None] * rank for _ in range(rank)]  # (code, part), the larger parts first
     for i in range(rank):
         for j in range(i, rank):
-            comps = klimyk(rs, omega[i], omega[j], cache).components
-            parts[i, j] = parts[j, i] = sorted(comps, key=rs.height, reverse=True)
-
-    # the packing for the coordinates here, 0..top: its fields have
-    # 2**width > top, so they hold a remainder less a part, in -top..top
-    top = max(chain.from_iterable(chain(predicted, rest, *parts.values())))
-    packing = rs.packing(top)
-    place, guard = packing.place, packing.guard
-    steps = [[[(sum(map(mul, c, place)), c) for c in parts[i, j]] for j in range(rank)] for i in range(rank)]
-    last = [{sum(map(mul, c, place)) | guard: c for c in parts[rank - 1, j]} for j in range(rank)]
+            comps = sorted(klimyk(rs, omega[i], omega[j], cache).components, key=rs.height, reverse=True)
+            steps[i][j] = steps[j][i] = [(sum(map(mul, c, place)), c) for c in comps]
+    last = [{code | guard: c for code, c in steps[rank - 1][j]} for j in range(rank)]
     full = (1 << rank) - 1
     dead: set[int] = set()  # remainder << rank | used nodes
-    path: list[tuple[int, Weight]] = []  # (p(i), c_i) per node i so far
 
-    def search(i: int, used: int, rem: int) -> bool:
+    def search(i: int, used: int, rem: int) -> tuple[tuple[int, Weight], ...] | None:
         if i == rank - 1:
             j = (full ^ used).bit_length() - 1
             c = last[j].get(rem)
-            if c is None:
-                return False
-            path.append((j, c))
-            return True
+            return None if c is None else ((j, c),)
         key = rem << rank | used
         if key in dead:
-            return False
+            return None
         for j in range(rank):
             if not used >> j & 1:
                 for code, c in steps[i][j]:
                     x = rem - code
                     if x & guard == guard:
-                        path.append((j, c))
-                        if search(i + 1, used | 1 << j, x):
-                            return True
-                        path.pop()
+                        tail = search(i + 1, used | 1 << j, x)
+                        if tail is not None:
+                            return ((j, c), *tail)
         dead.add(key)
-        return False
+        return None
 
     for lam in rest:
-        if search(0, 0, sum(map(mul, lam, place)) | guard):
+        found = search(0, 0, sum(map(mul, lam, place)) | guard)
+        if found is not None:
             raise InvariantError(
-                f"{rs.algebra}: {lam} is a sum over the pairing {tuple(j for j, _ in path)}, so a component "
+                f"{rs.algebra}: {lam} is a sum over the pairing {tuple(j for j, _ in found)}, so a component "
                 f"of rho (x) rho, but lies outside the predicted set"
             )
     certificates = {}
     residue = []
     for lam in predicted:
-        if search(0, 0, sum(map(mul, lam, place)) | guard):
-            pairing, pieces = zip(*path)
-            path.clear()
+        found = search(0, 0, sum(map(mul, lam, place)) | guard)
+        if found is not None:
+            pairing, pieces = zip(*found)
             total = tuple(map(sum, zip(*pieces)))
             if total != lam:
                 raise InvariantError(f"{rs.algebra}: the certificate of {lam}, pairing {pairing}, sums to {total}")
@@ -278,8 +273,7 @@ def verify_affine_conjecture(rs: RootSystem, m: int, n: int, depth: int) -> Affi
 def naive_condition_scan(rs: RootSystem, m: int, n: int, cache: CharCache | None = None) -> list[Weight]:
     """Dominant lam <= (m+n) rho that are *not* components of
     V(m rho) (x) V(n rho), lexicographically sorted."""
-    if m < n or n < 0:
-        raise AlgebraError(f"naive_condition_scan requires m >= n >= 0, got m={m}, n={n}")
+    _check_order(m, n, "naive_condition_scan")
     rs._require_finite()
     support = klimyk(rs, _rho_multiple(rs, m), _rho_multiple(rs, n), cache).support()
     below = dominant_weights_below(rs, _rho_multiple(rs, m + n))

@@ -129,7 +129,8 @@ def klimyk(rs: RootSystem, lam: Weight, mu: Weight, cache: CharCache | None = No
     sums: dict[Weight, int] = {}  # keyed by x + rho
     unreflected = klimyk_pass(rs, ((m, rs.orbit(nu, v), sums) for nu, m in char.mults.items()))
     down = {y: tuple(map(sub, y, rho)) for y in unreflected}  # x + rho -> x, the translated set
-    # before the sign check, so that a misplaced term is named whatever its sign
+    # before _check_decomposition and its sign check, so that a misplaced
+    # term is named whatever its sign
     extra = [tuple(map(sub, y, rho)) for y, s in sums.items() if s and y not in down]
     if extra:
         raise InvariantError(
@@ -137,13 +138,7 @@ def klimyk(rs: RootSystem, lam: Weight, mu: Weight, cache: CharCache | None = No
             f"{sorted(extra)}"
         )
     components = {down[y]: s for y, s in sums.items() if s}
-    translated = frozenset(down.values())
-    if any(m < 0 for m in components.values()):
-        raise InvariantError(
-            f"Klimyk accumulation went negative for {lam} (x) {mu}: "
-            f"{ {k: v for k, v in components.items() if v < 0} }"
-        )
-    dec = Decomposition(str(rs.algebra), lam, mu, components, translated)
+    dec = Decomposition(str(rs.algebra), lam, mu, components, frozenset(down.values()))
     _check_decomposition(rs, dec, dims)
     return dec
 

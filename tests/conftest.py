@@ -150,3 +150,11 @@ def raised_klimyk_cartan(monkeypatch):
     """Add 1 to the Klimyk sum at ``(3,2)`` of every finite product: in B2
     ``(2,1) (x) (1,1)`` the Cartan component then has multiplicity 2."""
     _perturb_klimyk_sums(monkeypatch, (3, 2), 1)
+
+
+@pytest.fixture
+def negative_klimyk_component(monkeypatch):
+    """Take 2 from the Klimyk sum at ``(0,0)`` of every finite product: in B2
+    ``rho (x) rho`` the translated weight ``(0,0)``, a component of
+    multiplicity 1, then sums to -1."""
+    _perturb_klimyk_sums(monkeypatch, (0, 0), -2)

@@ -50,6 +50,18 @@ def test_certificates_are_sums_of_fundamental_pair_components(name):
             assert part in pairs[i, j], (lam, i, j, part)
 
 
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3", "B3", "C3", "D4", "F4"])
+def test_fundamental_pair_components_lie_within_the_packing_bound(name):
+    # certify_conjecture packs its parts for <2 rho, theta^vee>, as the
+    # descent of D(2 rho) packs (and checks) the weights it searches for
+    rs = build_root_system(name)
+    bound = 2 * sum(rs.dual_marks)
+    for i in range(rs.rank):
+        for j in range(i, rs.rank):
+            comps = klimyk(rs, omega(rs, i), omega(rs, j)).components
+            assert max(map(max, comps)) <= bound, (i, j, comps)
+
+
 @pytest.mark.parametrize("name", CERTIFIED)
 def test_certified_set_and_residue_make_up_the_translated_set(monkeypatch, name):
     rs = build_root_system(name)

@@ -294,6 +294,11 @@ def test_component_outside_the_translated_set_is_exit_3(misplaced_reflections, c
     assert "exceeds the translated weight set" in capsys.readouterr().err
 
 
+def test_a_negative_component_is_exit_3(negative_klimyk_component, capsys):
+    assert run("--no-cache", "decompose", "B2", "1,1", "1,1") == (EXIT_INTERNAL, "")
+    assert "non-positive outer multiplicities in (1, 1) (x) (1, 1)" in capsys.readouterr().err
+
+
 def test_component_above_the_prv_bound_is_exit_3(inflated_top_component, capsys):
     assert run("--no-cache", "affine-decompose", "A2~", "1,1,1", "1,1,1", "--depth", "2") == (EXIT_INTERNAL, "")
     assert "(PRV bound)" in capsys.readouterr().err

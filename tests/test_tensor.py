@@ -204,6 +204,12 @@ def test_a_raised_cartan_component_fails_the_cartan_check(raised_klimyk_cartan):
         klimyk(build_root_system("B2"), (2, 1), (1, 1))
 
 
+def test_a_negative_component_fails_the_one_sign_check(negative_klimyk_component):
+    # klimyk leaves the sign of its components to _check_decomposition
+    with pytest.raises(InvariantError, match=r"^non-positive outer multiplicities in \(1, 1\) \(x\) \(1, 1\): \{\(0, 0\): -1\}$"):
+        klimyk(build_root_system("B2"), (1, 1), (1, 1))
+
+
 B2_VECTOR_SQUARED = {(2, 0): 1, (0, 2): 1, (0, 0): 1}  # 5 * 5 = 14 + 10 + 1
 
 
