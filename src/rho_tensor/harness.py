@@ -10,12 +10,13 @@ FAILS verdict is a reportable finding rather than an internal error.
 :func:`predicted_weights` builds the same set from two dominant descents,
 with no pass.
 
-On a large enough type, ``V(rho) (x) V(rho)`` is verified by
-:func:`certify_conjecture` instead of a pass: a predicted weight is a sum of
-components of the products ``V(omega_i) (x) V(omega_p(i))`` over a
-permutation ``p`` of the nodes, hence a component itself (the tensor
-semigroup). A case with every predicted weight certified HOLDS; any other
-goes to the pass, so a FAILS verdict still comes only from a pass.
+On a large enough type, a diagonal case ``V(n rho) (x) V(n rho)`` is
+verified by :func:`certify_conjecture` instead of a pass: at ``n = 1`` a
+predicted weight is a sum of components of the products ``V(omega_i) (x)
+V(omega_p(i))`` over a permutation ``p`` of the nodes, at ``n >= 2`` a sum
+of ``n`` components of ``V(rho) (x) V(rho)``, hence a component itself (the
+tensor semigroup). A case with every predicted weight certified HOLDS; any
+other goes to the pass, so a FAILS verdict still comes only from a pass.
 
 On affine types, :func:`verify_affine_conjecture` predicts the components
 from the delta-maximal weights of V(n rho) and looks for them within a
@@ -25,6 +26,7 @@ truncation depth, so its verdict is always DEPTH_LIMITED.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import mul
 from typing import NamedTuple
 
@@ -92,10 +94,11 @@ def predicted_weights(rs: RootSystem, m: int, n: int) -> list[Weight]:
 class Certification(NamedTuple):
     """What :func:`certify_conjecture` found: the predicted set and the
     ``residue``, the predicted weights it left uncertified, both sorted, and
-    a certificate ``(pairing, parts)`` per certified weight ``lam``:
-    ``pairing`` is a permutation ``p`` of the nodes, ``parts[i]`` is a
-    component of ``V(omega_i) (x) V(omega_p(i))``, and the parts sum to
-    ``lam``."""
+    a certificate ``(pairing, parts)`` per certified weight ``lam``, whose
+    parts sum to ``lam``. At ``n = 1``, ``pairing`` is a permutation ``p`` of
+    the nodes and ``parts[i]`` a component of ``V(omega_i) (x)
+    V(omega_p(i))``; at ``n >= 2``, ``pairing`` is empty and the ``n`` parts
+    are components of ``V(rho) (x) V(rho)``."""
 
     predicted: list[Weight]
     certificates: dict[Weight, tuple[tuple[int, ...], tuple[Weight, ...]]]
@@ -103,115 +106,147 @@ class Certification(NamedTuple):
 
 
 def certify_conjecture(rs: RootSystem, m: int, n: int, cache: CharCache | None = None) -> Certification:
-    """Certify the predicted components of ``V(rho) (x) V(rho)`` (``m = n =
-    1`` only) without its Klimyk pass.
+    """Certify the predicted components of ``V(n rho) (x) V(n rho)``, ``m =
+    n >= 1``, without its Klimyk pass.
 
     If ``V(a)`` is a component of ``V(l1) (x) V(m1)`` and ``V(b)`` one of
     ``V(l2) (x) V(m2)``, then ``V(a + b)`` is one of ``V(l1 + l2) (x) V(m1 +
     m2)`` (the tensor semigroup; S. Kumar, *Tensor product decomposition*,
     ICM 2010). As ``rho`` is the sum of the fundamental weights, a sum of
     components ``c_i`` of ``V(omega_i) (x) V(omega_p(i))``, one per node, over
-    a permutation ``p`` is a component of ``V(rho) (x) V(rho)``. The
-    components come from :func:`klimyk`, with ``cache`` passed through.
+    a permutation ``p`` is a component of ``V(rho) (x) V(rho)``; and a sum of
+    ``n`` components of ``V(rho) (x) V(rho)`` is one of ``V(n rho) (x) V(n
+    rho)``. The fundamental components come from :func:`klimyk`, and those
+    of ``V(rho) (x) V(rho)`` from :func:`verify_conjecture` at ``1 1`` (by
+    certificates or by the pass), with ``cache`` passed through.
 
-    Each predicted weight is searched for depth first, node by node, on
+    Each predicted weight is searched for depth first, part by part, on
     weights packed as the descent packs them (:meth:`RootSystem.packing`),
     with a guard bit above each field: every component is dominant, so a
     part may be taken only while the remainder stays dominant, which is that
-    no guard bit is borrowed. The packing is the one for ``<2 rho,
-    theta^vee>``, which the descent of ``D(2 rho)`` builds and checks every
-    predicted weight against; a part lies below ``omega_i + omega_j``, so
-    below that bound too, and a remainder less a part fits its fields. The
-    last node's part is one lookup. A ``(remainder, used nodes)`` state that
-    completes to no sum is dead for every target and is remembered as such.
-    The search returns its path, the ``(p(k), c_k)`` of the nodes it
-    completes, or ``None``.
+    no guard bit is borrowed. The packing is the one for ``<2n rho,
+    theta^vee>``, which the descent of ``D(2n rho)`` builds and checks every
+    predicted weight against; a part lies below ``2 rho``, so below that
+    bound too, and a remainder less a part fits its fields. At ``n = 1`` the
+    parts follow the nodes, node ``i`` taking one of ``omega_i (x)
+    omega_j`` for a ``j`` not yet used; at ``n >= 2`` the parts form a
+    multiset, so they are taken in non-increasing height. The last part is
+    one lookup, of any height. A ``(remainder, state)`` at a depth that completes to no sum
+    is dead for every target and is remembered as such. The search returns
+    its path, the ``(label, part)`` of the parts it completes, or ``None``.
 
-    The dominant weights below ``2 rho`` outside the predicted set are
+    The dominant weights below ``2n rho`` outside the predicted set are
     searched too (there were none on any type tried, E7 included). Every
     component lies in the predicted set, so a sum found for one of them, or
     a certificate whose parts do not add up to its weight, raises
     :class:`InvariantError`."""
-    if (m, n) != (1, 1):
-        raise AlgebraError(f"certify_conjecture covers m = n = 1 only, got m={m}, n={n}")
-    predicted, rest = _predicted_and_rest(rs, 1, 1)
-    packing = rs.packing(2 * sum(rs.dual_marks))
+    if m != n or n < 1:
+        raise AlgebraError(f"certify_conjecture covers m = n >= 1 only, got m={m}, n={n}")
+    predicted, rest = _predicted_and_rest(rs, n, n)
+    packing = rs.packing(2 * n * sum(rs.dual_marks))
     place, guard = packing.place, packing.guard
     rank = rs.rank
-    omega = [tuple(int(k == i) for k in range(rank)) for i in range(rank)]
-    steps: list[list] = [[None] * rank for _ in range(rank)]  # (code, part), the larger parts first
-    for i in range(rank):
-        for j in range(i, rank):
-            comps = sorted(klimyk(rs, omega[i], omega[j], cache).components, key=rs.height, reverse=True)
-            steps[i][j] = steps[j][i] = [(sum(map(mul, c, place)), c) for c in comps]
-    last = [{code | guard: c for code, c in steps[rank - 1][j]} for j in range(rank)]
-    full = (1 << rank) - 1
-    dead: set[int] = set()  # remainder << rank | used nodes
+    if n == 1:
+        depth = rank
+        omega = [tuple(int(k == i) for k in range(rank)) for i in range(rank)]
+        steps: list[list] = [[None] * rank for _ in range(rank)]  # (code, part), the larger parts first
+        for i in range(rank):
+            for j in range(i, rank):
+                comps = sorted(klimyk(rs, omega[i], omega[j], cache).components, key=rs.height, reverse=True)
+                steps[i][j] = steps[j][i] = [(sum(map(mul, c, place)), c) for c in comps]
+        # a state is the set of nodes used as p(0), ..., p(i - 1); a move
+        # (code, part, j, next state) takes a part of omega_i (x) omega_j
+        moves = [
+            [(code, c, j, used | 1 << j)
+             for j in range(rank) if not used >> j & 1 for code, c in steps[used.bit_count()][j]]
+            for used in range(1 << rank)
+        ]
+        ends = [{code | guard: (j, c) for code, c in steps[rank - 1][j]} for j in range(rank)]
+        full = (1 << rank) - 1
+        next_moves = moves.__getitem__
+        last = lambda used: ends[(full ^ used).bit_length() - 1]
+    else:
+        depth = n
+        parts = sorted(verify_conjecture(rs, 1, 1, cache).present, key=rs.height, reverse=True)
+        # a state is the index of the last part taken; a move takes one at or after it
+        moves = [(sum(map(mul, c, place)), c, t, t) for t, c in enumerate(parts)]
+        ends = {code | guard: (t, c) for code, c, t, _ in moves}
+        next_moves = lambda t: islice(moves, t, None)
+        last = lambda t: ends
+    sbits = len(moves).bit_length()
+    dead: list[set[int]] = [set() for _ in range(depth)]  # per depth, remainder << sbits | state
 
-    def search(i: int, used: int, rem: int) -> tuple[tuple[int, Weight], ...] | None:
-        if i == rank - 1:
-            j = (full ^ used).bit_length() - 1
-            c = last[j].get(rem)
-            return None if c is None else ((j, c),)
-        key = rem << rank | used
-        if key in dead:
+    def search(i: int, state: int, rem: int) -> tuple[tuple[int, Weight], ...] | None:
+        if i == depth - 1:
+            found = last(state).get(rem)
+            return None if found is None else (found,)
+        key = rem << sbits | state
+        if key in dead[i]:
             return None
-        for j in range(rank):
-            if not used >> j & 1:
-                for code, c in steps[i][j]:
-                    x = rem - code
-                    if x & guard == guard:
-                        tail = search(i + 1, used | 1 << j, x)
-                        if tail is not None:
-                            return ((j, c), *tail)
-        dead.add(key)
+        for code, c, label, nxt in next_moves(state):
+            x = rem - code
+            if x & guard == guard:
+                tail = search(i + 1, nxt, x)
+                if tail is not None:
+                    return ((label, c), *tail)
+        dead[i].add(key)
         return None
 
     for lam in rest:
         found = search(0, 0, sum(map(mul, lam, place)) | guard)
         if found is not None:
+            factor = f"{n} rho" if n > 1 else "rho"
             raise InvariantError(
-                f"{rs.algebra}: {lam} is a sum over the pairing {tuple(j for j, _ in found)}, so a component "
-                f"of rho (x) rho, but lies outside the predicted set"
+                f"{rs.algebra}: {lam} is the sum of {tuple(c for _, c in found)}, so a component of {factor} (x) "
+                f"{factor}, but lies outside the predicted set"
             )
     certificates = {}
     residue = []
     for lam in predicted:
         found = search(0, 0, sum(map(mul, lam, place)) | guard)
         if found is not None:
-            pairing, pieces = zip(*found)
+            labels, pieces = zip(*found)
+            pairing = labels if n == 1 else ()
             total = tuple(map(sum, zip(*pieces)))
             if total != lam:
-                raise InvariantError(f"{rs.algebra}: the certificate of {lam}, pairing {pairing}, sums to {total}")
+                raise InvariantError(f"{rs.algebra}: the certificate {pairing} {pieces} of {lam} sums to {total}")
             certificates[lam] = (pairing, pieces)
         else:
             residue.append(lam)
     return Certification(predicted, certificates, residue)
 
 
-def _certify_first(rs: RootSystem) -> bool:
-    """Whether :func:`verify_conjecture` gives ``V(rho) (x) V(rho)`` to
-    :func:`certify_conjecture` before any pass: on a type with at least 15
-    positive roots, other than type B and ``C_r`` with ``r >= 6``. Measured
-    cold, the certificates cost less than the pass from A5 and C4 up (D4 is
-    even), and every ``B_r`` from B4 on and ``C_r`` from C6 on leaves a
-    residue (C6 two weights, C7 nine), after which the pass runs as well.
-    O(1), so no other case pays for the test."""
+def _certify_first(rs: RootSystem, n: int = 1) -> bool:
+    """Whether :func:`verify_conjecture` gives ``V(n rho) (x) V(n rho)`` to
+    :func:`certify_conjecture` before any pass. At ``n >= 2``: on a type with
+    at least 9 positive roots (B3, C3, A4, D4 and up); below that, the pass
+    of the small ``V(n rho)`` costs less than the certificates, measured cold,
+    and less again over a disk cache that holds its table. At ``n = 1``: on a
+    type with at least 15 positive roots, other than type B and ``C_r`` with
+    ``r >= 6``. Measured cold, the certificates cost less than the pass from
+    A5 and C4 up (D4 is even), and every ``B_r`` from B4 on and ``C_r`` from
+    C6 on leaves a residue (C6 two weights, C7 nine), after which the pass
+    runs as well. O(1), so no other case pays for the test."""
+    roots = len(rs.positive_roots)
+    if n >= 2:
+        return roots >= 9
     family = rs.algebra.family
-    return len(rs.positive_roots) >= 15 and family != "B" and not (family == "C" and rs.rank >= 6)
+    return roots >= 15 and family != "B" and not (family == "C" and rs.rank >= 6)
 
 
 def verify_conjecture(rs: RootSystem, m: int, n: int, cache: CharCache | None = None) -> ConjectureReport:
     """Decompose V(m rho) (x) V(n rho) and compare support with prediction.
 
-    ``V(rho) (x) V(rho)`` on a large type (:func:`_certify_first`) is first
-    given to :func:`certify_conjecture`. With no residue, every predicted
-    weight is a component, and the support lies in the predicted set (a
-    theorem :func:`klimyk` asserts), so the report is the one the pass would
-    give, and no pass runs. Every other case, and one with a residue, is
-    decided by the Klimyk pass."""
+    A diagonal case ``n n`` on a large enough type (:func:`_certify_first`)
+    is first given to :func:`certify_conjecture`: ``1 1`` as sums over
+    fundamental pairings, ``n n`` for ``n >= 2`` as sums of ``n`` components
+    of ``V(rho) (x) V(rho)``. With no residue, every predicted weight is a
+    component, and the support lies in the predicted set (a theorem
+    :func:`klimyk` asserts), so the report is the one the pass would give,
+    and no pass of ``V(n rho) (x) V(n rho)`` runs. Every other case, and one
+    with a residue, is decided by the Klimyk pass."""
     _check_order(m, n, "conjecture")
-    if m == n == 1 and _certify_first(rs):
+    if m == n >= 1 and _certify_first(rs, n):
         cert = certify_conjecture(rs, m, n, cache)
         if not cert.residue:
             return ConjectureReport(str(rs.algebra), m, n, cert.predicted, list(cert.predicted), [], HOLDS)

@@ -1,5 +1,8 @@
-"""Certificates for V(rho) (x) V(rho) from fundamental pairings, and the
+"""Certificates for V(rho) (x) V(rho) from fundamental pairings, for the
+diagonal V(n rho) (x) V(n rho) from components of V(rho) (x) V(rho), and the
 choice between them and the Klimyk pass in ``verify_conjecture``."""
+
+from operator import add
 
 import pytest
 
@@ -18,7 +21,7 @@ def omega(rs, i):
 def report(monkeypatch, rs, m, n, certify_first):
     """``verify_conjecture`` with the choice of path forced."""
     with monkeypatch.context() as patch:
-        patch.setattr(harness, "_certify_first", lambda rs: certify_first)
+        patch.setattr(harness, "_certify_first", lambda rs, n=1: certify_first)
         return verify_conjecture(rs, m, n)
 
 
@@ -121,7 +124,7 @@ def test_type_c_is_certified_below_c6_only(name, certify_first):
 @pytest.mark.parametrize(
     "name,m,n",
     [("B3", 1, 1), ("F4", 1, 0), ("F4", 2, 0), ("F4", 2, 1), ("F4", 3, 0), ("D5", 2, 1), ("E6", 1, 0),
-     ("C4", 2, 2)],
+     ("A3", 2, 2), ("B2", 3, 3), ("G2", 3, 3)],
 )
 def test_every_other_case_runs_the_pass(monkeypatch, name, m, n):
     rs = build_root_system(name)
@@ -140,12 +143,91 @@ def test_bad_m_n_are_refused_before_the_choice_of_path(monkeypatch, m, n):
     assert calls == []
 
 
-@pytest.mark.parametrize("m,n", [(1, 0), (2, 1), (2, 2), (0, 0)])
-def test_certify_conjecture_covers_rho_rho_only(m, n):
-    with pytest.raises(AlgebraError, match=f"^certify_conjecture covers m = n = 1 only, got m={m}, n={n}$"):
+@pytest.mark.parametrize("m,n", [(1, 0), (2, 1), (1, 2), (0, 0), (-1, -1)])
+def test_certify_conjecture_covers_the_diagonal_only(m, n):
+    with pytest.raises(AlgebraError, match=f"^certify_conjecture covers m = n >= 1 only, got m={m}, n={n}$"):
         certify_conjecture(build_root_system("F4"), m, n)
 
 
 def test_certify_conjecture_refuses_an_affine_type():
     with pytest.raises(AlgebraError, match="requires a finite-type algebra"):
         certify_conjecture(build_root_system("F4~"), 1, 1)
+
+
+DIAGONAL = [
+    (name, n)
+    for name in ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2"]
+    for n in ((2, 3) if name not in ("B4", "C4") else (2,))
+]
+
+
+@pytest.mark.parametrize("name,n", DIAGONAL)
+def test_diagonal_certificates_are_sums_of_rho_rho_components(name, n):
+    rs = build_root_system(name)
+    cert = certify_conjecture(rs, n, n)
+    assert cert.certificates
+    components = klimyk(rs, rs.rho, rs.rho).components
+    for lam, (pairing, parts) in cert.certificates.items():
+        assert pairing == () and len(parts) == n
+        assert tuple(map(sum, zip(*parts))) == lam
+        assert all(part in components for part in parts), (lam, parts)
+
+
+@pytest.mark.parametrize("name,n", DIAGONAL)
+def test_diagonal_certified_set_and_residue_make_up_the_translated_set(monkeypatch, name, n):
+    rs = build_root_system(name)
+    cert = certify_conjecture(rs, n, n)
+    translated = klimyk(rs, (n,) * rs.rank, (n,) * rs.rank).translated
+    assert cert.predicted == sorted(translated)
+    assert sorted(cert.certificates.keys() | set(cert.residue)) == sorted(translated)
+    assert cert.residue == sorted(translated - cert.certificates.keys())
+    if not cert.residue:
+        by_pass = report(monkeypatch, rs, n, n, False)
+        by_certificates = report(monkeypatch, rs, n, n, True)
+        assert vars(by_certificates) == vars(by_pass)
+
+
+@pytest.mark.parametrize("name,n", [("B3", 2), ("C3", 3), ("F4", 2)])
+def test_diagonal_cases_run_no_n_rho_product(monkeypatch, name, n):
+    rs = build_root_system(name)
+    calls = spy_klimyk(monkeypatch)
+    rep = verify_conjecture(rs, n, n)
+    assert rep.verdict == "HOLDS" and rep.present == rep.predicted == harness.predicted_weights(rs, n, n)
+    assert calls and ((n,) * rs.rank, (n,) * rs.rank) not in calls
+    # only the (1, 1) case's products: rho (x) rho, or fundamental pairs
+    assert all(max(lam) <= 1 and max(mu) <= 1 for lam, mu in calls)
+
+
+def test_a_sum_of_rho_rho_components_outside_the_predicted_set_raises(monkeypatch):
+    # a predicted set that lost the weights 2 rho + nu, nu in the orbit of
+    # the lowest dominant weight of V(2 rho), while each is still a sum of
+    # two components of rho (x) rho (B3 decides (1, 1) by the pass, which
+    # the lossy descent does not reach)
+    rs = build_root_system("B3")
+    below = harness.dominant_weights_below
+
+    def lossy(rs, lam):
+        found = below(rs, lam)
+        return found[:-1] if lam == (2, 2, 2) else found
+
+    monkeypatch.setattr(harness, "dominant_weights_below", lossy)
+    with pytest.raises(InvariantError, match="so a component of 2 rho \\(x\\) 2 rho, but lies outside"):
+        certify_conjecture(rs, 2, 2)
+
+
+IDENTITY_CASES = [("A2", 4), ("B2", 4), ("G2", 3), ("A3", 3), ("B3", 3), ("C3", 3), ("A4", 2), ("B4", 2), ("D4", 2)]
+
+
+@pytest.mark.parametrize("name,top", IDENTITY_CASES)
+def test_the_diagonal_predicted_set_is_the_n_fold_sum_of_d_2rho(name, top):
+    # D(x): the dominant weights <= x. The predicted set of (n, n) is D(2n
+    # rho), and D(2n rho) is D(2 rho) + ... + D(2 rho), n times: so once (1,
+    # 1) HOLDS, every predicted weight of (n, n) has a diagonal certificate
+    rs = build_root_system(name)
+    two = set(harness.dominant_weights_below(rs, (2,) * rs.rank))
+    sums = two
+    for n in range(2, top + 1):
+        below = harness.dominant_weights_below(rs, (2 * n,) * rs.rank)
+        assert harness.predicted_weights(rs, n, n) == sorted(below)
+        sums = {tuple(map(add, a, b)) for a in sums for b in two}
+        assert sums == set(below), (name, n)

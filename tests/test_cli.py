@@ -459,6 +459,14 @@ def test_a_certified_conjecture_stores_the_fundamental_tables(tmp_path):
     assert names == ["B3.1_1_1.char", "F4.0_0_0_1.char", "F4.0_0_1_0.char", "F4.0_1_0_0.char", "F4.1_0_0_0.char"]
 
 
+def test_a_certified_diagonal_conjecture_stores_rhos_table_only(tmp_path):
+    # B3 2rho (x) 2rho is certified from the components of rho (x) rho, which
+    # the pass of the (1, 1) case finds: rho's table is stored, 2 rho's is not
+    clear_memory_cache()
+    assert run("conjecture", "B3", "2", "2")[0] == EXIT_OK
+    assert sorted(p.name for p in (tmp_path / "cache").glob("*.char")) == ["B3.1_1_1.char"]
+
+
 def test_output_identical_cold_and_warm(tmp_path, monkeypatch):
     monkeypatch.setenv("RHO_TENSOR_CACHE", str(tmp_path / "cache3"))
     clear_memory_cache()
