@@ -333,9 +333,11 @@ def truncated_tensor(
     affine-dominant ``x`` (``<x, theta^vee> <= lvl``) only ``nu = x`` and ``w =
     1`` count: ``c_x = S(x, d)``, and a negative one is an internal failure.
     At any other key, ``x + rho^`` reflects to an alcove point ``nu + rho^``
-    at a shallower depth (:meth:`RootSystem.alcove_point`),
-    and ``S(x, d)`` must be ``eps(w) c_nu``, or 0 if ``x + rho^`` is on a wall.
-    Components come in the order depth, then ``(-height, w)``.
+    (:meth:`RootSystem.alcove_point`), and ``S(x, d)`` must be ``eps(w)
+    c_nu``, or 0 if ``x + rho^`` is on a wall. The point is strictly
+    shallower than ``d``, or ``x`` lies on a wall (sign 0), so ``c_nu`` is
+    read off before slice ``d`` and the keys of a slice may be read in any
+    order; the components come slice by slice, in the order the sums come.
 
     A component ``(w, d)`` of multiplicity ``c`` above the multiplicity of ``w
     - lam`` in slice ``d`` of V(mu), or of ``w - mu`` in slice ``d`` of
@@ -362,8 +364,7 @@ def truncated_tensor(
     alcove_point = rs.alcove_point
     components: dict[tuple[Weight, int], int] = {}
     for d, sl in enumerate(sums):
-        for x in sorted(sl, key=lambda w: (-rs.height(w), w)):
-            total = sl[x]
+        for x, total in sl.items():
             if theta_pairing(rs, x) <= lvl:
                 if total < 0:
                     raise InvariantError(
@@ -435,7 +436,6 @@ def sl2_delta_max_rule(
 class GkoReport:
     """Exact GKO coset data for one component of V(m rho) (x) V(n rho)."""
 
-    central_charge: Fraction
     l0_scalar: Fraction
     certificate_terms: tuple[Fraction, Fraction, Fraction, Fraction]
     denominator: Fraction
@@ -525,7 +525,6 @@ def gko_positivity_certificate(rs: RootSystem, m: int, n: int, beta: AffineWeigh
             f"for m={m}, n={n}, beta={beta}"
         )
     return GkoReport(
-        central_charge=gko_central_charge(rs, m * h, n * h),
         l0_scalar=scalar,
         certificate_terms=terms,
         denominator=Fraction(denominator),

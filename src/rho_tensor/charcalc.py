@@ -72,8 +72,8 @@ def expand_orbits(rs: RootSystem, table: dict[Weight, int]) -> dict[Weight, int]
 
 def dominant_weights_below(rs: RootSystem, lam: Weight) -> list[Weight]:
     """All dominant mu with lam - mu a non-negative integer combination of
-    simple roots, by increasing height of lam - mu; for an affine ``rs``, those
-    of its finite part. A descent subtracting positive roots and keeping only
+    simple roots, in lexicographic order; for an affine ``rs``, those of its
+    finite part. A descent subtracting positive roots and keeping only
     dominant results reaches every one: in the dominance order on dominant
     weights each cover differs by a positive root (Stembridge, *The partial
     order of dominant weights*, Adv. Math. 1998).
@@ -83,13 +83,13 @@ def dominant_weights_below(rs: RootSystem, lam: Weight) -> list[Weight]:
     <lam, theta^vee>``, since ``theta^vee`` is a dominant coweight with every
     dual mark ``>= 1``; so fields of the packing for that bound hold every
     such ``mu`` and each ``mu`` less a root. A root test is then one
-    subtraction and one mask (:class:`WeightPacking`), and each weight's
-    height is its parent's plus the root's. The packed weights, sorted by
-    ``(height, packed)``, are unpacked once, at the end.
+    subtraction and one mask (:class:`WeightPacking`). Packed weights compare
+    as their tuples do, so one sort of the packed set gives the lexicographic
+    order, and the weights are unpacked once, at the end.
 
     The walk keeps to packed weights below ``2**(rank*(width+1))`` with every
     guard bit set, a finite box, so it always ends. It raises
-    ``InvariantError`` unless the first weight is ``lam`` and every
+    ``InvariantError`` unless ``lam`` packs and unpacks to itself and every
     coordinate is at most ``<lam, theta^vee>`` and at most ``2**width - 1 +
     least`` (:attr:`RootSystem.least_root_coord`). A step can carry out of
     its field, which clears that field's guard bit and drops a weight, only
@@ -102,24 +102,25 @@ def dominant_weights_below(rs: RootSystem, lam: Weight) -> list[Weight]:
     width, place, shifts, guard, codes = rs.packing(bound)
     box = place[0] << width + 1
     start = sum(map(mul, lam, place)) | guard
-    height = {start: 0}
+    seen = {start}
     stack = [start]
     while stack:
         x = stack.pop()
-        h = height[x]
-        for code, ht in codes:
+        for code in codes:
             y = x - code
-            if y & guard == guard and y not in height:
+            if y & guard == guard and y not in seen:
                 if not 0 < y < box:
                     raise InvariantError(f"descent from {lam} left its packing at {y:#x} ({rs.algebra})")
-                height[y] = h + ht
+                seen.add(y)
                 stack.append(y)
     field = (1 << width) - 1
-    below = [tuple([x >> s & field for s in shifts]) for x in sorted(sorted(height), key=height.__getitem__)]
-    if below[0] != lam or max(map(max, below)) > min(bound, field + rs.least_root_coord):
+    first = tuple([start >> s & field for s in shifts])
+    below = [tuple([x >> s & field for s in shifts]) for x in sorted(seen)]
+    top = max(map(max, below))
+    if first != lam or top > min(bound, field + rs.least_root_coord):
         raise InvariantError(
-            f"descent from {lam} ({rs.algebra}) unpacked to {below[0]} first, with a coordinate "
-            f"{max(map(max, below))} above <lam, theta^vee> = {bound} or beyond its {width}-bit fields"
+            f"descent from {lam} ({rs.algebra}) unpacked its start to {first}, with a coordinate "
+            f"{top} above <lam, theta^vee> = {bound} or beyond its {width}-bit fields"
         )
     return below
 

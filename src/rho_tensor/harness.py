@@ -26,7 +26,6 @@ truncation depth, so its verdict is always DEPTH_LIMITED.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 from operator import mul
 from typing import NamedTuple
 
@@ -74,7 +73,7 @@ def _predicted_and_rest(rs: RootSystem, m: int, n: int) -> tuple[list[Weight], l
     below_n = set(dominant_weights_below(rs, _rho_multiple(rs, n)))
     to_dominant = rs.to_dominant
     split: tuple[list[Weight], list[Weight]] = ([], [])
-    for lam in sorted(dominant_weights_below(rs, _rho_multiple(rs, m + n))):
+    for lam in dominant_weights_below(rs, _rho_multiple(rs, m + n)):
         split[to_dominant(tuple(x - m for x in lam))[0] not in below_n].append(lam)
     return split
 
@@ -93,21 +92,22 @@ def predicted_weights(rs: RootSystem, m: int, n: int) -> list[Weight]:
 
 class Certification(NamedTuple):
     """What :func:`certify_conjecture` found: the predicted set and the
-    ``residue``, the predicted weights it left uncertified, both sorted, and
-    a certificate ``(pairing, parts)`` per certified weight ``lam``, whose
-    parts sum to ``lam``. At ``n = 1``, ``pairing`` is a permutation ``p`` of
-    the nodes and ``parts[i]`` a component of ``V(omega_i) (x)
-    V(omega_p(i))``; at ``n >= 2``, ``pairing`` is empty and the ``n`` parts
-    are components of ``V(rho) (x) V(rho)``."""
+    ``residue``, the predicted weights it left uncertified, both in
+    lexicographic order, and a certificate ``(pairing, parts)`` per
+    certified weight ``lam``, whose parts sum to ``lam``. At ``n = 1``,
+    ``pairing`` is a permutation ``p`` of the nodes and ``parts[i]`` a
+    component of ``V(omega_i) (x) V(omega_p(i))``; at ``n >= 2``,
+    ``pairing`` is empty and the ``n`` parts are components of ``V(rho) (x)
+    V(rho)``."""
 
     predicted: list[Weight]
     certificates: dict[Weight, tuple[tuple[int, ...], tuple[Weight, ...]]]
     residue: list[Weight]
 
 
-def certify_conjecture(rs: RootSystem, m: int, n: int, cache: CharCache | None = None) -> Certification:
-    """Certify the predicted components of ``V(n rho) (x) V(n rho)``, ``m =
-    n >= 1``, without its Klimyk pass.
+def certify_conjecture(rs: RootSystem, n: int, cache: CharCache | None = None) -> Certification:
+    """Certify the predicted components of ``V(n rho) (x) V(n rho)``, ``n >=
+    1``, without its Klimyk pass.
 
     If ``V(a)`` is a component of ``V(l1) (x) V(m1)`` and ``V(b)`` one of
     ``V(l2) (x) V(m2)``, then ``V(a + b)`` is one of ``V(l1 + l2) (x) V(m1 +
@@ -127,21 +127,24 @@ def certify_conjecture(rs: RootSystem, m: int, n: int, cache: CharCache | None =
     no guard bit is borrowed. The packing is the one for ``<2n rho,
     theta^vee>``, which the descent of ``D(2n rho)`` builds and checks every
     predicted weight against; a part lies below ``2 rho``, so below that
-    bound too, and a remainder less a part fits its fields. At ``n = 1`` the
-    parts follow the nodes, node ``i`` taking one of ``omega_i (x)
-    omega_j`` for a ``j`` not yet used; at ``n >= 2`` the parts form a
-    multiset, so they are taken in non-increasing height. The last part is
-    one lookup, of any height. A ``(remainder, state)`` at a depth that completes to no sum
-    is dead for every target and is remembered as such. The search returns
-    its path, the ``(label, part)`` of the parts it completes, or ``None``.
+    bound too, and a remainder less a part fits its fields. A state gives
+    the moves open at a depth, tried largest first, and a dict of the parts
+    that can end a sum, so the last part is one lookup. At ``n = 1`` the
+    state is the set of nodes used: node ``i`` takes a part of ``omega_i
+    (x) omega_j`` for a ``j`` not yet used. At ``n >= 2`` there is one
+    state, every part a move at every depth, in any order. A ``(remainder,
+    state)`` at a depth that completes to no sum is dead for every target
+    and is remembered as such, so each is searched once however many orders
+    of parts reach it. The search returns its path, the ``(label, part)`` of
+    the parts it completes, or ``None``.
 
     The dominant weights below ``2n rho`` outside the predicted set are
     searched too (there were none on any type tried, E7 included). Every
     component lies in the predicted set, so a sum found for one of them, or
     a certificate whose parts do not add up to its weight, raises
     :class:`InvariantError`."""
-    if m != n or n < 1:
-        raise AlgebraError(f"certify_conjecture covers m = n >= 1 only, got m={m}, n={n}")
+    if n < 1:
+        raise AlgebraError(f"certify_conjecture covers n >= 1 only, got n={n}")
     predicted, rest = _predicted_and_rest(rs, n, n)
     packing = rs.packing(2 * n * sum(rs.dual_marks))
     place, guard = packing.place, packing.guard
@@ -161,29 +164,27 @@ def certify_conjecture(rs: RootSystem, m: int, n: int, cache: CharCache | None =
              for j in range(rank) if not used >> j & 1 for code, c in steps[used.bit_count()][j]]
             for used in range(1 << rank)
         ]
-        ends = [{code | guard: (j, c) for code, c in steps[rank - 1][j]} for j in range(rank)]
+        # the last node takes the one j left unused
+        last = [{code | guard: (j, c) for code, c in steps[rank - 1][j]} for j in range(rank)]
         full = (1 << rank) - 1
-        next_moves = moves.__getitem__
-        last = lambda used: ends[(full ^ used).bit_length() - 1]
+        ends = [last[(full ^ used).bit_length() - 1] for used in range(1 << rank)]
     else:
         depth = n
         parts = sorted(verify_conjecture(rs, 1, 1, cache).present, key=rs.height, reverse=True)
-        # a state is the index of the last part taken; a move takes one at or after it
-        moves = [(sum(map(mul, c, place)), c, t, t) for t, c in enumerate(parts)]
-        ends = {code | guard: (t, c) for code, c, t, _ in moves}
-        next_moves = lambda t: islice(moves, t, None)
-        last = lambda t: ends
+        # one state, 0: every part is a move at every depth
+        moves = [[(sum(map(mul, c, place)), c, t, 0) for t, c in enumerate(parts)]]
+        ends = [{code | guard: (t, c) for code, c, t, _ in moves[0]}]
     sbits = len(moves).bit_length()
     dead: list[set[int]] = [set() for _ in range(depth)]  # per depth, remainder << sbits | state
 
     def search(i: int, state: int, rem: int) -> tuple[tuple[int, Weight], ...] | None:
         if i == depth - 1:
-            found = last(state).get(rem)
+            found = ends[state].get(rem)
             return None if found is None else (found,)
         key = rem << sbits | state
         if key in dead[i]:
             return None
-        for code, c, label, nxt in next_moves(state):
+        for code, c, label, nxt in moves[state]:
             x = rem - code
             if x & guard == guard:
                 tail = search(i + 1, nxt, x)
@@ -216,7 +217,7 @@ def certify_conjecture(rs: RootSystem, m: int, n: int, cache: CharCache | None =
     return Certification(predicted, certificates, residue)
 
 
-def _certify_first(rs: RootSystem, n: int = 1) -> bool:
+def _certify_first(rs: RootSystem, n: int) -> bool:
     """Whether :func:`verify_conjecture` gives ``V(n rho) (x) V(n rho)`` to
     :func:`certify_conjecture` before any pass. At ``n >= 2``: on a type with
     at least 9 positive roots (B3, C3, A4, D4 and up); below that, the pass
@@ -247,7 +248,7 @@ def verify_conjecture(rs: RootSystem, m: int, n: int, cache: CharCache | None = 
     with a residue, is decided by the Klimyk pass."""
     _check_order(m, n, "conjecture")
     if m == n >= 1 and _certify_first(rs, n):
-        cert = certify_conjecture(rs, m, n, cache)
+        cert = certify_conjecture(rs, n, cache)
         if not cert.residue:
             return ConjectureReport(str(rs.algebra), m, n, cert.predicted, list(cert.predicted), [], HOLDS)
     dec = klimyk(rs, _rho_multiple(rs, m), _rho_multiple(rs, n), cache)
@@ -311,8 +312,7 @@ def naive_condition_scan(rs: RootSystem, m: int, n: int, cache: CharCache | None
     _check_order(m, n, "naive_condition_scan")
     rs._require_finite()
     support = klimyk(rs, _rho_multiple(rs, m), _rho_multiple(rs, n), cache).support()
-    below = dominant_weights_below(rs, _rho_multiple(rs, m + n))
-    return sorted(lam for lam in below if lam not in support)
+    return [lam for lam in dominant_weights_below(rs, _rho_multiple(rs, m + n)) if lam not in support]
 
 
 @dataclass

@@ -187,19 +187,19 @@ class WeightPacking(NamedTuple):
     (:meth:`RootSystem.packing`).
 
     ``mu`` packs to ``sum(map(mul, mu, place)) | guard``, and field ``i``
-    starts at bit ``shifts[i]``; packed weights compare as their tuples do.
-    ``codes`` holds, per positive root, its fundamental coordinates packed by
-    ``place``, a signed integer, and its height. Subtracting a code subtracts
-    field by field while every result ``mu_i - a_i`` lies in ``-2**width ..
-    2**width - 1``, and a field then keeps its guard bit exactly when its
-    result is ``>= 0``: ``x - code`` is dominant iff ``(x - code) & guard ==
-    guard``."""
+    starts at bit ``shifts[i]``; packed weights compare as their tuples do,
+    so sorting them sorts the weights lexicographically. ``codes`` holds, per
+    positive root, its fundamental coordinates packed by ``place``, a signed
+    integer. Subtracting a code subtracts field by field while every result
+    ``mu_i - a_i`` lies in ``-2**width .. 2**width - 1``, and a field then
+    keeps its guard bit exactly when its result is ``>= 0``: ``x - code`` is
+    dominant iff ``(x - code) & guard == guard``."""
 
     width: int
     place: tuple[int, ...]
     shifts: tuple[int, ...]
     guard: int
-    codes: tuple[tuple[int, int], ...]
+    codes: tuple[int, ...]
 
 
 class _OrbitChildren(dict):
@@ -416,9 +416,7 @@ class RootSystem:
             rank = self.rank
             shifts = tuple((width + 1) * (rank - 1 - i) for i in range(rank))
             place = tuple(1 << s for s in shifts)
-            codes = tuple(
-                (sum(map(mul, fund, place)), sum(rc)) for fund, rc in zip(self.positive_roots_fund, self.positive_roots)
-            )
+            codes = tuple(sum(map(mul, fund, place)) for fund in self.positive_roots_fund)
             packing = self._packings[width] = WeightPacking(width, place, shifts, sum(place) << width, codes)
         return packing
 

@@ -483,13 +483,43 @@ def test_numerator_sums_keep_the_keys_whose_terms_cancel(name, lam, mu, depth):
     ids=["D4~-rho-1", "A4~-rho-1", "B3~-rho-2", "C3~-rho-2", "E6~-w0-w1-1", "E6~-w1-w0-1"],
 )
 def test_truncated_tensor_matches_read_off(name, lam, mu, depth):
-    """The components, in order, against the dominant convolution and
-    per-key read-off."""
+    """The components against the dominant convolution and per-key
+    read-off."""
     rs = build_root_system(name)
     lam, mu = AffineWeight(lam), AffineWeight(mu)
     components = truncated_tensor(rs, lam, mu, depth).components
     expected = truncated_tensor_by_read_off(rs, lam, mu, depth)
-    assert list(components.items()) == list(expected.items())
+    assert components == expected
+
+
+# the products of the affine_products benchmark workload, (m rho) (x) (n rho)
+AFFINE_PRODUCTS = [
+    ("A1~", 2, 1, 3), ("A1~", 2, 1, 10), ("A1~", 3, 1, 12), ("A1~", 2, 1, 20), ("A1~", 3, 2, 8),
+    ("A2~", 1, 1, 4), ("A2~", 2, 1, 4), ("B2~", 1, 1, 3), ("B2~", 2, 1, 3), ("G2~", 1, 1, 3), ("A3~", 1, 1, 3),
+]
+
+
+@pytest.mark.parametrize("name,m,n,depth", AFFINE_PRODUCTS)
+def test_off_chamber_keys_reflect_to_a_shallower_depth_or_a_wall(name, m, n, depth):
+    """``truncated_tensor`` reads each slice's keys in any order: an
+    off-chamber key ``x`` at depth ``d`` is checked against the component at
+    its alcove point, which lies strictly shallower, so in a slice already
+    read off, or is on a wall, with sign 0. Both factors are tried as the
+    one whose numerator is summed."""
+    rs = build_root_system(name)
+    rho = affine_rho(rs)
+    lvl = (m + n) * rs.dual_coxeter
+    off = 0
+    for a, b in ((m, n), (n, m)):
+        terms = _numerator_terms(rs, a * rho + rho, depth)
+        sums = _numerator_sums(rs, affine_freudenthal(rs, b * rho, depth), terms, depth)
+        for d, sl in enumerate(sums):
+            for x in sl:
+                if theta_pairing(rs, x) > lvl:
+                    off += 1
+                    _, e, sign = rs.alcove_point(tuple(c + 1 for c in x), d, lvl + rs.dual_coxeter)
+                    assert e < d or sign == 0, (x, d, e, sign)
+    assert off
 
 
 @pytest.mark.parametrize(

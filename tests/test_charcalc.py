@@ -110,17 +110,16 @@ def test_every_dominant_weight_below_appears(b2, g2):
 )
 def test_descent_matches_box_walk(name, lam):
     rs = build_root_system(name)
-    assert dominant_weights_below(rs, lam) == dominant_weights_by_box(rs, lam)
+    assert dominant_weights_below(rs, lam) == sorted(dominant_weights_by_box(rs, lam))
 
 
 @pytest.mark.parametrize("name,count", [("E6", 226), ("E7", 1464)])
 def test_descent_counts_at_rho(name, count):
     rs = build_root_system(name)
     below = dominant_weights_below(rs, rs.rho)
-    assert len(below) == len(set(below)) == count
-    assert below[0] == rs.rho and all(rs.is_dominant(mu) for mu in below)
-    heights = [rs.height(tuple(map(sub, rs.rho, mu))) for mu in below]
-    assert list(zip(heights, below)) == sorted(zip(heights, below))
+    assert len(below) == count
+    assert all(a < b for a, b in zip(below, below[1:]))
+    assert rs.rho in below and all(rs.is_dominant(mu) for mu in below)
 
 
 def _weights_up_to_two(name):
@@ -199,8 +198,8 @@ def test_descent_with_a_code_that_carries_past_the_top_field_raises(monkeypatch,
     rs = build_root_system(name)
     lam = tuple(2 * x for x in rs.rho)
     packing = rs.packing(sum(map(mul, rs.dual_marks, lam)))
-    (code, ht), *rest = packing.codes
-    carried = (code - (packing.place[0] << packing.width + 1), ht)
+    code, *rest = packing.codes
+    carried = code - (packing.place[0] << packing.width + 1)
     monkeypatch.setitem(rs._packings, packing.width, packing._replace(codes=(carried, *rest)))
     with pytest.raises(InvariantError, match="left its packing"):
         _descent_within(rs, lam)
@@ -236,7 +235,7 @@ def _at_width_boundary(rs, k, offset, extra=0):
 def test_descent_at_the_width_boundaries_matches_box_walk(name, k, offset, data):
     rs = build_root_system(name)
     lam = data.draw(_at_width_boundary(rs, k, offset))
-    assert dominant_weights_below(rs, lam) == dominant_weights_by_box(rs, lam)
+    assert dominant_weights_below(rs, lam) == sorted(dominant_weights_by_box(rs, lam))
 
 
 @settings(max_examples=60, deadline=None)
@@ -297,7 +296,7 @@ def test_dominant_weights_below_reads_the_finite_part_of_an_affine_algebra(b2):
 
 def test_dominant_weights_below_examples(a1, b2):
     assert dominant_weights_below(a1, (0,)) == [(0,)]
-    assert dominant_weights_below(a1, (4,)) == [(4,), (2,), (0,)]
+    assert dominant_weights_below(a1, (4,)) == [(0,), (2,), (4,)]
     below = dominant_weights_below(b2, (7, 7))
     assert len(below) == len(set(below))
     # rank-2 lattice-point cross-check: mu dominant with lam - mu in the
@@ -355,7 +354,8 @@ def test_evaluation_order_independence(monkeypatch, b2, g2):
     for rs, lam in [(b2, (2, 2)), (g2, (2, 1))]:
         reference = freudenthal(rs, lam).mults
         listed = freudenthal_candidates(rs, lam, 0, 0)
-        assert [mu for _, mu, _ in listed] == dominant_weights_below(rs, lam)[1:]
+        by_height = sorted(dominant_weights_below(rs, lam), key=lambda mu: rs.height(tuple(map(sub, lam, mu))))
+        assert [mu for _, mu, _ in listed] == by_height[1:]
         layers: dict[int, list] = {}
         for d, mu, gamma in listed:
             diff = tuple(a - b for a, b in zip(lam, mu))

@@ -58,6 +58,31 @@ def test_predicted_set_matches_the_descent_oracle(name, max_sum):
             assert predicted_weights(rs, m, n) == sorted(translated), (m, n)
 
 
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "D4", "F4"])
+def test_weight_lists_come_in_strict_lexicographic_order(name):
+    # the descent sorts its packed weights once, and every list below is
+    # read off it in that order, with no sort of its own
+    rs = build_root_system(name)
+
+    def strictly_increasing(weights):
+        return all(a < b for a, b in zip(weights, weights[1:]))
+
+    for k in (1, 2, 3):
+        assert strictly_increasing(dominant_weights_below(rs, (k,) * rs.rank))
+    for m, n in ((1, 0), (1, 1), (2, 1)):
+        assert strictly_increasing(predicted_weights(rs, m, n))
+        assert strictly_increasing(naive_condition_scan(rs, m, n))
+    for n in (1, 2):
+        cert = harness.certify_conjecture(rs, n)
+        assert strictly_increasing(cert.predicted) and strictly_increasing(cert.residue)
+
+
+def test_a_certification_residue_comes_in_lexicographic_order():
+    # B5's fundamental pairings leave five residue weights
+    residue = harness.certify_conjecture(build_root_system("B5"), 1).residue
+    assert len(residue) == 5 and residue == sorted(set(residue))
+
+
 def test_verify_conjecture_reference_cases(b2, g2):
     rep = verify_conjecture(b2, 5, 2)
     assert rep.verdict == HOLDS and rep.missing == [] and len(rep.present) == 34
