@@ -94,7 +94,10 @@ class Certification(NamedTuple):
     """What :func:`certify_conjecture` found: the predicted set and the
     ``residue``, the predicted weights it left uncertified, both in
     lexicographic order, and a certificate ``(pairing, parts)`` per
-    certified weight ``lam``, whose parts sum to ``lam``. At ``n = 1``,
+    certified weight ``lam``, whose parts sum to ``lam``, checked as it is
+    found. With no residue, the predicted set is ``D(2n rho)``, the dominant
+    weights below ``2n rho``, every one certified; with one, it is the split
+    of :func:`predicted_weights`, which then runs once. At ``n = 1``,
     ``pairing`` is a permutation ``p`` of the nodes and ``parts[i]`` a
     component of ``V(omega_i) (x) V(omega_p(i))``; at ``n >= 2``,
     ``pairing`` is empty and the ``n`` parts are components of ``V(rho) (x)
@@ -120,32 +123,40 @@ def certify_conjecture(rs: RootSystem, n: int, cache: CharCache | None = None) -
     of ``V(rho) (x) V(rho)`` from :func:`verify_conjecture` at ``1 1`` (by
     certificates or by the pass), with ``cache`` passed through.
 
-    Each predicted weight is searched for depth first, part by part, on
-    weights packed as the descent packs them (:meth:`RootSystem.packing`),
-    with a guard bit above each field: every component is dominant, so a
-    part may be taken only while the remainder stays dominant, which is that
-    no guard bit is borrowed. The packing is the one for ``<2n rho,
-    theta^vee>``, which the descent of ``D(2n rho)`` builds and checks every
-    predicted weight against; a part lies below ``2 rho``, so below that
-    bound too, and a remainder less a part fits its fields. A state gives
-    the moves open at a depth, tried largest first, and a dict of the parts
-    that can end a sum, so the last part is one lookup. At ``n = 1`` the
-    state is the set of nodes used: node ``i`` takes a part of ``omega_i
-    (x) omega_j`` for a ``j`` not yet used. At ``n >= 2`` there is one
-    state, every part a move at every depth, in any order. A ``(remainder,
-    state)`` at a depth that completes to no sum is dead for every target
-    and is remembered as such, so each is searched once however many orders
-    of parts reach it. The search returns its path, the ``(label, part)`` of
-    the parts it completes, or ``None``.
+    Each dominant weight below ``2n rho`` is a target, and is searched for
+    depth first, part by part, on weights packed as the descent packs them
+    (:meth:`RootSystem.packing`), with a guard bit above each field: every
+    component is dominant, so a part may be taken only while the remainder
+    stays dominant, which is that no guard bit is borrowed. The packing is
+    the one for ``<2n rho, theta^vee>``, which the descent of ``D(2n rho)``
+    builds and checks every target against; a part lies below ``2 rho``, so
+    below that bound too, and a remainder less a part fits its fields. A
+    state gives the moves open at a depth, tried largest first, and a dict
+    of the parts that can end a sum, so the last part is one lookup. At ``n
+    = 1`` the state is the set of nodes used: node ``i`` takes a part of
+    ``omega_i (x) omega_j`` for a ``j`` not yet used. At ``n >= 2`` there is
+    one state, every part a move at every depth, in any order. A
+    ``(remainder, state)`` at a depth that completes to no sum is dead for
+    every target and is remembered as such, so each is searched once however
+    many orders of parts reach it. The search returns its path, the
+    ``(label, part)`` of the parts it completes, or ``None``. A certificate
+    whose parts do not add up to its weight raises :class:`InvariantError`.
 
-    The dominant weights below ``2n rho`` outside the predicted set are
-    searched too (there were none on any type tried, E7 included). Every
-    component lies in the predicted set, so a sum found for one of them, or
-    a certificate whose parts do not add up to its weight, raises
-    :class:`InvariantError`."""
+    When every target has a certificate, the predicted set is all of ``D(2n
+    rho)``, with no split, by three facts: each certified weight is a
+    component (the semigroup); each component lies in the translated set
+    ``(n rho + wt V(n rho)) ∩ P+`` (which :func:`klimyk` asserts on every
+    product); and every weight of ``V(n rho)`` is ``<= n rho``, so the
+    translated set lies in ``D(2n rho)``. So that identity is derived for
+    each case from its certificates, not assumed. Only when a target has no
+    certificate does :func:`_predicted_and_rest` split ``D(2n rho)``, once:
+    the missed targets in the predicted set are the residue, and a certified
+    weight outside it raises :class:`InvariantError`, since every component
+    lies in the predicted set (there was none on any type tried)."""
     if n < 1:
         raise AlgebraError(f"certify_conjecture covers n >= 1 only, got n={n}")
-    predicted, rest = _predicted_and_rest(rs, n, n)
+    rs._require_finite()
+    targets = dominant_weights_below(rs, _rho_multiple(rs, 2 * n))
     packing = rs.packing(2 * n * sum(rs.dual_marks))
     place, guard = packing.place, packing.guard
     rank = rs.rank
@@ -193,28 +204,28 @@ def certify_conjecture(rs: RootSystem, n: int, cache: CharCache | None = None) -
         dead[i].add(key)
         return None
 
-    for lam in rest:
+    certificates = {}
+    for lam in targets:
         found = search(0, 0, sum(map(mul, lam, place)) | guard)
-        if found is not None:
+        if found is None:
+            continue
+        labels, pieces = zip(*found)
+        pairing = labels if n == 1 else ()
+        total = tuple(map(sum, zip(*pieces)))
+        if total != lam:
+            raise InvariantError(f"{rs.algebra}: the certificate {pairing} {pieces} of {lam} sums to {total}")
+        certificates[lam] = (pairing, pieces)
+    if len(certificates) == len(targets):
+        return Certification(targets, certificates, [])
+    predicted, rest = _predicted_and_rest(rs, n, n)
+    for lam in rest:
+        if lam in certificates:
             factor = f"{n} rho" if n > 1 else "rho"
             raise InvariantError(
-                f"{rs.algebra}: {lam} is the sum of {tuple(c for _, c in found)}, so a component of {factor} (x) "
+                f"{rs.algebra}: {lam} is the sum of {certificates[lam][1]}, so a component of {factor} (x) "
                 f"{factor}, but lies outside the predicted set"
             )
-    certificates = {}
-    residue = []
-    for lam in predicted:
-        found = search(0, 0, sum(map(mul, lam, place)) | guard)
-        if found is not None:
-            labels, pieces = zip(*found)
-            pairing = labels if n == 1 else ()
-            total = tuple(map(sum, zip(*pieces)))
-            if total != lam:
-                raise InvariantError(f"{rs.algebra}: the certificate {pairing} {pieces} of {lam} sums to {total}")
-            certificates[lam] = (pairing, pieces)
-        else:
-            residue.append(lam)
-    return Certification(predicted, certificates, residue)
+    return Certification(predicted, certificates, [lam for lam in predicted if lam not in certificates])
 
 
 def _certify_first(rs: RootSystem, n: int) -> bool:
@@ -252,9 +263,12 @@ def verify_conjecture(rs: RootSystem, m: int, n: int, cache: CharCache | None = 
         if not cert.residue:
             return ConjectureReport(str(rs.algebra), m, n, cert.predicted, list(cert.predicted), [], HOLDS)
     dec = klimyk(rs, _rho_multiple(rs, m), _rho_multiple(rs, n), cache)
+    # the components lie in the translated set (klimyk asserts it), so one
+    # sort gives all three lists
     predicted = sorted(dec.translated)
-    present = sorted(dec.components)
-    missing = sorted(dec.translated - dec.components.keys())
+    components = dec.components
+    present = [w for w in predicted if w in components]
+    missing = [w for w in predicted if w not in components]
     verdict = HOLDS if not missing else FAILS
     return ConjectureReport(str(rs.algebra), m, n, predicted, present, missing, verdict)
 

@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import csv
 import json
+from itertools import islice
 
 from .rootdata import Weight
+
+JSON_BATCH = 1 << 16  # chunks of JSON text per write
 
 
 def fmt_weight(w: Weight) -> str:
@@ -31,8 +34,12 @@ def render(out, fmt: str, kind: str, doc, lines, rows=None) -> None:
     ``kind``; ``lines()`` the table lines; ``rows()`` the CSV rows, header
     first. A result without ``rows`` prints its table for ``--format csv``."""
     if fmt == "json":
-        # one write: json.dump would write each chunk of the document on its own
-        out.write(json.dumps({**doc(), "meta": meta(kind)}, indent=2, sort_keys=True) + "\n")
+        # json.dumps' text in batches of chunks: json.dump would write each
+        # chunk on its own, and json.dumps holds every chunk before it joins them
+        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode({**doc(), "meta": meta(kind)})
+        for batch in iter(lambda: "".join(islice(chunks, JSON_BATCH)), ""):
+            out.write(batch)
+        out.write("\n")
     elif fmt == "csv" and rows is not None:
         csv.writer(out).writerows(rows())
     else:

@@ -89,17 +89,30 @@ def test_b4_leaves_one_residue_and_the_pass_decides(monkeypatch):
     assert vars(verify_conjecture(rs, 1, 1)) == vars(forced)
 
 
-def test_a_sum_outside_the_predicted_set_raises(monkeypatch):
-    # a predicted set that lost the weights rho + nu, nu in the orbit of the
-    # lowest dominant weight of V(rho), while each is still a certified sum
-    rs = build_root_system("F4")
+def lossy_descent(monkeypatch, n):
+    """A descent of ``n rho`` that loses its least weight, so that the split
+    loses the weights ``n rho + nu``, ``nu`` in that weight's orbit, from the
+    predicted set; and one of ``2n rho`` with a target above ``2n rho``
+    added, which no sum reaches, so that a target is missed and the split
+    runs."""
     below = harness.dominant_weights_below
 
     def lossy(rs, lam):
         found = below(rs, lam)
-        return found[1:] if lam == rs.rho else found
+        if lam == (n,) * rs.rank:
+            return found[1:]
+        if lam == (2 * n,) * rs.rank:
+            return [*found, (2 * n,) * (rs.rank - 1) + (2 * n + 1,)]
+        return found
 
     monkeypatch.setattr(harness, "dominant_weights_below", lossy)
+
+
+def test_a_sum_outside_the_predicted_set_raises(monkeypatch):
+    # a predicted set that lost the weights rho + nu, nu in the orbit of the
+    # lowest dominant weight of V(rho), while each is still a certified sum
+    rs = build_root_system("F4")
+    lossy_descent(monkeypatch, 1)
     with pytest.raises(InvariantError, match="so a component of rho \\(x\\) rho, but lies outside the predicted set"):
         certify_conjecture(rs, 1)
 
@@ -204,15 +217,57 @@ def test_a_sum_of_rho_rho_components_outside_the_predicted_set_raises(monkeypatc
     # two components of rho (x) rho (B3 decides (1, 1) by the pass, which
     # the lossy descent does not reach)
     rs = build_root_system("B3")
-    below = harness.dominant_weights_below
-
-    def lossy(rs, lam):
-        found = below(rs, lam)
-        return found[1:] if lam == (2, 2, 2) else found
-
-    monkeypatch.setattr(harness, "dominant_weights_below", lossy)
+    lossy_descent(monkeypatch, 2)
     with pytest.raises(InvariantError, match="so a component of 2 rho \\(x\\) 2 rho, but lies outside"):
         certify_conjecture(rs, 2)
+
+
+ORACLE = [
+    (name, n)
+    for name in ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "B5", "C3", "C4", "C5", "D4", "D5", "G2", "F4"]
+    for n in ((1, 2, 3) if name in ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2") else (1, 2))
+]
+
+
+@pytest.mark.parametrize("name,n", ORACLE)
+def test_the_predicted_set_is_the_split_of_d_2n_rho(name, n):
+    # with every target certified, the predicted set is D(2n rho) with no
+    # split; the split is the reference it must agree with
+    rs = build_root_system(name)
+    cert = certify_conjecture(rs, n)
+    predicted = harness.predicted_weights(rs, n, n)
+    assert cert.predicted == predicted
+    assert cert.certificates.keys() <= set(predicted)
+
+
+def spy_split(monkeypatch):
+    """Count the calls of ``_predicted_and_rest``."""
+    calls = []
+    real = harness._predicted_and_rest
+
+    def spy(rs, m, n):
+        calls.append((m, n))
+        return real(rs, m, n)
+
+    monkeypatch.setattr(harness, "_predicted_and_rest", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name,n", [("F4", 1), ("B3", 2), ("C3", 3)])
+def test_a_fully_certified_case_runs_no_split(monkeypatch, name, n):
+    rs = build_root_system(name)
+    calls = spy_split(monkeypatch)
+    cert = certify_conjecture(rs, n)
+    assert calls == [] and cert.residue == []
+    assert cert.predicted == harness.dominant_weights_below(rs, (2 * n,) * rs.rank)
+
+
+def test_a_missed_target_runs_the_split_once(monkeypatch):
+    rs = build_root_system("B5")
+    calls = spy_split(monkeypatch)
+    cert = certify_conjecture(rs, 1)
+    assert calls == [(1, 1)]
+    assert cert.residue == [(1, 1, 0, 5, 0), (1, 3, 0, 4, 0), (2, 0, 6, 0, 0), (3, 0, 0, 5, 0), (3, 2, 0, 4, 0)]
 
 
 IDENTITY_CASES = [("A2", 4), ("B2", 4), ("G2", 3), ("A3", 3), ("B3", 3), ("C3", 3), ("A4", 2), ("B4", 2), ("D4", 2)]

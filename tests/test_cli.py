@@ -18,6 +18,7 @@ from oracles import decomposition_from_json_dict
 import rho_tensor
 from rho_tensor.charcalc import CharCache, clear_memory_cache, freudenthal
 from rho_tensor.harness import FAILS, ConjectureReport, SupportContainmentReport
+from rho_tensor.render import JSON_BATCH, meta, render
 from rho_tensor.cli import (
     COMMANDS,
     EXIT_INTERNAL,
@@ -81,6 +82,27 @@ def test_decompose_json_round_trip():
     direct = klimyk(build_root_system("G2"), (3, 3), (4, 4))
     assert rebuilt.components == direct.components
     assert (rebuilt.algebra, rebuilt.lhs, rebuilt.rhs) == ("G2", (3, 3), (4, 4))
+
+
+def test_a_large_json_document_is_written_in_batches():
+    # render writes the text of json.dumps a batch of encoder chunks at a
+    # time, so that no more than a batch of chunks is held at once
+    doc = {"entries": [{"weight": (i, i + 1), "mult": str(i)} for i in range(20000)]}
+    full = {**doc, "meta": meta("test")}
+    chunks = sum(1 for _ in json.JSONEncoder(indent=2, sort_keys=True).iterencode(full))
+    assert chunks > 3 * JSON_BATCH
+
+    class Out(io.StringIO):
+        writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            return super().write(text)
+
+    out = Out()
+    render(out, "json", "test", lambda: doc, None)
+    assert out.getvalue() == json.dumps(full, indent=2, sort_keys=True) + "\n"
+    assert out.writes == -(-chunks // JSON_BATCH) + 1
 
 
 def test_decompose_csv():
